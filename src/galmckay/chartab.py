@@ -16,13 +16,14 @@ from math import isqrt, lcm
 from sympy import isprime, primitive_root
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
+from . import GalMcKayError
 from .cyclo import Cyclotomic, ZERO, ONE, rational, make_root, sum_cyclo
 from .groups import FiniteGroup, compose, inverse, perm_pow
 
 P0_SEARCH_CAP = 10 ** 8
 
 
-class ChartabError(ValueError):
+class ChartabError(GalMcKayError):
     pass
 
 
@@ -484,18 +485,15 @@ def dixon_schneider(G: FiniteGroup, p0: int = None) -> CharacterTable:
     return table
 
 
-def induce(G: FiniteGroup, H: FiniteGroup, tau: ClassFunction,
-           embed=None) -> ClassFunction:
+def induce(G: FiniteGroup, H: FiniteGroup,
+           tau: ClassFunction) -> ClassFunction:
     """Induced class function Ind_H^G(tau).
 
-    H must act on the same points as G with elements belonging to G
-    (otherwise pass `embed` mapping H-elements into G).
+    H must act on the same points as G with elements belonging to G.
     """
     if tau.group is not H:
         raise ChartabError("tau is not a class function on H")
-    if embed is None:
-        embed = lambda g: g
-    fusion = [G.class_of_element(embed(cl.rep)) for cl in H.conjugacy_classes]
+    fusion = [G.class_of_element(cl.rep) for cl in H.conjugacy_classes]
     ncl = len(G.conjugacy_classes)
     sums = [ZERO] * ncl
     for hc, cl in enumerate(H.conjugacy_classes):
@@ -509,13 +507,11 @@ def induce(G: FiniteGroup, H: FiniteGroup, tau: ClassFunction,
     return ClassFunction(G, values)
 
 
-def restrict(G: FiniteGroup, H: FiniteGroup, chi: ClassFunction,
-             embed=None) -> ClassFunction:
+def restrict(G: FiniteGroup, H: FiniteGroup,
+             chi: ClassFunction) -> ClassFunction:
     if chi.group is not G:
         raise ChartabError("chi is not a class function on G")
-    if embed is None:
-        embed = lambda g: g
-    values = [chi.values[G.class_of_element(embed(cl.rep))]
+    values = [chi.values[G.class_of_element(cl.rep)]
               for cl in H.conjugacy_classes]
     return ClassFunction(H, values)
 

@@ -6,12 +6,12 @@ import sys
 
 from sympy import primefactors
 
+from . import GalMcKayError
 from .cyclo import Cyclotomic
 from .chartab import CharacterTable, dixon_schneider
-from .zoo import ZooError, suzuki_group, psl2_8, agl18_normalizer, small_group
-from .groups import GroupError
+from .zoo import suzuki_group, psl2_8, agl18_normalizer, small_group
 from .verify import (
-    VerifyError, verify_target, lemma_congruence_check, cross_model_check,
+    verify_target, lemma_congruence_check, cross_model_check,
     list_targets, local_model_group, target_mode,
 )
 
@@ -201,7 +201,7 @@ def run(argv) -> int:
             _dump({"targets": list_targets()}, args.format, args.out)
             return 0
         return 1
-    except (VerifyError, ZooError, GroupError, ValueError) as exc:
+    except GalMcKayError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

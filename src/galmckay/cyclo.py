@@ -18,8 +18,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
+from . import GalMcKayError
 
-class CycloError(ValueError):
+
+class CycloError(GalMcKayError):
     pass
 
 

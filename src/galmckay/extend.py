@@ -5,35 +5,35 @@ psi of M, the stabilizer A_psi is cyclic and psi extends to M x| A_psi in
 exactly |A_psi| ways (Gallagher).  This module enumerates the extensions
 by brute restriction matching and searches for one fixed by every pair
 (a^j, sigma) in the joint stabilizer of psi, where sigma runs over a
-group of Galois automorphisms.
+group of Galois automorphisms.  The automorphism a is given by a realizer
+permutation r on the points of M, acting by x -> r^-1 x r.
 """
 
+from . import GalMcKayError
 from .cyclo import ONE, ZERO
 from .groups import (
-    FiniteGroup, GroupMap, SemidirectProduct,
-    conjugate, perm_pow, identity_perm, identity_map,
-    semidirect_product, induced_class_permutation,
+    FiniteGroup, SemidirectProduct, automorphism_order, check_realizer,
+    perm_pow, identity_perm, semidirect_product, induced_class_permutation,
 )
 from .chartab import (
     CharacterTable, ClassFunction, dixon_schneider, induce, inner_product,
 )
-from .galois import GaloisElement, act_on_table
+from .galois import act_on_table
 
 
-class ExtendError(Exception):
+class ExtendError(GalMcKayError):
     pass
 
 
-def _action_class_perms(table, action, k):
+def _action_class_perms(table, realizer, k):
     """Class permutation of M induced by a^j for j = 0..k-1."""
     M = table.group
-    perms = [tuple(range(len(table.classes)))]
-    acc = action
-    for _ in range(k - 1):
-        perms.append(induced_class_permutation(M, acc))
-        acc = acc.compose_with(action)
-    if not acc.is_identity():
+    r = check_realizer(M, realizer)
+    if k % automorphism_order(M, r):
         raise ExtendError("action does not have order dividing %d" % k)
+    perms = [tuple(range(len(table.classes)))]
+    for j in range(1, k):
+        perms.append(induced_class_permutation(M, perm_pow(r, j)))
     return perms
 
 
@@ -42,14 +42,23 @@ def _apply_class_perm(values, cperm):
     return tuple(values[c] for c in cperm)
 
 
+def extension_product(table: CharacterTable, realizer, q: int):
+    """(M x| <r>, its character table, class fusion of M) for r of order q."""
+    product = semidirect_product(table.group, realizer, q)
+    big = dixon_schneider(product.group)
+    fusion = tuple(product.group.class_of_element(cl.rep)
+                   for cl in table.classes)
+    return product, big, fusion
+
+
 class ExtensionSet:
     """All extensions of one character to M x| A_psi."""
 
-    def __init__(self, base_table, base_row, action, k, d, product,
+    def __init__(self, base_table, base_row, realizer, k, d, product,
                  table, fusion, rows):
         self.base_table = base_table
         self.base_row = base_row
-        self.action = action
+        self.realizer = realizer
         self.k = k
         self.d = d
         self.a_psi_order = k // d
@@ -70,39 +79,33 @@ class ExtensionWitness:
         self.invariant = all(ok for _, _, ok in self.invariance)
 
 
-def find_extensions(table: CharacterTable, action: GroupMap, k: int,
-                    row: int, realizer=None, cache=None) -> ExtensionSet:
+def find_extensions(table: CharacterTable, realizer, k: int, row: int,
+                    cache=None) -> ExtensionSet:
     """All rows of Irr(M x| A_psi) restricting to table.rows[row].
 
-    An optional cache dict (private to one (table, action, k) triple)
-    stores the semidirect product and its table per stabilizer index d.
+    A = <a> with a of order dividing k, realized by conjugation with the
+    permutation realizer.  An optional cache dict (private to one (table,
+    realizer, k) triple) stores extension_product results per stabilizer
+    index d.
     """
     M = table.group
-    if action.source is not M or action.target is not M:
-        raise ExtendError("action is not an automorphism of the table group")
     psi = table.rows[row]
-    cperms = _action_class_perms(table, action, k)
+    cperms = _action_class_perms(table, realizer, k)
+    realizer = tuple(realizer)
     d = next(j for j in range(1, k + 1)
              if k % j == 0
              and _apply_class_perm(psi.values, cperms[j % k]) == psi.values)
     q = k // d
     if q == 1:
-        product = SemidirectProduct(M, M, lambda g: tuple(g),
-                                    identity_perm(M.degree), 1)
+        product = SemidirectProduct(M, M, identity_perm(M.degree), 1)
         fusion = tuple(range(len(table.classes)))
-        return ExtensionSet(table, row, action, k, d, product, table,
+        return ExtensionSet(table, row, realizer, k, d, product, table,
                             fusion, (row,))
     if cache is not None and d in cache:
         product, big, fusion = cache[d]
     else:
-        act_d = action
-        for _ in range(d - 1):
-            act_d = act_d.compose_with(action)
-        r_d = perm_pow(tuple(realizer), d) if realizer is not None else None
-        product = semidirect_product(M, act_d, q, realizer=r_d)
-        big = dixon_schneider(product.group)
-        fusion = tuple(product.group.class_of_element(product.embed(cl.rep))
-                       for cl in table.classes)
+        product, big, fusion = extension_product(
+            table, perm_pow(realizer, d), q)
         if cache is not None:
             cache[d] = (product, big, fusion)
     rows = []
@@ -113,14 +116,15 @@ def find_extensions(table: CharacterTable, action: GroupMap, k: int,
     if len(rows) != q:
         raise ExtendError("Gallagher count violated: %d extensions, "
                           "expected %d" % (len(rows), q))
-    return ExtensionSet(table, row, action, k, d, product, big, fusion, rows)
+    return ExtensionSet(table, row, realizer, k, d, product, big, fusion,
+                        rows)
 
 
-def joint_stabilizer(table: CharacterTable, action: GroupMap, k: int,
-                     row: int, H) -> list:
+def joint_stabilizer(table: CharacterTable, realizer, k: int, row: int,
+                     H) -> list:
     """Pairs (j, sigma) with psi composed with a^j then sigma equal to psi."""
     psi = table.rows[row]
-    cperms = _action_class_perms(table, action, k)
+    cperms = _action_class_perms(table, realizer, k)
     pairs = []
     for j in range(k):
         moved = _apply_class_perm(psi.values, cperms[j])
@@ -131,32 +135,12 @@ def joint_stabilizer(table: CharacterTable, action: GroupMap, k: int,
     return pairs
 
 
-def _gamma_row_perm(ext: ExtensionSet, j: int, realizer=None):
+def _gamma_row_perm(ext: ExtensionSet, j: int):
     """Row permutation of the extension table induced by a^j."""
     Gt = ext.product.group
-    nrows = len(ext.table.rows)
     if j % ext.k == 0:
-        return tuple(range(nrows))
-    if ext.a_psi_order == 1 and Gt is ext.base_table.group:
-        M = ext.base_table.group
-        cperms = _action_class_perms(ext.base_table, ext.action, ext.k)
-        cperm = cperms[j % ext.k]
-    elif realizer is not None:
-        rj = perm_pow(tuple(realizer), j)
-        imgs = [conjugate(g, rj) for g in Gt.generators]
-        gmap = GroupMap(Gt, Gt, imgs, kind="automorphism")
-        cperm = induced_class_permutation(Gt, gmap)
-    else:
-        # abstract product: generators are the embedded base generators
-        # followed by the complement generator, which the action fixes
-        acc = identity_map(ext.base_table.group)
-        for _ in range(j):
-            acc = acc.compose_with(ext.action)
-        imgs = [ext.product.embed(acc.apply(g))
-                for g in ext.base_table.group.generators]
-        imgs.append(ext.product.comp_gen)
-        gmap = GroupMap(Gt, Gt, imgs, kind="automorphism")
-        cperm = induced_class_permutation(Gt, gmap)
+        return tuple(range(len(ext.table.rows)))
+    cperm = induced_class_permutation(Gt, perm_pow(ext.realizer, j))
     perm = []
     for chi in ext.table.rows:
         image = ClassFunction(Gt, _apply_class_perm(chi.values, cperm))
@@ -164,17 +148,15 @@ def _gamma_row_perm(ext: ExtensionSet, j: int, realizer=None):
     return tuple(perm)
 
 
-def invariant_extension_exists(table: CharacterTable, action: GroupMap,
-                               k: int, row: int, H, realizer=None,
-                               cache=None):
+def invariant_extension_exists(table: CharacterTable, realizer, k: int,
+                               row: int, H, cache=None):
     """Search the extensions of a row for a joint-stabilizer-fixed one.
 
     Returns an ExtensionWitness; .invariant reports success.  The Galois
     group H must have modulus divisible by the extension table exponent.
     """
-    ext = find_extensions(table, action, k, row, realizer=realizer,
-                          cache=cache)
-    pairs = joint_stabilizer(table, action, k, row, H)
+    ext = find_extensions(table, realizer, k, row, cache=cache)
+    pairs = joint_stabilizer(table, realizer, k, row, H)
     shared = cache if cache is not None else {}
     reports = []
     for i in ext.rows:
@@ -183,7 +165,7 @@ def invariant_extension_exists(table: CharacterTable, action: GroupMap,
             gk = ("gamma", ext.d, j)
             sk = ("sigma", ext.d, sigma.b)
             if gk not in shared:
-                shared[gk] = _gamma_row_perm(ext, j, realizer=realizer)
+                shared[gk] = _gamma_row_perm(ext, j)
             if sk not in shared:
                 shared[sk] = act_on_table(ext.table, sigma)
             image = shared[sk][shared[gk][i]]

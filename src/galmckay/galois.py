@@ -13,6 +13,7 @@ from math import gcd
 
 from sympy import isprime
 
+from . import GalMcKayError
 from .cyclo import ONE
 from .groups import FiniteGroup, compose, inverse, identity_perm
 from .chartab import (
@@ -21,7 +22,7 @@ from .chartab import (
 )
 
 
-class GaloisError(Exception):
+class GaloisError(GalMcKayError):
     pass
 
 

@@ -10,15 +10,16 @@ enumeration, which is capped.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from sympy.combinatorics import Permutation, PermutationGroup
+
+from . import GalMcKayError
 
 ENUMERATION_CAP = 20_000_000
 
 
-class GroupError(ValueError):
+class GroupError(GalMcKayError):
     pass
 
 
@@ -349,199 +350,68 @@ class FiniteGroup:
             self.name, self.degree, len(self.generators))
 
 
-# -- homomorphisms ---------------------------------------------------------
+# -- automorphisms given by realizer permutations -------------------------
+#
+# An automorphism of G is represented by a permutation r on the same points
+# with r^-1 G r = G; it acts by x -> conjugate(x, r).
 
-class GroupMap:
-    """Map between groups given by generator images, checked elementwise."""
-
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, images,
-                 kind="homomorphism", check=True):
-        images = [tuple(g) for g in images]
-        if len(images) != len(source.generators):
-            raise GroupError("need one image per generator")
-        for g in images:
-            if g not in target:
-                raise GroupError("image not in target group")
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        self.kind = kind
-        self._table = None
-        if check:
-            self._check()
-
-    @property
-    def table(self) -> list:
-        """Target element per source element index."""
-        if self._table is None:
-            src = self.source
-            tbl = [None] * src.order
-            tbl[0] = identity_perm(self.target.degree)
-            for i in range(1, src.order):
-                pi, gi = src.parents[i]
-                tbl[i] = compose(tbl[pi], self.images[gi])
-            self._table = tbl
-        return self._table
-
-    def _check(self):
-        src = self.source
-        tbl = self.table
-        index = src.element_index
-        for i, e in enumerate(src.elements):
-            for gi, g in enumerate(src.generators):
-                k = index[compose(e, g)]
-                if compose(tbl[i], self.images[gi]) != tbl[k]:
-                    raise GroupError("generator images do not define a "
-                                     "homomorphism")
-        if self.kind == "automorphism":
-            if self.source is not self.target and \
-                    (self.source.degree != self.target.degree or
-                     self.source.order != self.target.order):
-                raise GroupError("automorphism endpoints differ")
-            if len(set(tbl)) != src.order:
-                raise GroupError("map is not bijective")
-
-    def apply(self, elem) -> tuple:
-        return self.table[self.source.element_index[tuple(elem)]]
-
-    def index_map(self) -> tuple:
-        """Permutation of element indices (automorphisms only)."""
-        idx = self.source.element_index
-        return tuple(idx[t] for t in self.table)
-
-    def compose_with(self, other: "GroupMap") -> "GroupMap":
-        """self then other."""
-        if other.source is not self.target:
-            raise GroupError("maps not composable")
-        imgs = [other.apply(t) for t in self.images]
-        return GroupMap(self.source, other.target, imgs, kind=self.kind,
-                        check=False)
-
-    def is_identity(self) -> bool:
-        return all(t == e for t, e in zip(self.table, self.source.elements))
-
-    def map_order(self) -> int:
-        acc = self
-        o = 1
-        while not acc.is_identity():
-            acc = acc.compose_with(self)
-            o += 1
-            if o > self.source.order:
-                raise GroupError("not an automorphism of finite order")
-        return o
-
-    def is_inner(self) -> bool:
-        for g in self.source.elements:
-            if all(conjugate(s, g) == im
-                   for s, im in zip(self.source.generators, self.images)):
-                return True
-        return False
+def check_realizer(G: FiniteGroup, r) -> tuple:
+    """r as a tuple, after checking that conjugation by r maps G to G."""
+    r = tuple(r)
+    if not is_perm(r, G.degree):
+        raise GroupError("realizer is not a permutation of degree %d"
+                         % G.degree)
+    if any(conjugate(s, r) not in G for s in G.generators):
+        raise GroupError("realizer does not normalize %s" % G.name)
+    return r
 
 
-def identity_map(G: FiniteGroup) -> GroupMap:
-    return GroupMap(G, G, G.generators, kind="automorphism", check=False)
+def automorphism_order(G: FiniteGroup, r) -> int:
+    """Order of the automorphism of G induced by the realizer r."""
+    acc, j = tuple(r), 1
+    while any(conjugate(s, acc) != s for s in G.generators):
+        acc, j = compose(acc, r), j + 1
+    return j
 
 
-def induced_class_permutation(G: FiniteGroup, a: GroupMap) -> tuple:
-    """Permutation of class indices induced by the automorphism a."""
-    return tuple(G.class_of_element(a.apply(cl.rep))
-                 for cl in G.conjugacy_classes)
+def induced_class_permutation(G: FiniteGroup, r) -> tuple:
+    """Class indices of the images of the classes under conjugation by r."""
+    try:
+        return tuple(G.class_of_element(conjugate(cl.rep, r))
+                     for cl in G.conjugacy_classes)
+    except KeyError:
+        raise GroupError("realizer does not normalize %s" % G.name)
 
 
 # -- semidirect products ---------------------------------------------------
 
 class SemidirectProduct:
-    """G ⋊ C_k with an embedding of G and the complement generator.
+    """G ⋊ <c> on the points of G, where c = comp_gen has order k.
 
-    `embed` sends an element of G to the corresponding permutation of the
-    product group; `comp_gen` is the distinguished generator of the cyclic
-    complement.  Conjugation by comp_gen induces the defining automorphism.
+    G is a subgroup of the product group, and conjugation by comp_gen
+    induces the defining automorphism of G.
     """
 
-    def __init__(self, group, base, embed, comp_gen, k):
+    def __init__(self, group, base, comp_gen, k):
         self.group = group
         self.base = base
-        self.embed = embed
         self.comp_gen = comp_gen
         self.k = k
 
-    def embedded_subgroup(self) -> FiniteGroup:
-        gens = [self.embed(g) for g in self.base.generators]
-        return FiniteGroup(self.group.degree, gens,
-                           name=self.base.name + "-in-" + self.group.name,
-                           cap=self.group.cap)
 
-
-def semidirect_product(G: FiniteGroup, a: GroupMap, k: int,
-                       realizer=None) -> SemidirectProduct:
-    """Build G ⋊ <c> with c of order k acting by the automorphism a.
-
-    The convention is c^-1 g c = a(g).  With a realizer permutation r on
-    the same points (r^k = 1, conjugation by r inducing a on G) the
-    product lives on the same point set; otherwise a right-regular action
-    on pairs (element of G, power of c) is used.
-    """
+def semidirect_product(G: FiniteGroup, r, k: int) -> SemidirectProduct:
+    """G ⋊ <r> for a realizer r of order k with <r> meeting G trivially."""
     if k < 1:
         raise GroupError("k must be positive")
-    acc = a
-    for _ in range(k - 1):
-        acc = acc.compose_with(a)
-    if not acc.is_identity():
-        raise GroupError("automorphism^k is not the identity")
-
-    if realizer is not None:
-        r = tuple(realizer)
-        if perm_pow(r, k) != identity_perm(G.degree):
-            raise GroupError("realizer^k is not the identity")
-        for s, im in zip(G.generators, a.images):
-            if conjugate(s, r) != im:
-                raise GroupError("realizer does not induce the automorphism")
-        H = FiniteGroup(G.degree, list(G.generators) + [r],
-                        name=G.name + ".%d" % k, cap=G.cap)
-        if H.order != k * G.order:
-            raise GroupError("realizer lies in the group or has extra order "
-                             "(got %d, want %d)" % (H.order, k * G.order))
-        return SemidirectProduct(H, G, lambda g: tuple(g), r, k)
-
-    # abstract construction on pairs (x, u), x in G, u in Z_k,
-    # with (x, u)(g, v) = (x * a^-u(g), u + v)
-    n = G.order
-    idx = G.element_index
-    amap = a.index_map()
-    ainv = inverse(amap)
-    apow = [tuple(range(n))]
-    for _ in range(k - 1):
-        apow.append(compose(apow[-1], ainv))
-
-    def point(i, u):
-        return i * k + u
-
-    def right_mult_perm(g):
-        gidx = idx[g]
-        out = [0] * (n * k)
-        for u in range(k):
-            gu = G.elements[apow[u][gidx]]
-            for i in range(n):
-                ne = idx[compose(G.elements[i], gu)]
-                out[point(i, u)] = point(ne, u)
-        return tuple(out)
-
-    gens = []
-    for g in G.generators:
-        gens.append(right_mult_perm(g))
-    c_perm = [0] * (n * k)
-    for i in range(n):
-        for u in range(k):
-            c_perm[point(i, u)] = point(i, (u + 1) % k)
-    gens.append(tuple(c_perm))
-    H = FiniteGroup(n * k, gens, name=G.name + ":%d" % k)
-    if H.order != n * k:
-        raise GroupError("semidirect product has wrong order")  # pragma: no cover
-
-    def embed(g):
-        return right_mult_perm(tuple(g))
-
-    return SemidirectProduct(H, G, embed, tuple(c_perm), k)
+    r = check_realizer(G, r)
+    if perm_pow(r, k) != identity_perm(G.degree):
+        raise GroupError("realizer^k is not the identity")
+    H = FiniteGroup(G.degree, list(G.generators) + [r],
+                    name=G.name + ".%d" % k, cap=G.cap)
+    if H.order != k * G.order:
+        raise GroupError("realizer lies in the group or has extra order "
+                         "(got %d, want %d)" % (H.order, k * G.order))
+    return SemidirectProduct(H, G, r, k)
 
 
 # -- small standard groups (used by tests and local models) ----------------

@@ -15,21 +15,21 @@ from collections import deque
 
 from sympy import factorint
 
+from . import GalMcKayError
 from .groups import (
-    FiniteGroup, GroupMap, GroupError,
-    compose, conjugate, perm_pow, identity_perm, identity_map,
-    semidirect_product, induced_class_permutation,
+    FiniteGroup, GroupError, compose, conjugate, perm_pow, identity_perm,
+    automorphism_order, check_realizer, induced_class_permutation,
 )
 from .chartab import CharacterTable, ClassFunction, dixon_schneider
 from .galois import h_group, act_on_table
-from .extend import invariant_extension_exists
+from .extend import invariant_extension_exists, extension_product
 from .zoo import (
     ZooError, FiniteField, suzuki_group, psl2_8, field_automorphism,
     torus_normalizer, torus_rows,
 )
 
 
-class VerifyError(Exception):
+class VerifyError(GalMcKayError):
     pass
 
 
@@ -162,9 +162,9 @@ def brute_force_match_exists(X: ActionOnSet, Y: ActionOnSet) -> bool:
 
 # -- row actions -----------------------------------------------------------
 
-def automorphism_row_perm(table: CharacterTable, action: GroupMap):
-    """Row permutation of chi -> chi composed with the automorphism."""
-    cperm = induced_class_permutation(table.group, action)
+def automorphism_row_perm(table: CharacterTable, realizer):
+    """Row permutation of chi -> chi composed with conjugation by realizer."""
+    cperm = induced_class_permutation(table.group, realizer)
     perm = []
     for chi in table.rows:
         image = ClassFunction(table.group,
@@ -173,12 +173,15 @@ def automorphism_row_perm(table: CharacterTable, action: GroupMap):
     return tuple(perm)
 
 
-def joint_row_action(table, action, k, H, rows):
-    """ActionOnSet of C_k x H on a subset of row indices."""
+def joint_row_action(table, realizer, k, H, rows):
+    """ActionOnSet of C_k x H on a subset of row indices.
+
+    C_k acts through conjugation by realizer; None means trivially.
+    """
     nrows = len(table.rows)
     gperms = [tuple(range(nrows))]
-    if action is not None and k > 1:
-        base = automorphism_row_perm(table, action)
+    if realizer is not None and k > 1:
+        base = automorphism_row_perm(table, realizer)
         for _ in range(k - 1):
             gperms.append(compose(gperms[-1], base))
     else:
@@ -200,11 +203,11 @@ def joint_row_action(table, action, k, H, rows):
 
 # -- condition checks ------------------------------------------------------
 
-def condition_one(gtable, ltable, p, H, gaction=None, laction=None, k=1):
+def condition_one(gtable, ltable, p, H, greal=None, lreal=None, k=1):
     gp = gtable.p_prime_rows(p)
     lp = ltable.p_prime_rows(p)
-    X = joint_row_action(gtable, gaction, k, H, gp)
-    Y = joint_row_action(ltable, laction, k, H, lp)
+    X = joint_row_action(gtable, greal, k, H, gp)
+    Y = joint_row_action(ltable, lreal, k, H, lp)
     res = match_actions(X, Y)
     return {
         "counts": {"global": len(gp), "local": len(lp)},
@@ -216,17 +219,21 @@ def condition_one(gtable, ltable, p, H, gaction=None, laction=None, k=1):
     }
 
 
-def extension_sweep(table, action, k, H, p, side, realizer=None, cache=None):
-    """Invariant-extension witnesses for every p'-row of one side."""
+def extension_sweep(table, realizer, k, H, p, side, cache=None):
+    """Invariant-extension witnesses for every p'-row of one side.
+
+    The cyclic group of order k acts through conjugation by realizer; None
+    means no action (k is then taken as 1).
+    """
     entries = []
     if cache is None:
         cache = {}
-    if action is None:
-        action = identity_map(table.group)
+    if realizer is None:
+        realizer = identity_perm(table.group.degree)
         k = 1
     for row in table.p_prime_rows(p):
-        w = invariant_extension_exists(table, action, k, row, H,
-                                       realizer=realizer, cache=cache)
+        w = invariant_extension_exists(table, realizer, k, row, H,
+                                       cache=cache)
         entries.append({
             "side": side,
             "row": row,
@@ -414,23 +421,14 @@ def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
     for n in sorted(N.elements):
         cand = compose(r, n)
         if perm_pow(cand, k) == ident:
-            action = GroupMap(N, N, [conjugate(g, cand)
-                                     for g in N.generators],
-                              kind="automorphism")
-            return N, action, cand
+            return N, check_realizer(N, cand)
     raise VerifyError("no order-%d realizer stabilizing the normalizer" % k)
 
 
-def _ext_bundle(table, action, k, realizer, key):
+def _ext_bundle(table, realizer, k, key):
     """Cache dict for extension searches, seeded with the d=1 product."""
-    def build():
-        product = semidirect_product(table.group, action, k,
-                                     realizer=realizer)
-        big = dixon_schneider(product.group)
-        fusion = tuple(product.group.class_of_element(product.embed(cl.rep))
-                       for cl in table.classes)
-        return {1: (product, big, fusion)}
-    return _memoized(("bundle",) + key, build)
+    return _memoized(("bundle",) + key,
+                     lambda: {1: extension_product(table, realizer, k)})
 
 
 # supported targets: (family, f) -> primes with full verification
@@ -520,23 +518,22 @@ def out_of_scope_report(family, f, p):
 
 
 def full_target_setup(family, f, p):
-    """Tables, actions, realizers, and Galois group for a full target."""
+    """Tables, realizers, and Galois group for a full target."""
     G = _global_group(family, f)
     gtable = _table(G)
-    gaction, frob = _memoized(("frob", family, f),
-                              lambda: field_automorphism(G))
-    k = _memoized(("frobord", family, f), gaction.map_order)
-    N, laction, lreal = _memoized(("stable", family, f, p),
-                                  lambda: stable_sylow_setup(G, p, frob, k))
+    frob = _memoized(("frob", family, f), lambda: field_automorphism(G))
+    k = _memoized(("frobord", family, f),
+                  lambda: automorphism_order(G, frob))
+    N, lreal = _memoized(("stable", family, f, p),
+                         lambda: stable_sylow_setup(G, p, frob, k))
     ltable = _table(N)
-    gcache = _ext_bundle(gtable, gaction, k, frob, (family, f, "global"))
-    lcache = _ext_bundle(ltable, laction, k, lreal, (family, f, p, "local"))
+    gcache = _ext_bundle(gtable, frob, k, (family, f, "global"))
+    lcache = _ext_bundle(ltable, lreal, k, (family, f, p, "local"))
     m = lcm(gcache[1][0].group.exponent, lcache[1][0].group.exponent)
     H = h_group(p, m)
     return {
-        "gtable": gtable, "ltable": ltable, "gaction": gaction,
-        "laction": laction, "frob": frob, "lreal": lreal, "k": k,
-        "H": H, "gcache": gcache, "lcache": lcache,
+        "gtable": gtable, "ltable": ltable, "frob": frob, "lreal": lreal,
+        "k": k, "H": H, "gcache": gcache, "lcache": lcache,
     }
 
 
@@ -545,8 +542,8 @@ def target_joint_actions(family, f, p):
     s = full_target_setup(family, f, p)
     gp = s["gtable"].p_prime_rows(p)
     lp = s["ltable"].p_prime_rows(p)
-    X = joint_row_action(s["gtable"], s["gaction"], s["k"], s["H"], gp)
-    Y = joint_row_action(s["ltable"], s["laction"], s["k"], s["H"], lp)
+    X = joint_row_action(s["gtable"], s["frob"], s["k"], s["H"], gp)
+    Y = joint_row_action(s["ltable"], s["lreal"], s["k"], s["H"], lp)
     return X, Y
 
 
@@ -559,12 +556,12 @@ def verify_target(family, f, p):
         return _verify_local_only(family, f, p)
     s = full_target_setup(family, f, p)
     gtable, ltable = s["gtable"], s["ltable"]
-    gaction, laction, k, H = s["gaction"], s["laction"], s["k"], s["H"]
-    frag = condition_one(gtable, ltable, p, H, gaction, laction, k)
-    exts = extension_sweep(gtable, gaction, k, H, p, "global",
-                           realizer=s["frob"], cache=s["gcache"])
-    exts += extension_sweep(ltable, laction, k, H, p, "local",
-                            realizer=s["lreal"], cache=s["lcache"])
+    frob, lreal, k, H = s["frob"], s["lreal"], s["k"], s["H"]
+    frag = condition_one(gtable, ltable, p, H, frob, lreal, k)
+    exts = extension_sweep(gtable, frob, k, H, p, "global",
+                           cache=s["gcache"])
+    exts += extension_sweep(ltable, lreal, k, H, p, "local",
+                            cache=s["lcache"])
     part2 = all(e["invariant"] for e in exts)
     return {
         "target": {"family": family, "f": f},

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from math import gcd
 
-from .groups import (
-    FiniteGroup, GroupError, GroupMap, compose, inverse, identity_perm,
-    perm_order, perm_pow,
-)
+from . import GalMcKayError
+from .groups import FiniteGroup, check_realizer
 
 
-class ZooError(ValueError):
+class ZooError(GalMcKayError):
     pass
 
 
@@ -464,15 +462,13 @@ def small_group(tag: str) -> FiniteGroup:
     raise ZooError("unknown group tag %r" % tag)
 
 
-def field_automorphism(G: FiniteGroup):
-    """Automorphism induced by the field map, as (GroupMap, realizer perm)."""
+def field_automorphism(G: FiniteGroup) -> tuple:
+    """Realizer permutation of the automorphism induced by the field map."""
     r = getattr(G, "frobenius_perm", None)
     if r is None:
         raise ZooError("group %s has no field-automorphism provenance"
                        % G.name)
-    images = [compose(compose(inverse(r), s), r) for s in G.generators]
-    a = GroupMap(G, G, images, kind="automorphism", check=False)
-    return a, r
+    return check_realizer(G, r)
 
 
 # -- torus-normalizer models (Tables of Sylow torus normalizers) -----------

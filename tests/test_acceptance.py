@@ -183,10 +183,9 @@ def _criterion_8_match_oracle():
 
 def _criterion_8_gallagher_and_real(family, f, p):
     s = full_target_setup(family, f, p)
-    table, action, k = s["gtable"], s["gaction"], s["k"]
+    table, k = s["gtable"], s["k"]
     for row in range(len(table.rows)):
-        ext = find_extensions(table, action, k, row,
-                              realizer=s["frob"], cache=s["gcache"])
+        ext = find_extensions(table, s["frob"], k, row, cache=s["gcache"])
         assert len(ext.rows) == ext.a_psi_order
         # odd cyclic stabilizer quotient: a real row has exactly one
         # real extension

@@ -4,8 +4,7 @@ import pytest
 
 from galmckay.cyclo import ZERO, ONE, make_root, rational
 from galmckay.groups import (
-    FiniteGroup, GroupMap, cyclic_group, symmetric_group,
-    semidirect_product, perm_pow, inverse,
+    FiniteGroup, cyclic_group, symmetric_group, semidirect_product,
 )
 from galmckay.chartab import (
     CharacterTable, ChartabError, dixon_schneider, dixon_prime,
@@ -58,10 +57,13 @@ def test_s4_table():
     assert sorted(t.degrees()) == [1, 1, 2, 3, 3]
 
 
+def c13_times_8():
+    """C13 with x -> 8x mod 13, which sends the generator to its 8th power."""
+    return cyclic_group(13), tuple(8 * i % 13 for i in range(13))
+
+
 def test_c13_c4_table():
-    c13 = cyclic_group(13)
-    a = GroupMap(c13, c13, [perm_pow(c13.generators[0], 8)],
-                 kind="automorphism")
+    c13, a = c13_times_8()
     sd = semidirect_product(c13, a, 4)
     t = dixon_schneider(sd.group)
     assert sorted(t.degrees()) == [1, 1, 1, 1, 4, 4, 4]
@@ -118,12 +120,10 @@ def test_induce_regular():
 
 
 def test_induce_c13_to_frobenius():
-    c13 = cyclic_group(13)
-    a = GroupMap(c13, c13, [perm_pow(c13.generators[0], 8)],
-                 kind="automorphism")
+    c13, a = c13_times_8()
     sd = semidirect_product(c13, a, 4)
     G = sd.group
-    T = sd.embedded_subgroup()
+    T = sd.base
     tt = dixon_schneider(T)
     nontriv = next(r for r in tt.rows if any(v != ONE for v in r.values))
     ind = induce(G, T, nontriv)

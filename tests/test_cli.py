@@ -110,3 +110,19 @@ def test_cli_cross_check(tmp_path):
 def test_cli_usage_error():
     assert run(["verify", "--family", "2B2"]) == 1
     assert run(["bogus"]) == 1
+
+
+def test_cli_library_errors_exit_one(monkeypatch, capsys):
+    from galmckay import cli
+    from galmckay.extend import ExtendError
+    from galmckay.galois import GaloisError
+
+    for exc in (ExtendError("order does not divide k"),
+                GaloisError("mixed moduli")):
+        def fail(family, f, p, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "verify_target", fail)
+        assert run(["verify", "--family", "2B2", "--f", "1",
+                    "--p", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: %s\n" % exc

@@ -2,7 +2,8 @@ import pytest
 
 from galmckay.cyclo import ONE
 from galmckay.groups import (
-    FiniteGroup, GroupMap, cyclic_group, perm_pow, inverse,
+    FiniteGroup, GroupError, automorphism_order, cyclic_group, conjugate,
+    perm_pow, inverse, identity_perm,
 )
 from galmckay.chartab import dixon_schneider, inner_product, induce
 from galmckay.galois import h_group
@@ -18,17 +19,32 @@ def dihedral(n):
     return FiniteGroup(n, [rot, refl], name="D%d" % (2 * n))
 
 
+def times_mod(m, n):
+    """x -> m*x on Z/n: conjugation by it sends the rotation to its m-th
+    power and fixes the reflection x -> -x."""
+    return tuple(m * i % n for i in range(n))
+
+
 def c3_with_inversion():
     c3 = cyclic_group(3)
-    a = GroupMap(c3, c3, [inverse(c3.generators[0])], kind="automorphism")
+    a = times_mod(-1, 3)
+    assert conjugate(c3.generators[0], a) == inverse(c3.generators[0])
     return c3, a
+
+
+def c7_with_squaring():
+    c7 = cyclic_group(7)
+    a = times_mod(2, 7)
+    assert conjugate(c7.generators[0], a) == perm_pow(c7.generators[0], 2)
+    return c7, a
 
 
 def d14_with_c3():
     d = dihedral(7)
     rot, refl = d.generators
-    a = GroupMap(d, d, [perm_pow(rot, 2), refl], kind="automorphism")
-    assert a.map_order() == 3
+    a = times_mod(2, 7)
+    assert [conjugate(g, a) for g in d.generators] == [perm_pow(rot, 2), refl]
+    assert automorphism_order(d, a) == 3
     return d, a
 
 
@@ -57,9 +73,7 @@ def test_trivial_character_two_extensions():
 
 
 def test_gallagher_counts_c7_c3():
-    c7 = cyclic_group(7)
-    a = GroupMap(c7, c7, [perm_pow(c7.generators[0], 2)],
-                 kind="automorphism")
+    c7, a = c7_with_squaring()
     t = dixon_schneider(c7)
     for row in range(len(t.rows)):
         ext = find_extensions(t, a, 3, row)
@@ -106,9 +120,7 @@ def test_joint_stabilizer_contains_identity():
 
 
 def test_linear_character_invariant_extension():
-    c7 = cyclic_group(7)
-    a = GroupMap(c7, c7, [perm_pow(c7.generators[0], 2)],
-                 kind="automorphism")
+    c7, a = c7_with_squaring()
     t = dixon_schneider(c7)
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
@@ -123,14 +135,19 @@ def test_linear_character_invariant_extension():
 
 def test_realizer_path():
     c3 = FiniteGroup(3, [(1, 2, 0)], name="C3")
-    a = GroupMap(c3, c3, [(2, 0, 1)], kind="automorphism")
     t = dixon_schneider(c3)
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
-    ext = find_extensions(t, a, 2, triv, realizer=(0, 2, 1))
+    ext = find_extensions(t, (0, 2, 1), 2, triv)
     assert ext.product.group.degree == 3
     assert ext.product.group.order == 6
     assert len(ext.rows) == 2
+    # an order-2 realizer does not give an action of order dividing 3
+    with pytest.raises(ExtendError):
+        find_extensions(t, (0, 2, 1), 3, triv)
+    # not a permutation of the points of C3
+    with pytest.raises(GroupError):
+        find_extensions(t, (1, 0, 2, 3), 2, triv)
 
 
 def test_unique_multiplicity_one_trivial_case():
@@ -149,7 +166,7 @@ def test_unique_multiplicity_one_induced():
     # degree-2 row of D14 as the unique constituent of an induction from
     # the rotation subgroup; A trivial so the product is D14 itself
     d = dihedral(7)
-    ident = GroupMap(d, d, list(d.generators), kind="automorphism")
+    ident = identity_perm(d.degree)
     t = dixon_schneider(d)
     two = next(i for i, r in enumerate(t.rows) if r.degree_int() == 2)
     ext = find_extensions(t, ident, 1, two)
@@ -163,7 +180,7 @@ def test_unique_multiplicity_one_induced():
 
 def test_unique_multiplicity_one_rejects_wrong_tau():
     d = dihedral(7)
-    ident = GroupMap(d, d, list(d.generators), kind="automorphism")
+    ident = identity_perm(d.degree)
     t = dixon_schneider(d)
     two = next(i for i, r in enumerate(t.rows) if r.degree_int() == 2)
     ext = find_extensions(t, ident, 1, two)

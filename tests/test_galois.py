@@ -1,10 +1,7 @@
 import pytest
 
 from galmckay.cyclo import ONE, make_root, rational
-from galmckay.groups import (
-    FiniteGroup, GroupMap, cyclic_group, symmetric_group,
-    semidirect_product, perm_pow,
-)
+from galmckay.groups import cyclic_group, symmetric_group
 from galmckay.chartab import dixon_schneider, ClassFunction
 from galmckay.galois import (
     GaloisError, GaloisElement, h_group, full_galois_group,

@@ -1,9 +1,9 @@
 import pytest
 
 from galmckay.groups import (
-    FiniteGroup, GroupError, GroupMap, SemidirectProduct,
-    compose, inverse, conjugate, perm_order, perm_pow, identity_perm,
-    cyclic_group, symmetric_group, semidirect_product, identity_map,
+    FiniteGroup, GroupError, compose, inverse, conjugate, perm_order,
+    perm_pow, identity_perm, cyclic_group, symmetric_group,
+    semidirect_product, check_realizer, automorphism_order,
     induced_class_permutation,
 )
 
@@ -88,51 +88,60 @@ def test_sylow_and_normalizer():
         s4.sylow_subgroup(5)
 
 
+def neg_mod(n):
+    """x -> -x on Z/n: conjugation by it inverts the cyclic generator."""
+    return tuple((-i) % n for i in range(n))
+
+
 def test_group_map_checks():
     c6 = cyclic_group(6)
-    inv = GroupMap(c6, c6, [inverse(c6.generators[0])], kind="automorphism")
-    assert inv.map_order() == 2
-    assert not inv.is_inner()
+    inv = neg_mod(6)
+    assert check_realizer(c6, inv) == inv
+    assert automorphism_order(c6, inv) == 2
+    # not inner: the realizer lies outside C6 and moves a class
+    assert inv not in c6
+    assert induced_class_permutation(c6, inv) != tuple(range(6))
     with pytest.raises(GroupError):
-        # x -> x^2 is not injective on C6
-        GroupMap(c6, c6, [perm_pow(c6.generators[0], 2)], kind="automorphism")
+        # a 3-cycle on the points does not normalize C6
+        check_realizer(c6, (1, 2, 0, 3, 4, 5))
+    with pytest.raises(GroupError):
+        induced_class_permutation(c6, (1, 2, 0, 3, 4, 5))
 
 
 def test_induced_class_permutation_identity_and_inner():
     s4 = symmetric_group(4)
-    assert induced_class_permutation(s4, identity_map(s4)) == tuple(range(5))
+    assert induced_class_permutation(s4, identity_perm(4)) == tuple(range(5))
     g = s4.elements[7]
-    imgs = [conjugate(s, g) for s in s4.generators]
-    inner = GroupMap(s4, s4, imgs, kind="automorphism")
-    assert induced_class_permutation(s4, inner) == tuple(range(5))
+    assert induced_class_permutation(s4, check_realizer(s4, g)) == \
+        tuple(range(5))
 
 
 def test_semidirect_dihedral():
     c7 = cyclic_group(7)
-    inv = GroupMap(c7, c7, [inverse(c7.generators[0])], kind="automorphism")
+    inv = neg_mod(7)
     sd = semidirect_product(c7, inv, 2)
     assert sd.group.order == 14
     d = dihedral(7)
     assert sorted(c.size for c in sd.group.conjugacy_classes) == \
         sorted(c.size for c in d.conjugacy_classes)
     # conjugation by the complement generator induces the automorphism
+    assert sd.comp_gen == inv
     for g in c7.generators:
-        lhs = conjugate(sd.embed(g), sd.comp_gen)
-        assert lhs == sd.embed(inv.apply(g))
+        assert conjugate(g, sd.comp_gen) == inverse(g)
 
 
 def test_semidirect_c13_c4():
     c13 = cyclic_group(13)
-    a = GroupMap(c13, c13, [perm_pow(c13.generators[0], 8)],
-                 kind="automorphism")
-    sd = semidirect_product(c13, a, 4)
+    r = tuple(8 * i % 13 for i in range(13))
+    assert conjugate(c13.generators[0], r) == perm_pow(c13.generators[0], 8)
+    sd = semidirect_product(c13, r, 4)
     assert sd.group.order == 52
     assert len(sd.group.conjugacy_classes) == 7
 
 
 def test_semidirect_trivial():
     s4 = symmetric_group(4)
-    sd = semidirect_product(s4, identity_map(s4), 1)
+    sd = semidirect_product(s4, identity_perm(4), 1)
     assert sd.group.order == 24
     assert sorted(c.size for c in sd.group.conjugacy_classes) == \
         sorted(c.size for c in s4.conjugacy_classes)
@@ -140,19 +149,43 @@ def test_semidirect_trivial():
 
 def test_semidirect_rejects_wrong_order():
     c7 = cyclic_group(7)
-    inv = GroupMap(c7, c7, [inverse(c7.generators[0])], kind="automorphism")
     with pytest.raises(GroupError):
-        semidirect_product(c7, inv, 3)
+        semidirect_product(c7, neg_mod(7), 3)
 
 
 def test_semidirect_with_realizer():
     # S3 inside S4 point-stabilizer style: use realizer for C3 x C2 demo
     c3 = FiniteGroup(3, [(1, 2, 0)], name="C3")
-    inv = GroupMap(c3, c3, [(2, 0, 1)], kind="automorphism")
     r = (0, 2, 1)  # transposition inverting the 3-cycle by conjugation
-    sd = semidirect_product(c3, inv, 2, realizer=r)
+    sd = semidirect_product(c3, r, 2)
     assert sd.group.order == 6
+    assert sd.group.degree == 3
     assert sd.comp_gen == r
+    with pytest.raises(GroupError):
+        # the realizer lies in the group: the product would be too small
+        semidirect_product(c3, (1, 2, 0), 3)
+
+
+def test_induced_class_permutation_brute_force():
+    # oracle: conjugate every element of each class by the realizer and
+    # compare the image set with the class the permutation names
+    from galmckay.verify import stable_sylow_setup
+    from galmckay.zoo import field_automorphism, psl2_8
+
+    G = psl2_8()
+    frob = field_automorphism(G)
+    cases = [(G, frob)]
+    for p in (2, 3, 7):
+        cases.append(stable_sylow_setup(G, p, frob, 3))
+    for H, r in cases:
+        cperm = induced_class_permutation(H, r)
+        assert sorted(cperm) == list(range(len(H.conjugacy_classes)))
+        for c, cl in enumerate(H.conjugacy_classes):
+            image = {conjugate(H.elements[i], r) for i in cl.indices}
+            target = H.conjugacy_classes[cperm[c]]
+            assert image == {H.elements[i] for i in target.indices}
+    assert any(induced_class_permutation(H, r) !=
+               tuple(range(len(H.conjugacy_classes))) for H, r in cases)
 
 
 def test_class_sizes_divide_order():
