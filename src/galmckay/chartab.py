@@ -299,12 +299,26 @@ class CharacterTable:
         self.rows = tuple(rows)
         self.exponent = group.exponent
         self._row_index = {r.values: i for i, r in enumerate(self.rows)}
+        # galois.act_on_table: row permutations by residue mod the exponent,
+        # and the subgroup of residues checked against the values
+        self.galois_perms = {}
+        self.galois_checked = frozenset({1 % self.exponent})
 
     def row_index(self, cf: ClassFunction) -> int:
         i = self._row_index.get(cf.values)
         if i is None:
             raise ChartabError("class function is not a row of this table")
         return i
+
+    def row_perm(self, class_perm) -> tuple:
+        """perm[i] = index of the row chi_i composed with class_perm."""
+        perm = []
+        for row in self.rows:
+            i = self._row_index.get(tuple(row.values[c] for c in class_perm))
+            if i is None:
+                raise ChartabError("permuted row is not a row of this table")
+            perm.append(i)
+        return tuple(perm)
 
     def degrees(self) -> list:
         return [r.degree_int() for r in self.rows]

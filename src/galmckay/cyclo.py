@@ -258,7 +258,11 @@ class Cyclotomic:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.pps, tuple(sorted(self.coeffs.items()))))
+            if self.pps:
+                h = hash((self.pps, tuple(sorted(self.coeffs.items()))))
+            else:
+                # equal to int and Fraction values, so hash like them
+                h = hash(self.rational_value())
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -384,42 +388,6 @@ def rational(v) -> Cyclotomic:
     return Cyclotomic.from_rational(v)
 
 
-def add(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a + b
-
-
-def mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a * b
-
-
-def neg(a: Cyclotomic) -> Cyclotomic:
-    return -a
-
-
-def inv(a: Cyclotomic) -> Cyclotomic:
-    return a.inv()
-
-
-def galois_apply(a: Cyclotomic, b: int) -> Cyclotomic:
-    return a.galois(b)
-
-
-def conj(a: Cyclotomic) -> Cyclotomic:
-    return a.conj()
-
-
-def is_rational(a: Cyclotomic) -> bool:
-    return a.is_rational()
-
-
-def is_real(a: Cyclotomic) -> bool:
-    return a.is_real()
-
-
-def approx_complex(a: Cyclotomic) -> complex:
-    return a.approx()
-
-
 def sum_cyclo(values: Iterable[Cyclotomic]) -> Cyclotomic:
     acc = ZERO
     for v in values:
@@ -429,6 +397,5 @@ def sum_cyclo(values: Iterable[Cyclotomic]) -> Cyclotomic:
 
 __all__ = [
     "Cyclotomic", "CycloError", "CycloDivisionError", "ZERO", "ONE",
-    "make_root", "rational", "add", "mul", "neg", "inv", "galois_apply",
-    "conj", "is_rational", "is_real", "approx_complex", "sum_cyclo",
+    "make_root", "rational", "sum_cyclo",
 ]

@@ -16,7 +16,8 @@ from .groups import (
     perm_pow, identity_perm, semidirect_product, induced_class_permutation,
 )
 from .chartab import (
-    CharacterTable, ClassFunction, dixon_schneider, induce, inner_product,
+    CharacterTable, ChartabError, ClassFunction, dixon_schneider, induce,
+    inner_product,
 )
 from .galois import act_on_table
 
@@ -127,25 +128,14 @@ def joint_stabilizer(table: CharacterTable, realizer, k: int, row: int,
     cperms = _action_class_perms(table, realizer, k)
     pairs = []
     for j in range(k):
-        moved = _apply_class_perm(psi.values, cperms[j])
-        for sigma in H:
-            if all(sigma.apply(v) == w
-                   for v, w in zip(moved, psi.values)):
-                pairs.append((j, sigma))
+        try:
+            moved = table.row_index(ClassFunction(
+                table.group, _apply_class_perm(psi.values, cperms[j])))
+        except ChartabError:
+            continue
+        pairs += [(j, sigma) for sigma in H
+                  if act_on_table(table, sigma)[moved] == row]
     return pairs
-
-
-def _gamma_row_perm(ext: ExtensionSet, j: int):
-    """Row permutation of the extension table induced by a^j."""
-    Gt = ext.product.group
-    if j % ext.k == 0:
-        return tuple(range(len(ext.table.rows)))
-    cperm = induced_class_permutation(Gt, perm_pow(ext.realizer, j))
-    perm = []
-    for chi in ext.table.rows:
-        image = ClassFunction(Gt, _apply_class_perm(chi.values, cperm))
-        perm.append(ext.table.row_index(image))
-    return tuple(perm)
 
 
 def invariant_extension_exists(table: CharacterTable, realizer, k: int,
@@ -163,12 +153,10 @@ def invariant_extension_exists(table: CharacterTable, realizer, k: int,
         report = []
         for j, sigma in pairs:
             gk = ("gamma", ext.d, j)
-            sk = ("sigma", ext.d, sigma.b)
             if gk not in shared:
-                shared[gk] = _gamma_row_perm(ext, j)
-            if sk not in shared:
-                shared[sk] = act_on_table(ext.table, sigma)
-            image = shared[sk][shared[gk][i]]
+                shared[gk] = ext.table.row_perm(induced_class_permutation(
+                    ext.product.group, perm_pow(ext.realizer, j)))
+            image = act_on_table(ext.table, sigma)[shared[gk][i]]
             report.append((j, sigma.b, image == i))
         reports.append(report)
         if all(ok for _, _, ok in report):

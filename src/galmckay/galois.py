@@ -15,7 +15,7 @@ from sympy import isprime
 
 from . import GalMcKayError
 from .cyclo import ONE
-from .groups import FiniteGroup, compose, inverse, identity_perm
+from .groups import FiniteGroup, compose, inverse, induced_class_permutation
 from .chartab import (
     CharacterTable, ClassFunction, ChartabError, dixon_schneider,
     induce, inner_product,
@@ -129,39 +129,68 @@ def full_galois_group(m) -> list:
     return [GaloisElement(m, b) for b in range(1, m) if gcd(b, m) == 1]
 
 
+def power_class_permutation(group: FiniteGroup, b: int) -> tuple:
+    """Class indices of rep^b for the class representatives of group."""
+    return tuple(group.power_map(c, b % cl.element_order)
+                 for c, cl in enumerate(group.conjugacy_classes))
+
+
+def _check_modulus(table: CharacterTable, sigma: GaloisElement):
+    if table.exponent > 1 and sigma.m % table.exponent:
+        raise GaloisError("modulus %d not divisible by table exponent %d"
+                          % (sigma.m, table.exponent))
+
+
+def _generated(subgroup, b, m):
+    """The subgroup of (Z/m)^x generated by a subgroup and the residue b."""
+    out = set(subgroup)
+    x = b
+    while x not in subgroup:
+        out.update(x * h % m for h in subgroup)
+        x = x * b % m
+    return frozenset(out)
+
+
 def act_on_table(table: CharacterTable, sigma: GaloisElement):
     """Row permutation induced by applying sigma to every value.
 
     Returns a tuple perm with perm[i] = index of the image of row i.
+    Since sigma_b(chi(g)) = chi(g^b), this is the row permutation of the
+    power-map class permutation, cached on the table per residue b mod the
+    exponent.  For b outside the subgroup of residues already checked, the
+    image of every row is also computed value by value and must agree.
+    The identity passes from b and c to bc, so every returned permutation
+    equals the value-wise action.
     """
-    if table.exponent > 1 and sigma.m % table.exponent:
-        raise GaloisError("modulus %d not divisible by table exponent %d"
-                          % (sigma.m, table.exponent))
-    perm = []
-    for row in table.rows:
-        image = row.galois(sigma.b) if table.exponent > 1 else row
-        try:
-            perm.append(table.row_index(image))
-        except ChartabError:
-            raise GaloisError("table is not closed under the Galois action")
+    _check_modulus(table, sigma)
+    e = table.exponent
+    b = sigma.b % e
+    perm = table.galois_perms.get(b)
+    if perm is not None:
+        return perm
+    try:
+        perm = table.row_perm(power_class_permutation(table.group, b))
+    except ChartabError:
+        raise GaloisError("table is not closed under the Galois action")
     if sorted(perm) != list(range(len(table.rows))):
         raise GaloisError("Galois action on rows is not a bijection")
-    return tuple(perm)
+    if b not in table.galois_checked:
+        for i, row in enumerate(table.rows):
+            if row.galois(b) != table.rows[perm[i]]:
+                raise GaloisError("Galois action on row %d disagrees with "
+                                  "the power map" % i)
+        table.galois_checked = _generated(table.galois_checked, b, e)
+    table.galois_perms[b] = perm
+    return perm
 
 
 def power_compatibility_check(table: CharacterTable, sigma: GaloisElement):
     """True iff sigma(chi(g)) = chi(g^b) for every row and class."""
-    if table.exponent > 1 and sigma.m % table.exponent:
-        raise GaloisError("modulus %d not divisible by table exponent %d"
-                          % (sigma.m, table.exponent))
-    G = table.group
-    b = sigma.b
-    powered = [G.power_map(c, b) for c in range(len(table.classes))]
-    for row in table.rows:
-        for c, v in enumerate(row.values):
-            if sigma.apply(v) != row.values[powered[c]]:
-                return False
-    return True
+    _check_modulus(table, sigma)
+    powered = power_class_permutation(table.group, sigma.b)
+    return all(row.galois(sigma.b).values
+               == tuple(row.values[c] for c in powered)
+               for row in table.rows)
 
 
 class McKayLabel:
@@ -225,21 +254,11 @@ def clifford_label(spec, table=None):
         raise GaloisError("complement meets the torus nontrivially")
 
     tt = dixon_schneider(T)
-    n_tc = len(T.conjugacy_classes)
 
     # Row permutation of Irr(T) induced by conjugation with each w in W:
     # (chi . w)(t) = chi(w^-1 t w).
-    row_perm = {}
-    for w in w_elements:
-        cperm = [T.class_of_element(compose(compose(inverse(w),
-                                                    cl.rep), w))
-                 for cl in T.conjugacy_classes]
-        perm = []
-        for row in tt.rows:
-            image = ClassFunction(T, [row.values[cperm[c]]
-                                      for c in range(n_tc)])
-            perm.append(tt.row_index(image))
-        row_perm[w] = tuple(perm)
+    row_perm = {w: tt.row_perm(induced_class_permutation(T, w))
+                for w in w_elements}
 
     # Orbits of W on Irr(T).
     orbits = []

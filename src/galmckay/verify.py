@@ -20,7 +20,7 @@ from .groups import (
     FiniteGroup, GroupError, compose, conjugate, perm_pow, identity_perm,
     automorphism_order, check_realizer, induced_class_permutation,
 )
-from .chartab import CharacterTable, ClassFunction, dixon_schneider
+from .chartab import CharacterTable, dixon_schneider
 from .galois import h_group, act_on_table
 from .extend import invariant_extension_exists, extension_product
 from .zoo import (
@@ -162,17 +162,6 @@ def brute_force_match_exists(X: ActionOnSet, Y: ActionOnSet) -> bool:
 
 # -- row actions -----------------------------------------------------------
 
-def automorphism_row_perm(table: CharacterTable, realizer):
-    """Row permutation of chi -> chi composed with conjugation by realizer."""
-    cperm = induced_class_permutation(table.group, realizer)
-    perm = []
-    for chi in table.rows:
-        image = ClassFunction(table.group,
-                              tuple(chi.values[c] for c in cperm))
-        perm.append(table.row_index(image))
-    return tuple(perm)
-
-
 def joint_row_action(table, realizer, k, H, rows):
     """ActionOnSet of C_k x H on a subset of row indices.
 
@@ -181,7 +170,8 @@ def joint_row_action(table, realizer, k, H, rows):
     nrows = len(table.rows)
     gperms = [tuple(range(nrows))]
     if realizer is not None and k > 1:
-        base = automorphism_row_perm(table, realizer)
+        base = table.row_perm(
+            induced_class_permutation(table.group, realizer))
         for _ in range(k - 1):
             gperms.append(compose(gperms[-1], base))
     else:

@@ -5,7 +5,7 @@ import pytest
 
 from galmckay.cyclo import (
     Cyclotomic, CycloError, CycloDivisionError, ONE, ZERO,
-    make_root, rational, galois_apply, conj, approx_complex,
+    make_root, rational,
 )
 
 
@@ -35,8 +35,8 @@ def test_mul_inverse_roots():
 
 def test_real_element_conj():
     a = make_root(7, 1) + make_root(7, 6)
-    assert conj(a) == a
-    assert a + conj(a) == 2 * a
+    assert a.conj() == a
+    assert a + a.conj() == 2 * a
 
 
 def test_division_by_zero():
@@ -46,10 +46,10 @@ def test_division_by_zero():
 
 def test_galois_apply_basic():
     a = make_root(5, 1) + make_root(5, 4)
-    assert galois_apply(a, 2) == make_root(5, 2) + make_root(5, 3)
+    assert a.galois(2) == make_root(5, 2) + make_root(5, 3)
     i = make_root(4, 1)
-    assert galois_apply(i, 3) == -i
-    assert galois_apply(rational(Fraction(7, 2)), 11) == rational(Fraction(7, 2))
+    assert i.galois(3) == -i
+    assert rational(Fraction(7, 2)).galois(11) == rational(Fraction(7, 2))
 
 
 def test_galois_rejects_noncoprime():
@@ -58,9 +58,9 @@ def test_galois_rejects_noncoprime():
 
 
 def test_conj_examples():
-    assert conj(make_root(3, 1)) == make_root(3, 2)
+    assert make_root(3, 1).conj() == make_root(3, 2)
     two_plus_3i = rational(2) + 3 * make_root(4, 1)
-    assert conj(two_plus_3i) == rational(2) - 3 * make_root(4, 1)
+    assert two_plus_3i.conj() == rational(2) - 3 * make_root(4, 1)
 
 
 def test_rationality_and_reality():
@@ -71,11 +71,22 @@ def test_rationality_and_reality():
     assert not make_root(8, 1).is_real()
 
 
+def test_rational_hash_matches_fraction():
+    for v in (1, Fraction(1, 2), 0):
+        c = rational(v)
+        assert c == v
+        assert hash(c) == hash(v) == hash(Fraction(v))
+        assert len({c, v}) == 1
+        assert {c: "cyclo"}[v] == "cyclo"
+    assert len({rational(1), 1, ONE, Fraction(1), make_root(1, 0)}) == 1
+    assert len({ZERO, 0, rational(0)}) == 1
+
+
 def test_approx_complex():
-    assert abs(approx_complex(make_root(4, 1)) - 1j) < 1e-12
+    assert abs(make_root(4, 1).approx() - 1j) < 1e-12
     sqrt2 = make_root(8, 1) + make_root(8, 7)
-    assert abs(approx_complex(sqrt2) - 2 ** 0.5) < 1e-9
-    assert abs(approx_complex(rational(-1)) + 1) < 1e-12
+    assert abs(sqrt2.approx() - 2 ** 0.5) < 1e-9
+    assert abs(rational(-1).approx() + 1) < 1e-12
 
 
 def _random_elt(rng, n):
@@ -92,7 +103,7 @@ def test_conj_involution_random():
     for _ in range(100):
         n = rng.choice([5, 8, 12, 20, 21])
         a = _random_elt(rng, n)
-        assert conj(conj(a)) == a
+        assert a.conj().conj() == a
 
 
 def test_galois_is_homomorphism():
@@ -102,9 +113,9 @@ def test_galois_is_homomorphism():
         a = _random_elt(rng, n)
         b = _random_elt(rng, n)
         for s in (3, 7, 9):
-            assert galois_apply(a + b, s) == galois_apply(a, s) + galois_apply(b, s)
-            assert galois_apply(a * b, s) == galois_apply(a, s) * galois_apply(b, s)
-        assert galois_apply(galois_apply(a, 3), 7) == galois_apply(a, 21 % 20)
+            assert (a + b).galois(s) == a.galois(s) + b.galois(s)
+            assert (a * b).galois(s) == a.galois(s) * b.galois(s)
+        assert a.galois(3).galois(7) == a.galois(21 % 20)
 
 
 def test_canonical_equality_matches_numeric():
@@ -113,7 +124,7 @@ def test_canonical_equality_matches_numeric():
         n = rng.choice([7, 9, 12, 15])
         a = _random_elt(rng, n)
         b = _random_elt(rng, n)
-        same = abs(approx_complex(a) - approx_complex(b)) < 1e-9
+        same = abs(a.approx() - b.approx()) < 1e-9
         assert (a == b) == same
         if a == b:
             assert (a - b).is_zero()

@@ -1,13 +1,29 @@
+from math import gcd
+
 import pytest
 
 from galmckay.cyclo import ONE, make_root, rational
-from galmckay.groups import cyclic_group, symmetric_group
-from galmckay.chartab import dixon_schneider, ClassFunction
+from galmckay.groups import (
+    FiniteGroup, cyclic_group, symmetric_group, induced_class_permutation,
+    perm_pow,
+)
+from galmckay.chartab import CharacterTable, ClassFunction, dixon_schneider
 from galmckay.galois import (
     GaloisError, GaloisElement, h_group, full_galois_group,
     act_on_table, power_compatibility_check, clifford_label,
 )
+from galmckay.extend import extension_product, joint_stabilizer
 from galmckay.zoo import torus_normalizer
+
+
+def times_mod(m, n):
+    """x -> m*x on Z/n, a realizer normalizing C_n and C_n x| <x -> u*x>."""
+    return tuple(m * i % n for i in range(n))
+
+
+def value_wise_perm(table, b):
+    """Oracle: the row index of sigma_b applied to every value of each row."""
+    return tuple(table.row_index(row.galois(b)) for row in table.rows)
 
 
 def test_galois_element_basics():
@@ -98,6 +114,99 @@ def test_power_compatibility_detects_corruption():
     from galmckay.chartab import CharacterTable
     corrupt = CharacterTable(G, bad)
     assert not power_compatibility_check(corrupt, sigma)
+
+
+def test_act_on_table_matches_value_wise_action(psl28_table):
+    d14 = FiniteGroup(7, [tuple((i + 1) % 7 for i in range(7)),
+                          times_mod(-1, 7)], name="D14")
+    _, ext_table, _ = extension_product(dixon_schneider(d14),
+                                        times_mod(2, 7), 3)
+    tables = [dixon_schneider(symmetric_group(4)),
+              dixon_schneider(cyclic_group(12)), psl28_table, ext_table,
+              dixon_schneider(torus_normalizer("2B2", 1, 13).group)]
+    assert ext_table.group.order == 42
+    for t in tables:
+        e = t.exponent
+        for b in range(1, e + 1):
+            if gcd(b, e) == 1:
+                perm = act_on_table(t, GaloisElement(e, b))
+                assert perm == value_wise_perm(t, b)
+                # residues congruent mod the exponent act alike
+                assert act_on_table(t, GaloisElement(e * e, b + e)) == perm
+
+
+def test_act_on_table_detects_corruption():
+    # two values of a non-rational row of C5's table swapped
+    G = cyclic_group(5)
+    t = dixon_schneider(G)
+    bad = list(t.rows)
+    i = next(k for k, r in enumerate(bad) if any(v != ONE for v in r.values))
+    vals = list(bad[i].values)
+    vals[1], vals[2] = vals[2], vals[1]
+    bad[i] = ClassFunction(G, vals)
+    with pytest.raises(GaloisError):
+        act_on_table(CharacterTable(G, bad), GaloisElement(t.exponent, 2))
+
+
+def test_act_on_table_checks_values_not_only_power_maps():
+    # The rows (1,1,1), (1,2,3), (1,3,2) of C3 are closed under the power
+    # map g -> g^2, which swaps the two nontrivial classes, but sigma_2
+    # fixes their rational values, so the two actions disagree.
+    G = cyclic_group(3)
+    fake = CharacterTable(G, [ClassFunction(G, v) for v in
+                              ((1, 1, 1), (1, 2, 3), (1, 3, 2))])
+    sigma = GaloisElement(3, 2)
+    for _ in range(2):
+        with pytest.raises(GaloisError, match="disagrees"):
+            act_on_table(fake, sigma)
+    assert fake.galois_perms == {}
+    assert act_on_table(fake, GaloisElement(3, 1)) == (0, 1, 2)
+
+
+def test_act_on_table_value_wise_passes(monkeypatch):
+    calls = []
+    original = ClassFunction.galois
+
+    def counting(self, b):
+        calls.append(b)
+        return original(self, b)
+
+    monkeypatch.setattr(ClassFunction, "galois", counting)
+    t = dixon_schneider(cyclic_group(7))
+    units = full_galois_group(t.exponent)
+    assert len(units) == 6
+    perms = [act_on_table(t, s) for s in units]
+    passes = len(calls) // len(t.rows)
+    assert len(calls) == passes * len(t.rows)
+    # b = 2 generates {1, 2, 4}; b = 3 then generates all six units
+    assert passes == 2 < len(units)
+    calls.clear()
+    assert [act_on_table(t, s) for s in units] == perms
+    assert calls == []
+    assert len(set(perms)) == 6
+
+
+def test_joint_stabilizer_brute_force():
+    # C13 x| C4 with the order-3 automorphism x -> 3x of the torus
+    spec = torus_normalizer("2B2", 1, 13)
+    t = dixon_schneider(spec.group)
+    r, k = times_mod(3, 13), 3
+    H = full_galois_group(t.exponent)
+    pairs = []
+    for row, psi in enumerate(t.rows):
+        want = []
+        for j in range(k):
+            cperm = induced_class_permutation(t.group, perm_pow(r, j))
+            moved = [psi.values[c] for c in cperm]
+            want += [(j, s) for s in H
+                     if all(s.apply(v) == w
+                            for v, w in zip(moved, psi.values))]
+        got = joint_stabilizer(t, r, k, row, H)
+        assert got == want
+        pairs += got
+    # every row has (0, identity); some rows are fixed by a^j with j > 0
+    assert len(pairs) > len(t.rows)
+    assert any(j for j, _ in pairs)
 
 
 def test_clifford_label_c13_c4():

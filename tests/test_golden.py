@@ -1,0 +1,61 @@
+"""`galmckay verify` reports against the golden copies in bench/golden/.
+
+The targets are the fast local-only ones, whose verdicts rest on the
+Galois action on torus-normalizer tables.  The comparison rule is the
+benchmark's: every key and value of the golden report must be present
+and equal; keys the report adds are allowed.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from galmckay import cli
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+
+
+def golden_mismatches(golden, actual, path="$"):
+    """Paths where `actual` lacks or changes a key or value of `golden`."""
+    if isinstance(golden, dict):
+        if not isinstance(actual, dict):
+            return [path]
+        out = []
+        for key, value in golden.items():
+            if key in actual:
+                out += golden_mismatches(value, actual[key],
+                                         "%s.%s" % (path, key))
+            else:
+                out.append("%s.%s missing" % (path, key))
+        return out
+    if isinstance(golden, list):
+        if not isinstance(actual, list) or len(actual) != len(golden):
+            return [path]
+        return [m for i, (g, a) in enumerate(zip(golden, actual))
+                for m in golden_mismatches(g, a, "%s[%d]" % (path, i))]
+    if type(golden) is not type(actual) or golden != actual:
+        return [path]
+    return []
+
+
+def test_golden_rule():
+    golden = {"a": [1, {"b": True}], "c": None}
+    assert golden_mismatches(golden, dict(golden, extra=1)) == []
+    assert golden_mismatches(golden, {"a": [1, {"b": 1}], "c": None}) \
+        == ["$.a[1].b"]
+    assert golden_mismatches(golden, {"a": [1]}) == ["$.a", "$.c missing"]
+
+
+@pytest.mark.parametrize("family,f,p", [
+    ("2G2", 1, 37), ("2B2", 2, 31), ("2B2", 2, 41),
+])
+def test_verify_matches_golden(family, f, p, capsys):
+    with open(GOLDEN / ("verify_%s_%d_%d.json" % (family, f, p))) as fh:
+        golden = json.load(fh)
+    code = cli.run(["verify", "--family", family, "--f", str(f),
+                    "--p", str(p)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["status"] == "verified"
+    assert golden_mismatches(golden, report) == []
