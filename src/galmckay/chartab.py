@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from sympy import isprime, primitive_root
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from . import GalMcKayError
-from .cyclo import Cyclotomic, ZERO, ONE, rational, make_root, sum_cyclo
+from .cyclo import Cyclotomic, ZERO, ONE, rational
 from .groups import FiniteGroup, compose, inverse, perm_pow
 
 P0_SEARCH_CAP = 10 ** 8
@@ -105,25 +106,53 @@ def _nullspace(M, p):
 
 
 def _charpoly(A, p):
-    """Characteristic polynomial of A mod p (Faddeev-LeVerrier).
+    """Characteristic polynomial of A mod p, by Hessenberg reduction.
 
-    Returned low-to-high: [c_d, ..., c_1, 1] for x^d + c_1 x^{d-1} + ...
+    A is brought to upper Hessenberg form H by similarity transforms over
+    F_p, and the charpoly follows from the recurrence on the leading
+    principal minors of xI - H (Cohen, GTM 138, Algorithms 2.2.9 and
+    2.2.10).  Returned low-to-high: [c_d, ..., c_1, 1] for
+    x^d + c_1 x^{d-1} + ...
     """
     d = len(A)
-    coeffs = [1]  # highest degree first while building
-    M = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    c = 1
-    for k in range(1, d + 1):
-        # M <- A (M_prev + c_prev I)
-        B = [[(M[i][j] + (c if i == j else 0)) % p for j in range(d)]
-             for i in range(d)] if k > 1 else M
-        M = [[sum(A[i][t] * B[t][j] for t in range(d)) % p
-              for j in range(d)] for i in range(d)]
-        tr = sum(M[i][i] for i in range(d)) % p
-        c = (-tr * pow(k, -1, p)) % p
-        coeffs.append(c)
-    coeffs.reverse()
-    return coeffs
+    H = [[x % p for x in row] for row in A]
+    for m in range(1, d - 1):
+        i = next((i for i in range(m, d) if H[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            H[i], H[m] = H[m], H[i]
+            for row in H:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(H[m][m - 1], -1, p)
+        hm = H[m]
+        for i in range(m + 1, d):
+            u = H[i][m - 1] * inv % p
+            if not u:
+                continue
+            # row_i -= u * row_m, then column_m += u * column_i
+            H[i] = [(x - u * y) % p for x, y in zip(H[i], hm)]
+            for row in H:
+                row[m] = (row[m] + u * row[i]) % p
+    # polys[m]: charpoly of the leading m x m block, low-to-high
+    polys = [[1]]
+    for m in range(1, d + 1):
+        prev = polys[m - 1]
+        h = H[m - 1][m - 1]
+        new = [0] + prev
+        for k, c in enumerate(prev):
+            new[k] = (new[k] - h * c) % p
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * H[i][i - 1] % p
+            if not t:
+                break
+            f = t * H[i - 1][m - 1] % p
+            if f:
+                for k, c in enumerate(polys[i - 1]):
+                    new[k] = (new[k] - f * c) % p
+        polys.append(new)
+    return polys[d]
 
 
 # -- polynomial helpers over F_p (coefficients low-to-high) ----------------
@@ -280,14 +309,45 @@ class ClassFunction:
         return "ClassFunction(deg=%s)" % (self.values[0],)
 
 
+# Inner products are summed in the group ring Z[x]/(x^e - 1) with e the
+# lcm of the value orders: each value becomes its terms (a, c) for c*x^a
+# over zeta_e, conj sends a to -a, and the sum is reduced to a cyclotomic
+# once.  x -> zeta_e is a ring homomorphism, so the result is exact.
+
+def _value_terms(values, e):
+    """Terms of each value over zeta_e, as lists of (exponent, coeff)."""
+    out = []
+    for v in values:
+        s = e // v.order
+        out.append([(a * s, c) for a, c in v.terms()])
+    return out
+
+
+def _weighted_sum(sizes, xs, ys, e):
+    """sum_k sizes[k] * x_k * conj(y_k) in Z[x]/(x^e - 1), as a dict."""
+    acc: dict = {}
+    for size, tx, ty in zip(sizes, xs, ys):
+        for a, c in tx:
+            c *= size
+            for b, d in ty:
+                k = (a - b) % e
+                acc[k] = acc.get(k, 0) + c * d
+    return acc
+
+
+def _orders_lcm(*value_lists) -> int:
+    return lcm(*(v.order for values in value_lists for v in values))
+
+
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     if a.group is not b.group:
         raise ChartabError("class functions on different groups")
     G = a.group
-    acc = ZERO
-    for cl, x, y in zip(G.conjugacy_classes, a.values, b.values):
-        acc = acc + x * y.conj() * cl.size
-    return acc * Fraction(1, G.order)
+    e = _orders_lcm(a.values, b.values)
+    acc = _weighted_sum([cl.size for cl in G.conjugacy_classes],
+                        _value_terms(a.values, e), _value_terms(b.values, e),
+                        e)
+    return Cyclotomic.from_terms(e, acc.items()) * Fraction(1, G.order)
 
 
 class CharacterTable:
@@ -335,11 +395,15 @@ class CharacterTable:
         for d in self.degrees():
             if G.order % d:
                 raise ChartabError("degree does not divide group order")
-        for i, a in enumerate(self.rows):
-            for j in range(i, len(self.rows)):
-                ip = inner_product(a, self.rows[j])
-                want = ONE if i == j else ZERO
-                if ip != want:
+        # |G| * <chi_i, chi_j> for all i <= j, in one group-ring pass
+        sizes = [cl.size for cl in self.classes]
+        e = _orders_lcm(*(r.values for r in self.rows))
+        terms = [_value_terms(r.values, e) for r in self.rows]
+        for i, a in enumerate(terms):
+            for j in range(i, len(terms)):
+                acc = _weighted_sum(sizes, a, terms[j], e)
+                if Cyclotomic.from_terms(e, acc.items()) != \
+                        (G.order if i == j else 0):
                     raise ChartabError("row orthogonality fails at (%d,%d)"
                                        % (i, j))
         return True
@@ -348,8 +412,10 @@ class CharacterTable:
 def dixon_prime(exponent: int, order: int, skip=0, at_least=0) -> int:
     """Smallest prime = 1 mod exponent exceeding 2*sqrt(order).
 
-    The prime must also exceed at_least; the table solver passes the
-    class count here since its charpoly routine divides by 1..ncl.
+    The prime must also exceed at_least.  The table solver passes the
+    class count: the charpoly roots are found after a square-free
+    reduction f / gcd(f, f'), which needs p0 above the degree of f so
+    that f' keeps every term.
     """
     bound = max(2 * isqrt(order) + 2, at_least)
     p0 = exponent + 1
@@ -436,23 +502,43 @@ def dixon_schneider(G: FiniteGroup, p0: int = None) -> CharacterTable:
     sizes = [cl.size for cl in classes]
 
     w_root = primitive_root(p0)
-    root_cache = {}
+    inv_root_powers = {}
+    lift_tables = {}
 
-    def nth_root(o):
-        z = root_cache.get(o)
-        if z is None:
-            z = pow(w_root, (p0 - 1) // o, p0)
-            root_cache[o] = z
-        return z
+    def inv_powers(o):
+        """[z^-s mod p0 for s < o] with z a primitive o-th root mod p0."""
+        tbl = inv_root_powers.get(o)
+        if tbl is None:
+            zinv = pow(w_root, p0 - 1 - (p0 - 1) // o, p0)
+            tbl = [1] * o
+            for t in range(1, o):
+                tbl[t] = tbl[t - 1] * zinv % p0
+            inv_root_powers[o] = tbl
+        return tbl
 
-    power_classes = {}
+    def lift_table(k):
+        """The classes C_u of the powers of g = g_k, and F with F[j][u] =
+        (1/o) sum of z^-jt over the t < o with g^t in C_u, o = |g|.
 
-    def powers_of(k):
-        tbl = power_classes.get(k)
+        The multiplicity of zeta_o^j in chi(g) is then
+        sum_u chi(C_u) F[j][u] mod p0.
+        """
+        tbl = lift_tables.get(k)
         if tbl is None:
             o = classes[k].element_order
-            tbl = [G.class_of_element(perm_pow(reps[k], t)) for t in range(o)]
-            power_classes[k] = tbl
+            powers = [G.class_of_element(perm_pow(reps[k], t))
+                      for t in range(o)]
+            targets = sorted(set(powers))
+            slots = [targets.index(c) for c in powers]
+            zinv = inv_powers(o)
+            oinv = pow(o, -1, p0)
+            F = []
+            for j in range(o):
+                f = [0] * len(targets)
+                for t, u in enumerate(slots):
+                    f[u] += zinv[j * t % o]
+                F.append([x * oinv % p0 for x in f])
+            tbl = lift_tables[k] = (targets, F)
         return tbl
 
     rows = []
@@ -477,20 +563,16 @@ def dixon_schneider(G: FiniteGroup, p0: int = None) -> CharacterTable:
             if o == 1:
                 values.append(rational(deg))
                 continue
-            z = nth_root(o)
-            zinv = pow(z, -1, p0)
-            ptbl = powers_of(k)
-            oinv = pow(o, -1, p0)
-            val = ZERO
-            for j in range(o):
-                mj = sum(chi_mod[ptbl[t]] * pow(zinv, j * t, p0)
-                         for t in range(o)) % p0
-                mj = (mj * oinv) % p0
+            targets, F = lift_table(k)
+            chi = [chi_mod[c] for c in targets]
+            mults = []
+            for j, f in enumerate(F):
+                mj = sum(map(mul, chi, f)) % p0
                 if mj > deg:
                     raise ChartabError("multiplicity lift out of range")
                 if mj:
-                    val = val + make_root(o, j) * mj
-            values.append(val)
+                    mults.append((j, mj))
+            values.append(Cyclotomic.from_terms(o, mults))
         rows.append(ClassFunction(G, values))
 
     rows.sort(key=lambda r: r.sort_key())

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable
+from functools import lru_cache
+from math import gcd
 
 from . import GalMcKayError
 
@@ -29,6 +29,7 @@ class CycloDivisionError(CycloError):
     """Division by the zero cyclotomic."""
 
 
+@lru_cache(maxsize=None)
 def _factor_prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     """Return ((p, a), ...) with p ascending and n = prod p^a."""
     out = []
@@ -53,15 +54,16 @@ def _phi_pp(p: int, a: int) -> int:
 class Cyclotomic:
     """Immutable exact element of some Q(zeta_n), kept in canonical form."""
 
-    __slots__ = ("pps", "coeffs", "_hash")
+    __slots__ = ("pps", "coeffs", "_hash", "_terms")
 
     def __init__(self, pps, coeffs, _normalized=False):
-        # pps: tuple of (p, a); coeffs: dict key-tuple -> Fraction
+        # pps: tuple of (p, a); coeffs: dict key-tuple -> int or Fraction
         if not _normalized:
             pps, coeffs = _normalize(pps, coeffs)
         object.__setattr__(self, "pps", pps)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
@@ -84,7 +86,7 @@ class Cyclotomic:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise CycloError("not a rational value: %r" % (self,))
-        return self.coeffs.get((), Fraction(0))
+        return Fraction(self.coeffs.get((), 0))
 
     def is_integer(self) -> bool:
         return self.is_rational() and self.rational_value().denominator == 1
@@ -110,16 +112,24 @@ class Cyclotomic:
     @staticmethod
     def root(n: int, e: int = 1) -> "Cyclotomic":
         """Canonical form of zeta_n^e."""
+        return Cyclotomic.from_terms(n, ((e, 1),))
+
+    @staticmethod
+    def from_terms(n: int, terms) -> "Cyclotomic":
+        """Canonical form of sum c * zeta_n^e over the pairs (e, c) in terms.
+
+        Exponents are taken mod n; coefficients may be int or Fraction.
+        """
         if n < 1:
             raise CycloError("order must be positive")
-        e %= n
         pps = _factor_prime_powers(n)
-        # zeta_n^e = prod_i zeta_{q_i}^{e * inv(n/q_i, q_i)} by CRT
-        key = []
-        for p, a in pps:
-            q = p ** a
-            key.append((e * pow(n // q, -1, q)) % q)
-        return Cyclotomic(pps, {tuple(key): Fraction(1)})
+        crt = _crt_units(n)
+        coeffs: dict = {}
+        for e, c in terms:
+            if c:
+                key = tuple(e * u % q for q, u in crt)
+                coeffs[key] = coeffs.get(key, 0) + c
+        return Cyclotomic(pps, coeffs)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -156,7 +166,7 @@ class Cyclotomic:
             return NotImplemented
         pps, a, b = self._common(other)
         for key, c in b.items():
-            c2 = a.get(key, Fraction(0)) + c
+            c2 = a.get(key, 0) + c
             if c2:
                 a[key] = c2
             else:
@@ -185,9 +195,10 @@ class Cyclotomic:
         if self.is_zero() or other.is_zero():
             return ZERO
         if self.is_rational():
-            v = self.rational_value()
+            v = self.coeffs[()]
             return Cyclotomic(other.pps,
-                              {k: c * v for k, c in other.coeffs.items()})
+                              {k: c * v for k, c in other.coeffs.items()},
+                              _normalized=True)
         if other.is_rational():
             return other * self
         pps, a, b = self._common(other)
@@ -237,7 +248,7 @@ class Cyclotomic:
         out = {}
         for key, c in self.coeffs.items():
             nk = tuple((b * x) % (p ** a) for x, (p, a) in zip(key, self.pps))
-            out[nk] = out.get(nk, Fraction(0)) + c
+            out[nk] = out.get(nk, 0) + c
         return Cyclotomic(self.pps, out)
 
     def conj(self) -> "Cyclotomic":
@@ -266,16 +277,16 @@ class Cyclotomic:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def terms(self) -> list[tuple[int, Fraction]]:
-        """[(exponent e, coefficient)] with zeta_n^e, exponents ascending."""
-        n = self.order
-        out = []
-        for key, c in self.coeffs.items():
-            e = 0
-            for x, (p, a) in zip(key, self.pps):
-                e = (e + x * (n // p ** a)) % n
-            out.append((e, c))
-        out.sort()
+    def terms(self) -> tuple:
+        """((exponent e, coefficient), ...) with zeta_n^e, e ascending."""
+        out = self._terms
+        if out is None:
+            n = self.order
+            cofactors = [n // p ** a for p, a in self.pps]
+            out = tuple(sorted(
+                (sum(x * m for x, m in zip(key, cofactors)) % n, c)
+                for key, c in self.coeffs.items()))
+            object.__setattr__(self, "_terms", out)
         return out
 
     def approx(self) -> complex:
@@ -301,40 +312,45 @@ class Cyclotomic:
 
     @staticmethod
     def deserialize(doc: dict) -> "Cyclotomic":
-        n = doc["order"]
-        acc = ZERO
-        for e, num, den in doc["terms"]:
-            acc = acc + Cyclotomic.root(n, e) * Fraction(num, den)
-        return acc
+        return Cyclotomic.from_terms(
+            doc["order"],
+            [(e, Fraction(num, den)) for e, num, den in doc["terms"]])
+
+
+@lru_cache(maxsize=None)
+def _crt_units(n: int) -> tuple:
+    """((q, u), ...) over the prime powers q of n, with u = (n/q)^-1 mod q.
+
+    zeta_n^e is the product of zeta_q^(e*u mod q), so e*u mod q is the
+    key entry of zeta_n^e for q.
+    """
+    return tuple((p ** a, pow(n // p ** a, -1, p ** a))
+                 for p, a in _factor_prime_powers(n))
 
 
 def _normalize(pps, coeffs):
     """Basis-reduce all keys, drop zeros, shrink to the minimal order."""
     pps = tuple(pps)
-    # 1. rewrite forbidden exponents into the power basis
-    reduced: dict = {}
-    work = list(coeffs.items())
-    while work:
-        key, c = work.pop()
-        if not c:
+    # 1. rewrite forbidden exponents into the power basis, one prime power
+    # at a time: rewriting entry i leaves every other entry as it is
+    reduced = {k: c for k, c in coeffs.items() if c}
+    for i, (p, a) in enumerate(pps):
+        phi = _phi_pp(p, a)
+        if all(k[i] < phi for k in reduced):
             continue
-        for i, (p, a) in enumerate(pps):
-            phi = _phi_pp(p, a)
-            if key[i] >= phi:
-                step = p ** (a - 1)
-                v = key[i] % step
-                # zeta^{v + (p-1)step} = -sum_t zeta^{v + t*step}
-                for t in range(p - 1):
-                    nk = list(key)
-                    nk[i] = v + t * step
-                    work.append((tuple(nk), -c))
-                break
-        else:
-            c2 = reduced.get(key, Fraction(0)) + c
-            if c2:
-                reduced[key] = c2
-            else:
-                reduced.pop(key, None)
+        step = p ** (a - 1)
+        out: dict = {}
+        for key, c in reduced.items():
+            x = key[i]
+            if x < phi:
+                out[key] = out.get(key, 0) + c
+                continue
+            # zeta^{v + (p-1)step} = -sum_t zeta^{v + t*step}, v = x - phi
+            head, tail = key[:i], key[i + 1:]
+            for t in range(x - phi, phi, step):
+                nk = head + (t,) + tail
+                out[nk] = out.get(nk, 0) - c
+        reduced = {k: c for k, c in out.items() if c}
 
     # 2. shrink each prime-power part as far as possible
     pps = list(pps)
@@ -388,14 +404,7 @@ def rational(v) -> Cyclotomic:
     return Cyclotomic.from_rational(v)
 
 
-def sum_cyclo(values: Iterable[Cyclotomic]) -> Cyclotomic:
-    acc = ZERO
-    for v in values:
-        acc = acc + v
-    return acc
-
-
 __all__ = [
     "Cyclotomic", "CycloError", "CycloDivisionError", "ZERO", "ONE",
-    "make_root", "rational", "sum_cyclo",
+    "make_root", "rational",
 ]

@@ -340,7 +340,7 @@ def cross_model_check(family, f, p) -> bool:
     G = _global_group(family, f)
     N = _memoized(("N", family, f, p),
                   lambda: G.normalizer(G.sylow_subgroup(p)))
-    model = torus_normalizer(family, f, p).group
+    model = local_model_group(family, f, p)
     return tables_equivalent(_table(N), _table(model))
 
 
@@ -490,10 +490,13 @@ def _psl2_local_model(p) -> FiniteGroup:
 
 
 def local_model_group(family, f, p) -> FiniteGroup:
+    """The target's local model, built once so `_table` finds its table."""
     if family in ("2B2", "2G2", "2F4"):
-        return torus_normalizer(family, f, p).group
+        return _memoized(("spec", family, f, p),
+                         lambda: torus_normalizer(family, f, p)).group
     if family == "PSL2" and f == 1:
-        return _psl2_local_model(p)
+        return _memoized(("local", family, f, p),
+                         lambda: _psl2_local_model(p))
     raise VerifyError("no local model for %s f=%d p=%d" % (family, f, p))
 
 
@@ -570,9 +573,7 @@ def verify_target(family, f, p):
 
 
 def _verify_local_only(family, f, p):
-    spec = torus_normalizer(family, f, p)
-    N = spec.group
-    ltable = _table(N)
+    ltable = _table(local_model_group(family, f, p))
     H = h_group(p, ltable.exponent if ltable.exponent > 1 else 1)
     lp = ltable.p_prime_rows(p)
     Y = joint_row_action(ltable, None, 1, H, lp)

@@ -811,7 +811,8 @@ def torus_normalizer(family: str, f: int, p: int) -> TorusNormalizerSpec:
     if not matches:
         raise ZooError("prime %d divides no torus order for %s at f=%d"
                        % (p, family, f))
-    # a prime can divide several rows only through shared small factors;
-    # prefer the row where p divides an odd cyclotomic-value factor
-    label, build = matches[0]
-    return build()
+    if len(matches) > 1:
+        raise ZooError("prime %d divides the torus orders of several rows "
+                       "for %s at f=%d: %s"
+                       % (p, family, f, ", ".join(m[0] for m in matches)))
+    return matches[0][1]()

@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix, symbols
 
-from galmckay.cyclo import ZERO, ONE, make_root, rational
+from galmckay.cyclo import Cyclotomic, ZERO, ONE, make_root, rational
 from galmckay.groups import (
     FiniteGroup, cyclic_group, symmetric_group, semidirect_product,
 )
 from galmckay.chartab import (
-    CharacterTable, ChartabError, dixon_schneider, dixon_prime,
+    CharacterTable, ChartabError, ClassFunction, dixon_schneider, dixon_prime,
     inner_product, induce, restrict, regular_character, trivial_character,
+    _charpoly,
 )
 
 
@@ -168,3 +171,101 @@ def test_values_live_in_element_order_field():
     for r in t.rows:
         for v, cl in zip(r.values, G.conjugacy_classes):
             assert cl.element_order % v.order == 0
+
+
+def _sympy_charpoly(A, p):
+    """Integer charpoly of A from sympy, reduced mod p, low-to-high."""
+    coeffs = Matrix(A).charpoly(symbols("x")).all_coeffs()
+    return [int(c) % p for c in reversed(coeffs)]
+
+
+def _random_matrices(rng, p):
+    for _ in range(12):
+        d = rng.randrange(1, 9)
+        yield [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+    for _ in range(12):
+        d = rng.randrange(2, 9)
+        yield [[rng.randrange(p) if rng.random() < 0.2 else 0
+                for _ in range(d)] for _ in range(d)]
+    for _ in range(8):
+        # singular: the last row repeats a combination of the others
+        d = rng.randrange(2, 8)
+        A = [[rng.randrange(p) for _ in range(d)] for _ in range(d - 1)]
+        A.append([(2 * x + y) % p for x, y in zip(A[0], A[-1])])
+        rng.shuffle(A)
+        yield A
+    for d in (3, 5, 7):
+        # zero sub-diagonal pivots with nonzero entries below them force
+        # row and column swaps
+        A = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+        for m in range(1, d - 1):
+            A[m][m - 1] = 0
+        yield A
+        # strictly upper triangular: no pivot at all
+        yield [[rng.randrange(p) if c > r else 0 for c in range(d)]
+               for r in range(d)]
+
+
+@pytest.mark.parametrize("p", [7, 101, 10007])
+def test_charpoly_matches_sympy(p):
+    rng = random.Random(p)
+    for A in _random_matrices(rng, p):
+        want = _sympy_charpoly(A, p)
+        assert _charpoly(A, p) == want
+        assert len(want) == len(A) + 1 and want[-1] == 1
+
+
+def _direct_inner_product(a, b):
+    G = a.group
+    acc = ZERO
+    for cl, x, y in zip(G.conjugacy_classes, a.values, b.values):
+        acc = acc + x * y.conj() * cl.size
+    return acc * Fraction(1, G.order)
+
+
+def _random_value(rng):
+    n = rng.choice([1, 2, 3, 4, 5, 8, 9, 12, 15])
+    terms = [(rng.randrange(n), rng.choice([rng.randrange(-3, 4),
+                                            Fraction(rng.randrange(-5, 6),
+                                                     rng.randrange(1, 5))]))
+             for _ in range(rng.randrange(0, 4))]
+    return Cyclotomic.from_terms(n, terms)
+
+
+def test_inner_product_matches_direct_formula():
+    rng = random.Random(29)
+    for G in (symmetric_group(4), cyclic_group(12), dihedral(7)):
+        ncl = len(G.conjugacy_classes)
+        for _ in range(40):
+            a = ClassFunction(G, [_random_value(rng) for _ in range(ncl)])
+            b = ClassFunction(G, [_random_value(rng) for _ in range(ncl)])
+            got = inner_product(a, b)
+            assert got == _direct_inner_product(a, b)
+            numeric = sum(cl.size * x.approx() * y.approx().conjugate()
+                          for cl, x, y in zip(G.conjugacy_classes,
+                                              a.values, b.values)) / G.order
+            assert abs(got.approx() - numeric) < 1e-9
+            assert inner_product(b, a) == got.conj()
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda v: v + Fraction(1, 2),
+    lambda v: v + make_root(7, 1),
+    # these keep every row norm, so only an off-diagonal pair can fail
+    lambda v: v * make_root(7, 1),
+    lambda v: v * make_root(12, 5),
+], ids=["plus-half", "plus-root", "times-root7", "times-root12"])
+def test_validate_catches_one_perturbed_value(perturb):
+    for G in (dihedral(7), symmetric_group(4)):
+        t = dixon_schneider(G)
+        for i in range(len(t.rows)):
+            for k in range(1, len(t.classes)):
+                vals = list(t.rows[i].values)
+                if perturb(vals[k]) == vals[k]:
+                    continue
+                vals[k] = perturb(vals[k])
+                rows = list(t.rows)
+                rows[i] = ClassFunction(G, vals)
+                with pytest.raises(ChartabError,
+                                   match="row orthogonality fails"):
+                    CharacterTable(G, rows).validate()

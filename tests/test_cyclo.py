@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -162,3 +163,34 @@ def test_serialize_roundtrip():
         n = rng.choice([5, 8, 12, 21])
         a = _random_elt(rng, n)
         assert Cyclotomic.deserialize(a.serialize()) == a
+
+
+def test_from_terms_matches_sum_of_roots():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.choice([1, 2, 4, 8, 9, 12, 27, 30, 60, 84, 1308])
+        terms = []
+        for _ in range(rng.randrange(0, 8)):
+            # exponents outside [0, n) and repeated ones are allowed
+            e = rng.randrange(-2 * n, 2 * n)
+            c = rng.choice([rng.randrange(-4, 5),
+                            Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))])
+            terms.append((e, c))
+        got = Cyclotomic.from_terms(n, terms)
+        want = ZERO
+        for e, c in terms:
+            want = want + make_root(n, e) * c
+        assert got == want
+        assert hash(got) == hash(want)
+        numeric = sum(complex(c) * cmath.exp(2j * cmath.pi * e / n)
+                      for e, c in terms)
+        assert abs(got.approx() - numeric) < 1e-9
+
+
+def test_from_terms_full_orbit_and_order():
+    for n in (6, 12, 25, 1308):
+        assert Cyclotomic.from_terms(n, [(e, 1) for e in range(n)]).is_zero()
+    assert Cyclotomic.from_terms(12, [(3, 1), (15, 1)]) == 2 * make_root(4, 1)
+    assert Cyclotomic.from_terms(12, [(3, 1)]).order == 4
+    with pytest.raises(CycloError):
+        Cyclotomic.from_terms(0, [])

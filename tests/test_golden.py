@@ -1,9 +1,10 @@
 """`galmckay verify` reports against the golden copies in bench/golden/.
 
 The targets are the fast local-only ones, whose verdicts rest on the
-Galois action on torus-normalizer tables.  The comparison rule is the
-benchmark's: every key and value of the golden report must be present
-and equal; keys the report adds are allowed.
+Galois action on torus-normalizer tables, and the Clifford labels of the
+2F4 p=7 torus normalizer.  The comparison rule is the benchmark's: every
+key and value of the golden report must be present and equal; keys the
+report adds are allowed.
 """
 
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from galmckay import cli
+from galmckay.galois import clifford_label
+from galmckay.zoo import torus_normalizer
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 
@@ -48,7 +51,8 @@ def test_golden_rule():
 
 
 @pytest.mark.parametrize("family,f,p", [
-    ("2G2", 1, 37), ("2B2", 2, 31), ("2B2", 2, 41),
+    ("2G2", 1, 37), ("2B2", 2, 31), ("2B2", 2, 41), ("2F4", 1, 109),
+    ("2F4", 1, 19),
 ])
 def test_verify_matches_golden(family, f, p, capsys):
     with open(GOLDEN / ("verify_%s_%d_%d.json" % (family, f, p))) as fh:
@@ -59,3 +63,18 @@ def test_verify_matches_golden(family, f, p, capsys):
     assert code == 0
     assert report["status"] == "verified"
     assert golden_mismatches(golden, report) == []
+
+
+def test_clifford_labels_match_golden():
+    with open(GOLDEN / "clifford_2F4_1_7.json") as fh:
+        golden = json.load(fh)
+    labels = clifford_label(torus_normalizer("2F4", 1, 7))
+    doc = {str(row): {"s_row": lab.s_row,
+                      "s_values": [v.serialize() for v in lab.s_values],
+                      "orbit": list(lab.orbit),
+                      "stabilizer_order": lab.stabilizer_order,
+                      "eta_index": lab.eta_index,
+                      "eta_degree": lab.eta_degree}
+           for row, lab in labels.items()}
+    assert golden_mismatches(golden, json.loads(json.dumps(doc))) == []
+    assert sorted(doc) == sorted(golden)

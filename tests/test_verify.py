@@ -6,7 +6,7 @@ from galmckay.verify import (
     joint_row_action, condition_one, extension_sweep,
     torus_polynomials, lemma_congruence_check,
     tables_equivalent, cross_model_check, verify_target, list_targets,
-    target_mode, local_model_group, global_table,
+    target_mode, local_model_group, global_table, _memo, _table,
 )
 from galmckay.groups import FiniteGroup, cyclic_group, symmetric_group
 from galmckay.galois import h_group
@@ -173,3 +173,21 @@ def test_local_model_group_psl2():
     assert local_model_group("PSL2", 1, 2).order == 56
     assert local_model_group("PSL2", 1, 7).order == 14
     assert local_model_group("PSL2", 1, 3).order == 18
+
+
+def test_every_target_has_a_local_model():
+    for t in list_targets():
+        N = local_model_group(t["family"], t["f"], t["p"])
+        assert N.order % t["p"] == 0
+
+
+def test_local_model_built_once():
+    def tables():
+        return [v for k, v in _memo.items() if k[0] == "table"]
+    before = len(tables())
+    N = local_model_group("2G2", 1, 37)
+    assert local_model_group("2G2", 1, 37) is N
+    assert _table(local_model_group("2G2", 1, 37)) is _table(N)
+    assert verify_target("2G2", 1, 37)["status"] == "verified"
+    assert len(tables()) - before <= 1
+    assert sum(1 for t in tables() if t.group is N) == 1

@@ -220,3 +220,14 @@ def test_torus_normalizer_all_2g2_rows():
         spec = build()
         assert spec.group.order == spec.torus_order * \
             {"C2": 2, "C6": 6}[tag]
+
+
+@pytest.mark.parametrize("family,f,p,rows", [
+    ("2F4", 1, 3, ["(q2+1)^2", "q4-q2+1"]),
+    ("2G2", 1, 2, ["q2-1", "(q2+1)/2x2"]),
+])
+def test_torus_normalizer_rejects_prime_of_several_rows(family, f, p, rows):
+    with pytest.raises(ZooError) as err:
+        torus_normalizer(family, f, p)
+    assert "several rows" in str(err.value)
+    assert str(err.value).endswith(": " + ", ".join(rows))
