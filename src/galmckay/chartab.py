@@ -19,7 +19,7 @@ from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from . import GalMcKayError
 from .cyclo import Cyclotomic, ZERO, ONE, rational
-from .groups import FiniteGroup, compose, inverse, perm_pow
+from .groups import FiniteGroup, inverse, perm_pow
 
 P0_SEARCH_CAP = 10 ** 8
 
@@ -432,17 +432,11 @@ def dixon_prime(exponent: int, order: int, skip=0, at_least=0) -> int:
 
 def _class_matrix(G: FiniteGroup, i: int, reps):
     """M[j][k] = #{(x,y) in C_i x C_j : xy = z_k} for fixed z_k."""
-    classes = G.conjugacy_classes
-    ncl = len(classes)
-    class_of = G.class_of
-    index = G.element_index
+    ncl = len(reps)
     M = [[0] * ncl for _ in range(ncl)]
     elements = G.elements
-    for xi in classes[i].indices:
-        x_inv = inverse(elements[xi])
-        for k in range(ncl):
-            y = compose(x_inv, reps[k])
-            j = class_of[index[y]]
+    for xi in G.conjugacy_classes[i].indices:
+        for k, j in enumerate(G.quotient_classes(elements[xi], reps)):
             M[j][k] += 1
     return M
 

@@ -278,10 +278,15 @@ def clifford_label(spec, table=None):
         seen |= orbit
         orbits.append(sorted(orbit))
 
-    labels = {}
+    # Orbits grouped by the stabilizer W_s of their representative s, so
+    # that W_s, N_s and the table of W_s are built once per stabilizer.
+    by_stabilizer = {}
     for orbit in orbits:
-        s = orbit[0]
-        stab = [w for w in w_elements if row_perm[w][s] == s]
+        stab = [w for w in w_elements if row_perm[w][orbit[0]] == orbit[0]]
+        by_stabilizer.setdefault(frozenset(stab), (stab, []))[1].append(orbit)
+
+    labels = {}
+    for stab, stab_orbits in by_stabilizer.values():
         Ws = N.subgroup(stab, name="W_s")
         if Ws.order != len(stab):
             raise GaloisError("stabilizer enumeration inconsistent")
@@ -292,27 +297,32 @@ def clifford_label(spec, table=None):
         # Decompose every class representative of N_s as t * w.
         parts = [_complement_part(cl.rep, t_set, stab, N.degree)
                  for cl in Ns.conjugacy_classes]
-        s_vals = tt.rows[s].values
-        for j, eta in enumerate(wt.rows):
-            vals = []
-            for t, w in parts:
-                vt = s_vals[T.class_of_element(t)]
-                vw = eta.values[Ws.class_of_element(w)]
-                vals.append(vt * vw)
-            cf = ClassFunction(Ns, vals)
-            if inner_product(cf, cf) != ONE:
-                raise GaloisError("extension times inflation not irreducible")
-            ind = induce(N, Ns, cf)
-            if inner_product(ind, ind) != ONE:
-                raise GaloisError("induced label character not irreducible")
-            try:
-                idx = table.row_index(ind)
-            except ChartabError:
-                raise GaloisError("label character missing from the table")
-            if idx in labels:
-                raise GaloisError("row %d labeled twice" % idx)
-            labels[idx] = McKayLabel(s, s_vals, orbit, len(stab), j,
-                                     eta.degree_int())
+        for orbit in stab_orbits:
+            s = orbit[0]
+            s_vals = tt.rows[s].values
+            for j, eta in enumerate(wt.rows):
+                vals = []
+                for t, w in parts:
+                    vt = s_vals[T.class_of_element(t)]
+                    vw = eta.values[Ws.class_of_element(w)]
+                    vals.append(vt * vw)
+                cf = ClassFunction(Ns, vals)
+                if inner_product(cf, cf) != ONE:
+                    raise GaloisError(
+                        "extension times inflation not irreducible")
+                ind = induce(N, Ns, cf)
+                if inner_product(ind, ind) != ONE:
+                    raise GaloisError(
+                        "induced label character not irreducible")
+                try:
+                    idx = table.row_index(ind)
+                except ChartabError:
+                    raise GaloisError(
+                        "label character missing from the table")
+                if idx in labels:
+                    raise GaloisError("row %d labeled twice" % idx)
+                labels[idx] = McKayLabel(s, s_vals, orbit, len(stab), j,
+                                         eta.degree_int())
     if len(labels) != len(table.rows):
         raise GaloisError("labeling incomplete: %d of %d rows"
                           % (len(labels), len(table.rows)))

@@ -2,21 +2,37 @@
 
 Groups are generated by permutations stored as tuples (point i maps to
 p[i]).  Composition is left-to-right: compose(p, q) applies p first.
-Order and membership for large groups go through a stabilizer chain
-(sympy's implementation); conjugacy classes, power maps, Sylow
-subgroups and normalizers are computed here on a full element
-enumeration, which is capped.
+Order, membership before enumeration and a base come from a stabilizer
+chain (sympy's implementation).  An element of G is determined by the
+images of the base points, so the enumerated elements are indexed by
+those images (their base key): enumeration, conjugacy classes, class
+matrices and normalizer orbits compute a product or conjugate on the
+base points only whenever a lookup is all they need, and a lookup of an
+arbitrary permutation compares the whole permutation with the element
+its key names.  Conjugacy classes, power maps, Sylow subgroups and
+normalizers are computed here on a full element enumeration, which is
+refused when its estimated memory exceeds a byte budget.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from . import GalMcKayError
 
-ENUMERATION_CAP = 20_000_000
+# bytes a full enumeration may take: elements, their base keys and class data
+ENUMERATION_BUDGET = 1 << 30
+
+
+def enumeration_bytes(order: int, degree: int) -> int:
+    """Estimated memory of enumerating a group and its classes: per
+    element, 8 bytes per point plus about 240 bytes of tuple header, list
+    slots, base key, dict entry and class data (tracemalloc peaks: 218 at
+    degree 65, 238 at degree 8)."""
+    return order * (8 * degree + 240)
 
 
 class GroupError(GalMcKayError):
@@ -101,9 +117,13 @@ class ConjClass:
 
 
 class FiniteGroup:
-    """Permutation group with cached enumeration and class data."""
+    """Permutation group with cached enumeration and class data.
 
-    def __init__(self, degree, generators, name="G", cap=ENUMERATION_CAP):
+    cap is the byte budget of a full enumeration (see enumeration_bytes);
+    None means ENUMERATION_BUDGET.
+    """
+
+    def __init__(self, degree, generators, name="G", cap=None):
         gens = []
         ident = identity_perm(degree)
         for g in generators:
@@ -115,11 +135,11 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
-        self.cap = cap
+        self.cap = ENUMERATION_BUDGET if cap is None else cap
         self._order = None
+        self._base = None
         self._elements = None
         self._index = None
-        self._parents = None
         self._classes = None
         self._class_of = None
         self._sympy = None
@@ -145,10 +165,35 @@ class FiniteGroup:
                 self._order = int(self._sympy_group().order())
         return self._order
 
+    @property
+    def base(self) -> tuple:
+        """Points whose images determine an element of the group: the
+        base of its stabilizer chain, padded with point 0 to at least two
+        points so that itemgetter(*base) returns a tuple."""
+        if self._base is None:
+            base = tuple(self._sympy_group().base) if self.generators else ()
+            self._base = base + (0,) * (2 - len(base))
+        return self._base
+
+    def index_of(self, p) -> int:
+        """Index of p in elements; KeyError if p is not in the group."""
+        self._enumerate()
+        p = tuple(p)
+        i = None
+        if len(p) == self.degree:
+            i = self._index.get(itemgetter(*self._base)(p))
+        if i is None or self._elements[i] != p:
+            raise KeyError(p)
+        return i
+
     def __contains__(self, p) -> bool:
         p = tuple(p)
         if self._index is not None:
-            return p in self._index
+            try:
+                self.index_of(p)
+            except KeyError:
+                return False
+            return True
         if p == identity_perm(self.degree):
             return True
         if not self.generators:
@@ -163,29 +208,29 @@ class FiniteGroup:
     def _enumerate(self):
         if self._elements is not None:
             return
-        if self.order > self.cap:
+        need = enumeration_bytes(self.order, self.degree)
+        if need > self.cap:
             raise GroupTooLargeError(
-                "group of order %d too large for enumeration (cap %d)"
-                % (self.order, self.cap))
+                "group of order %d on %d points needs about %d bytes to "
+                "enumerate (budget %d)"
+                % (self.order, self.degree, need, self.cap))
+        base = self.base
+        base_key = itemgetter(*base)
         ident = identity_perm(self.degree)
         elements = [ident]
-        index = {ident: 0}
-        parents = [(-1, -1)]
+        index = {base_key(ident): 0}
         gens = self.generators
-        head = 0
-        while head < len(elements):
-            e = elements[head]
-            for gi, g in enumerate(gens):
-                ne = compose(e, g)
-                if ne not in index:
-                    index[ne] = len(elements)
-                    elements.append(ne)
-                    parents.append((head, gi))
-            head += 1
+        for e in elements:
+            # the base key of e*g is g applied to the base key of e
+            key_of = itemgetter(*base_key(e))
+            for g in gens:
+                key = key_of(g)
+                if key not in index:
+                    index[key] = len(elements)
+                    elements.append(tuple(map(g.__getitem__, e)))
         assert len(elements) == self.order
         self._elements = elements
         self._index = index
-        self._parents = parents
 
     @property
     def elements(self) -> list:
@@ -194,14 +239,19 @@ class FiniteGroup:
 
     @property
     def element_index(self) -> dict:
+        """base key (images of the base points) -> element index."""
         self._enumerate()
         return self._index
 
-    @property
-    def parents(self) -> list:
-        """(parent element index, generator index) per element; BFS words."""
-        self._enumerate()
-        return self._parents
+    def conjugate_indices(self, S, g) -> frozenset:
+        """Indices of g^-1 x g over the element indices x in S, for g in G
+        or a checked realizer g (see check_realizer).
+
+        The base image at b of g^-1 x g is g[x[g^-1[b]]].
+        """
+        elements, index = self.elements, self._index
+        pre = itemgetter(*itemgetter(*self._base)(inverse(g)))
+        return frozenset(index[itemgetter(*pre(elements[i]))(g)] for i in S)
 
     # -- conjugacy classes -------------------------------------------------
 
@@ -212,7 +262,10 @@ class FiniteGroup:
         elements = self._elements
         index = self._index
         n = len(elements)
-        gen_pairs = [(inverse(g), g) for g in self.generators]
+        # conjugation by g: see conjugate_indices
+        base_key = itemgetter(*self._base)
+        gen_pairs = [(g, itemgetter(*base_key(inverse(g))))
+                     for g in self.generators]
         class_of = [-1] * n
         raw = []
         for start in range(n):
@@ -221,16 +274,13 @@ class FiniteGroup:
             cid = len(raw)
             class_of[start] = cid
             orbit = [start]
-            head = 0
-            while head < len(orbit):
-                x = elements[orbit[head]]
-                for gi, g in gen_pairs:
-                    y = compose(compose(gi, x), g)
-                    yi = index[y]
+            for xi in orbit:
+                x = elements[xi]
+                for g, pre in gen_pairs:
+                    yi = index[itemgetter(*pre(x))(g)]
                     if class_of[yi] < 0:
                         class_of[yi] = cid
                         orbit.append(yi)
-                head += 1
             orbit.sort()
             raw.append(orbit)
         # deterministic ordering: element order, class size, minimal index
@@ -260,8 +310,19 @@ class FiniteGroup:
         return self._class_of
 
     def class_of_element(self, p) -> int:
+        """Class index of p; KeyError if p is not in the group."""
         self._compute_classes()
-        return self._class_of[self._index[tuple(p)]]
+        return self._class_of[self.index_of(p)]
+
+    def quotient_classes(self, x, zs) -> list:
+        """Class indices of x^-1 z for z in zs (x and each z in G).
+
+        The base image of x^-1 z at b is z[x^-1[b]].
+        """
+        self._compute_classes()
+        key_of = itemgetter(*map(x.index, self._base))
+        index, class_of = self._index, self._class_of
+        return [class_of[index[key_of(z)]] for z in zs]
 
     def power_map(self, c: int, k: int) -> int:
         """Class index of g^k for g in class c."""
@@ -317,20 +378,22 @@ class FiniteGroup:
         return P
 
     def normalizer(self, H: "FiniteGroup") -> "FiniteGroup":
-        """N_G(H) via orbit-stabilizer on the conjugates of H."""
+        """N_G(H) for H <= G via orbit-stabilizer on the conjugates of H,
+        each held as the set of its element indices in G."""
         if H.degree != self.degree:
             raise GroupError("degree mismatch")
-        base = frozenset(H.elements)
+        if any(h not in self for h in H.generators):
+            raise GroupError("%s is not a subgroup of %s" % (H.name, self.name))
+        start = frozenset(map(self.index_of, H.elements))
         ident = identity_perm(self.degree)
-        orbit = {base: ident}
-        queue = [base]
+        orbit = {start: ident}
+        queue = [start]
         stab = set()
         while queue:
             S = queue.pop(0)
             t = orbit[S]
             for g in self.generators:
-                gi = inverse(g)
-                Sg = frozenset(compose(compose(gi, x), g) for x in S)
+                Sg = self.conjugate_indices(S, g)
                 u = orbit.get(Sg)
                 if u is None:
                     orbit[Sg] = compose(t, g)

@@ -17,7 +17,7 @@ from sympy import factorint
 
 from . import GalMcKayError
 from .groups import (
-    FiniteGroup, GroupError, compose, conjugate, perm_pow, identity_perm,
+    FiniteGroup, GroupError, compose, perm_pow, identity_perm,
     automorphism_order, check_realizer, induced_class_permutation,
 )
 from .chartab import CharacterTable, dixon_schneider
@@ -374,7 +374,8 @@ def global_table(family, f) -> CharacterTable:
 
 
 def _transporter(G: FiniteGroup, A: frozenset, B: frozenset):
-    """Element g with A conjugated by g equal to B."""
+    """Element g with A conjugated by g equal to B (A, B: element index
+    sets of subgroups of G)."""
     if A == B:
         return identity_perm(G.degree)
     seen = {A: identity_perm(G.degree)}
@@ -383,7 +384,7 @@ def _transporter(G: FiniteGroup, A: frozenset, B: frozenset):
         S = dq.popleft()
         w = seen[S]
         for g in G.generators:
-            T = frozenset(conjugate(x, g) for x in S)
+            T = G.conjugate_indices(S, g)
             if T not in seen:
                 seen[T] = compose(w, g)
                 if T == B:
@@ -401,9 +402,9 @@ def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
     """
     R = G.sylow_subgroup(p)
     N = G.normalizer(R)
-    r = tuple(frob_realizer)
-    rset = frozenset(R.elements)
-    moved = frozenset(conjugate(x, r) for x in R.elements)
+    r = check_realizer(G, frob_realizer)
+    rset = frozenset(map(G.index_of, R.elements))
+    moved = G.conjugate_indices(rset, r)
     if moved != rset:
         g0 = _transporter(G, moved, rset)
         r = compose(r, g0)

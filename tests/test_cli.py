@@ -126,3 +126,16 @@ def test_cli_library_errors_exit_one(monkeypatch, capsys):
                     "--p", "5"]) == 1
         err = capsys.readouterr().err
         assert err == "error: %s\n" % exc
+
+
+def test_cli_group_over_budget_exits_one(monkeypatch, capsys):
+    from galmckay import groups
+
+    monkeypatch.setattr(groups, "ENUMERATION_BUDGET", 1000)
+    assert run(["chartab", "--group", "psl2_8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    need = groups.enumeration_bytes(504, 9)
+    assert captured.err == (
+        "error: group of order 504 on 9 points needs about %d bytes to "
+        "enumerate (budget 1000)\n" % need)

@@ -262,3 +262,30 @@ def test_clifford_label_d16_types():
     assert len(nontrivial) == 12
     # total count and degree identity were certified inside clifford_label
     assert len(labels) == 19
+
+
+def test_clifford_label_builds_each_stabilizer_once(monkeypatch):
+    from galmckay import galois
+    from galmckay.groups import FiniteGroup
+
+    spec = torus_normalizer("2F4", 1, 7)
+    built, tables = [], []
+    subgroup = FiniteGroup.subgroup
+
+    def counting_subgroup(self, gens, name=None):
+        built.append(frozenset(map(tuple, gens)))
+        return subgroup(self, gens, name)
+
+    def counting_table(G, *args):
+        tables.append(G)
+        return dixon_schneider(G, *args)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup", counting_subgroup)
+    monkeypatch.setattr(galois, "dixon_schneider", counting_table)
+    labels = clifford_label(spec)
+    assert len(labels) == len(tables[0].conjugacy_classes)
+    # W, then W_s and N_s once per distinct stabilizer (4 of 7 orbits)
+    assert len(built) == len(set(built)) == 9
+    # N, T and one W_s table per distinct stabilizer
+    assert len(tables) == 6
+    assert len({id(G) for G in tables}) == 6

@@ -193,3 +193,160 @@ def test_class_sizes_divide_order():
         for c in g.conjugacy_classes:
             assert g.order % c.size == 0
         assert sum(c.size for c in g.conjugacy_classes) == g.order
+
+
+# -- the base-image kernel against the former whole-permutation kernel ------
+
+def reference_kernel(G):
+    """The former kernel: BFS and class orbits keyed by whole permutations.
+
+    Returns (elements, class records (rep, size, element order, indices),
+    class_of, index) with the same ordering rules as FiniteGroup.
+    """
+    ident = identity_perm(G.degree)
+    elements, index = [ident], {ident: 0}
+    for e in elements:
+        for g in G.generators:
+            ne = compose(e, g)
+            if ne not in index:
+                index[ne] = len(elements)
+                elements.append(ne)
+    gen_pairs = [(inverse(g), g) for g in G.generators]
+    raw, seen = [], set()
+    for start in range(len(elements)):
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        for xi in orbit:
+            for gi, g in gen_pairs:
+                yi = index[compose(compose(gi, elements[xi]), g)]
+                if yi not in seen:
+                    seen.add(yi)
+                    orbit.append(yi)
+        raw.append(sorted(orbit))
+    keyed = sorted(((perm_order(elements[o[0]]), len(o), o[0], o)
+                    for o in raw), key=lambda t: t[:3])
+    classes = [(elements[mi], size, eo, tuple(o))
+               for eo, size, mi, o in keyed]
+    class_of = [0] * len(elements)
+    for c, cl in enumerate(classes):
+        for i in cl[3]:
+            class_of[i] = c
+    return elements, classes, class_of, index
+
+
+def oracle_groups():
+    from galmckay.verify import list_targets, local_model_group
+    from galmckay.zoo import agl18_normalizer, psl2_8, small_group
+
+    groups = [psl2_8(), agl18_normalizer(), symmetric_group(4), dihedral(9),
+              cyclic_group(12), cyclic_group(5)]
+    groups += [small_group(tag) for tag in ("su3_2", "su3_2_ext", "su3_3")]
+    groups += [local_model_group(t["family"], t["f"], t["p"])
+               for t in list_targets()]
+    # fresh copies: nothing cached by other tests
+    return [FiniteGroup(G.degree, G.generators, name=G.name) for G in groups]
+
+
+def test_base_image_kernel_matches_reference():
+    from sympy import primefactors
+
+    for G in oracle_groups():
+        elements, classes, class_of, index = reference_kernel(G)
+        assert G.elements == elements, G.name
+        assert [(cl.rep, cl.size, cl.element_order, cl.indices)
+                for cl in G.conjugacy_classes] == classes, G.name
+        assert G.class_of == class_of, G.name
+        assert len(G.element_index) == len(elements)
+        reps = [cl[0] for cl in classes]
+        for i, x in enumerate(elements):
+            assert G.index_of(x) == i
+            assert G.class_of_element(x) == class_of[i]
+            if i < 64:
+                assert G.quotient_classes(x, reps) == \
+                    [class_of[index[compose(inverse(x), z)]] for z in reps]
+        for c, cl in enumerate(classes):
+            for k in primefactors(G.exponent) + [-1, G.exponent + 1]:
+                assert G.power_map(c, k) == \
+                    class_of[index[perm_pow(cl[0], k)]], (G.name, c, k)
+
+
+def test_normalizer_matches_brute_force():
+    from galmckay.zoo import psl2_8
+
+    for G in (psl2_8(), symmetric_group(4)):
+        for p in sorted({cl.element_order for cl in G.conjugacy_classes}):
+            if p == 1 or any(p % q == 0 for q in range(2, p)):
+                continue
+            H = G.sylow_subgroup(p)
+            hset = set(H.elements)
+            brute = {g for g in G.elements
+                     if {conjugate(h, g) for h in H.generators} <= hset}
+            assert set(G.normalizer(H).elements) == brute, (G.name, p)
+    with pytest.raises(GroupError):
+        # the normalizer is computed for subgroups only
+        cyclic_group(5).normalizer(FiniteGroup(5, [(1, 0, 2, 3, 4)]))
+
+
+def test_base_key_collision_is_not_membership():
+    c5 = cyclic_group(5)
+    assert c5.base[0] == 0
+    c5.elements   # lookups now go through base keys
+    gen = c5.generators[0]
+    affine = tuple((2 * x + 1) % 5 for x in range(5))
+    assert affine[0] == gen[0]   # same base image as a member
+    assert affine not in c5
+    assert gen in c5
+    assert (0, 1, 2) not in c5   # wrong degree
+    with pytest.raises(KeyError):
+        c5.class_of_element(affine)
+    # a transposition does not normalize C5: it conjugates the generator
+    # to a 5-cycle outside C5 whose base image is that of a member
+    swap = (1, 0, 2, 3, 4)
+    moved = conjugate(gen, swap)
+    assert moved not in c5
+    assert any(x[0] == moved[0] for x in c5.elements)
+    with pytest.raises(GroupError):
+        induced_class_permutation(c5, swap)
+    with pytest.raises(GroupError):
+        check_realizer(c5, swap)
+
+
+def test_enumeration_budget():
+    from galmckay.groups import (
+        ENUMERATION_BUDGET, GroupTooLargeError, enumeration_bytes)
+
+    s12 = symmetric_group(12)
+    need = enumeration_bytes(479001600, 12)
+    assert need > ENUMERATION_BUDGET
+    with pytest.raises(GroupTooLargeError) as err:
+        s12.elements
+    msg = str(err.value)
+    assert "479001600" in msg and "12 points" in msg and str(need) in msg
+    with pytest.raises(GroupTooLargeError):
+        s12.conjugacy_classes
+    # the budget is per group, and subgroups inherit it
+    s4 = FiniteGroup(4, symmetric_group(4).generators,
+                     cap=enumeration_bytes(24, 4) - 1)
+    with pytest.raises(GroupTooLargeError):
+        s4.elements
+    assert s4.subgroup([(1, 0, 2, 3)]).cap == s4.cap
+    assert len(symmetric_group(4).elements) == 24
+
+
+def test_list_targets_fit_the_budget():
+    from galmckay.groups import ENUMERATION_BUDGET, enumeration_bytes
+    from galmckay.verify import _global_group, list_targets, \
+        local_model_group
+    from galmckay.zoo import field_automorphism
+
+    for t in list_targets():
+        N = local_model_group(t["family"], t["f"], t["p"])
+        assert enumeration_bytes(N.order, N.degree) <= ENUMERATION_BUDGET
+        if t["mode"] == "full":
+            G = _global_group(t["family"], t["f"])
+            k = automorphism_order(G, field_automorphism(G))
+            # the largest group a full target builds is G x| C_k
+            assert enumeration_bytes(k * G.order, G.degree) \
+                <= ENUMERATION_BUDGET
