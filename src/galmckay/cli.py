@@ -12,7 +12,7 @@ from .chartab import CharacterTable, dixon_schneider
 from .zoo import suzuki_group, psl2_8, agl18_normalizer, small_group
 from .verify import (
     verify_target, lemma_congruence_check, cross_model_check,
-    list_targets, local_model_group, target_mode,
+    list_targets, local_model_table, target_mode,
 )
 
 
@@ -188,9 +188,8 @@ def run(argv) -> int:
                        "known_targets": list_targets()},
                       args.format, args.out)
                 return 1
-            group = local_model_group(args.family, args.f, args.p)
-            _dump(serialize_table(dixon_schneider(group)),
-                  args.format, args.out)
+            table = local_model_table(args.family, args.f, args.p)
+            _dump(serialize_table(table), args.format, args.out)
             return 0
         if args.command == "cross-check":
             ok = cross_model_check(args.family, args.f, args.p)

@@ -88,9 +88,6 @@ class Cyclotomic:
             raise CycloError("not a rational value: %r" % (self,))
         return Fraction(self.coeffs.get((), 0))
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.rational_value().denominator == 1
-
     def integer_value(self) -> int:
         v = self.rational_value()
         if v.denominator != 1:

@@ -223,7 +223,7 @@ class McKayLabel:
                    self.eta_index))
 
 
-def _complement_part(x, t_set, comp_elements, degree):
+def _complement_part(x, t_set, comp_elements):
     """Split x = t * w with t in the torus and w in the complement."""
     for w in comp_elements:
         t = compose(x, inverse(w))
@@ -295,7 +295,7 @@ def clifford_label(spec, table=None):
             raise GaloisError("stabilizer subgroup has wrong order")
         wt = dixon_schneider(Ws)
         # Decompose every class representative of N_s as t * w.
-        parts = [_complement_part(cl.rep, t_set, stab, N.degree)
+        parts = [_complement_part(cl.rep, t_set, stab)
                  for cl in Ns.conjugacy_classes]
         for orbit in stab_orbits:
             s = orbit[0]

@@ -336,9 +336,6 @@ class FiniteGroup:
             m = lcm(m, cl.element_order)
         return m
 
-    def centralizer_order(self, c: int) -> int:
-        return self.order // self.conjugacy_classes[c].size
-
     # -- subgroups ---------------------------------------------------------
 
     def subgroup(self, gens, name=None) -> "FiniteGroup":

@@ -10,8 +10,10 @@ Sylow normalizers and the constructed normalizer models.
 """
 
 from itertools import permutations, product as iproduct
-from math import gcd, lcm
+from math import lcm
 from collections import deque
+from functools import cache
+from typing import NamedTuple
 
 from sympy import factorint
 
@@ -337,41 +339,11 @@ def cross_model_check(family, f, p) -> bool:
     """Computed Sylow normalizer table vs the constructed model table."""
     if family != "2B2":
         raise VerifyError("cross-model check is implemented for 2B2 only")
-    G = _global_group(family, f)
-    N = _memoized(("N", family, f, p),
-                  lambda: G.normalizer(G.sylow_subgroup(p)))
-    model = local_model_group(family, f, p)
-    return tables_equivalent(_table(N), _table(model))
+    return tables_equivalent(local_side(family, f, p).table,
+                             local_model_table(family, f, p))
 
 
 # -- target plumbing -------------------------------------------------------
-
-_memo = {}
-
-
-def _memoized(key, builder):
-    if key not in _memo:
-        _memo[key] = builder()
-    return _memo[key]
-
-
-def _global_group(family, f) -> FiniteGroup:
-    if family == "2B2":
-        return _memoized(("G", family, f), lambda: suzuki_group(f))
-    if family == "PSL2" and f == 1:
-        return _memoized(("G", family, f), psl2_8)
-    raise VerifyError("no global group constructor for %s f=%d"
-                      % (family, f))
-
-
-def _table(group: FiniteGroup) -> CharacterTable:
-    return _memoized(("table", id(group)), lambda: dixon_schneider(group))
-
-
-def global_table(family, f) -> CharacterTable:
-    """Cached character table of a supported global group."""
-    return _table(_global_group(family, f))
-
 
 def _transporter(G: FiniteGroup, A: frozenset, B: frozenset):
     """Element g with A conjugated by g equal to B (A, B: element index
@@ -416,12 +388,6 @@ def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
     raise VerifyError("no order-%d realizer stabilizing the normalizer" % k)
 
 
-def _ext_bundle(table, realizer, k, key):
-    """Cache dict for extension searches, seeded with the d=1 product."""
-    return _memoized(("bundle",) + key,
-                     lambda: {1: extension_product(table, realizer, k)})
-
-
 # supported targets: (family, f) -> primes with full verification
 _FULL_TARGETS = {
     ("2B2", 1): (5, 7, 13),
@@ -447,11 +413,7 @@ def _local_only_primes(family, f):
                         if p != defining and p % 2 and len(labs) == 1))
 
 
-_LOCAL_ONLY = {
-    ("2B2", 2): None,
-    ("2G2", 1): None,
-    ("2F4", 1): None,
-}
+_LOCAL_ONLY = (("2B2", 2), ("2G2", 1), ("2F4", 1))
 
 
 def target_mode(family, f, p):
@@ -491,14 +453,18 @@ def _psl2_local_model(p) -> FiniteGroup:
 
 
 def local_model_group(family, f, p) -> FiniteGroup:
-    """The target's local model, built once so `_table` finds its table."""
+    """The target's constructed Sylow normalizer model."""
     if family in ("2B2", "2G2", "2F4"):
-        return _memoized(("spec", family, f, p),
-                         lambda: torus_normalizer(family, f, p)).group
+        return torus_normalizer(family, f, p).group
     if family == "PSL2" and f == 1:
-        return _memoized(("local", family, f, p),
-                         lambda: _psl2_local_model(p))
+        return _psl2_local_model(p)
     raise VerifyError("no local model for %s f=%d p=%d" % (family, f, p))
+
+
+@cache
+def local_model_table(family, f, p) -> CharacterTable:
+    """Character table of the target's local model, built once."""
+    return dixon_schneider(local_model_group(family, f, p))
 
 
 def out_of_scope_report(family, f, p):
@@ -511,34 +477,57 @@ def out_of_scope_report(family, f, p):
     }
 
 
-def full_target_setup(family, f, p):
-    """Tables, realizers, and Galois group for a full target."""
-    G = _global_group(family, f)
-    gtable = _table(G)
-    frob = _memoized(("frob", family, f), lambda: field_automorphism(G))
-    k = _memoized(("frobord", family, f),
-                  lambda: automorphism_order(G, frob))
-    N, lreal = _memoized(("stable", family, f, p),
-                         lambda: stable_sylow_setup(G, p, frob, k))
-    ltable = _table(N)
-    gcache = _ext_bundle(gtable, frob, k, (family, f, "global"))
-    lcache = _ext_bundle(ltable, lreal, k, (family, f, p, "local"))
-    m = lcm(gcache[1][0].group.exponent, lcache[1][0].group.exponent)
-    H = h_group(p, m)
-    return {
-        "gtable": gtable, "ltable": ltable, "frob": frob, "lreal": lreal,
-        "k": k, "H": H, "gcache": gcache, "lcache": lcache,
-    }
+class Side(NamedTuple):
+    """Table of the global group or its Sylow normalizer, the realizer of
+    the order-k field automorphism on it, and the `find_extensions` cache
+    seeded with the extension product for the whole C_k."""
+    table: CharacterTable
+    realizer: tuple
+    k: int
+    cache: dict
 
 
-def target_joint_actions(family, f, p):
-    """The two joint row actions matched by the bijection search."""
-    s = full_target_setup(family, f, p)
-    gp = s["gtable"].p_prime_rows(p)
-    lp = s["ltable"].p_prime_rows(p)
-    X = joint_row_action(s["gtable"], s["frob"], s["k"], s["H"], gp)
-    Y = joint_row_action(s["ltable"], s["lreal"], s["k"], s["H"], lp)
-    return X, Y
+def _side(table, realizer, k) -> Side:
+    return Side(table, realizer, k,
+                {1: extension_product(table, realizer, k)})
+
+
+@cache
+def _field_action(family, f):
+    """The global group, its field automorphism's realizer and order.
+
+    Both sides start here, so a local side needs no global table.
+    """
+    if family == "2B2":
+        G = suzuki_group(f)
+    elif family == "PSL2" and f == 1:
+        G = psl2_8()
+    else:
+        raise VerifyError("no global group constructor for %s f=%d"
+                          % (family, f))
+    frob = field_automorphism(G)
+    return G, frob, automorphism_order(G, frob)
+
+
+@cache
+def global_side(family, f) -> Side:
+    """The global group's side, shared by every prime of the target."""
+    G, frob, k = _field_action(family, f)
+    return _side(dixon_schneider(G), frob, k)
+
+
+@cache
+def local_side(family, f, p) -> Side:
+    """The side of a Sylow normalizer stable under the field automorphism."""
+    G, frob, k = _field_action(family, f)
+    N, lreal = stable_sylow_setup(G, p, frob, k)
+    return _side(dixon_schneider(N), lreal, k)
+
+
+def galois_group(gside: Side, lside: Side, p):
+    """The Galois group H over the exponents of both extension products."""
+    return h_group(p, lcm(gside.cache[1][0].group.exponent,
+                          lside.cache[1][0].group.exponent))
 
 
 def verify_target(family, f, p):
@@ -548,14 +537,14 @@ def verify_target(family, f, p):
         return out_of_scope_report(family, f, p)
     if mode == "local-only":
         return _verify_local_only(family, f, p)
-    s = full_target_setup(family, f, p)
-    gtable, ltable = s["gtable"], s["ltable"]
-    frob, lreal, k, H = s["frob"], s["lreal"], s["k"], s["H"]
-    frag = condition_one(gtable, ltable, p, H, frob, lreal, k)
-    exts = extension_sweep(gtable, frob, k, H, p, "global",
-                           cache=s["gcache"])
-    exts += extension_sweep(ltable, lreal, k, H, p, "local",
-                            cache=s["lcache"])
+    g, l = global_side(family, f), local_side(family, f, p)
+    H = galois_group(g, l, p)
+    frag = condition_one(g.table, l.table, p, H, g.realizer, l.realizer,
+                         g.k)
+    exts = extension_sweep(g.table, g.realizer, g.k, H, p, "global",
+                           cache=g.cache)
+    exts += extension_sweep(l.table, l.realizer, l.k, H, p, "local",
+                            cache=l.cache)
     part2 = all(e["invariant"] for e in exts)
     return {
         "target": {"family": family, "f": f},
@@ -574,8 +563,8 @@ def verify_target(family, f, p):
 
 
 def _verify_local_only(family, f, p):
-    ltable = _table(local_model_group(family, f, p))
-    H = h_group(p, ltable.exponent if ltable.exponent > 1 else 1)
+    ltable = local_model_table(family, f, p)
+    H = h_group(p, ltable.exponent)
     lp = ltable.p_prime_rows(p)
     Y = joint_row_action(ltable, None, 1, H, lp)
     orbit_summary = match_actions(Y, Y).orbit_summary

@@ -6,14 +6,14 @@ from galmckay.zoo import agl18_normalizer, small_group
 
 @pytest.fixture(scope="session")
 def sz8_table():
-    from galmckay.verify import global_table
-    return global_table("2B2", 1)
+    from galmckay.verify import global_side
+    return global_side("2B2", 1).table
 
 
 @pytest.fixture(scope="session")
 def psl28_table():
-    from galmckay.verify import global_table
-    return global_table("PSL2", 1)
+    from galmckay.verify import global_side
+    return global_side("PSL2", 1).table
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,8 @@ from galmckay.galois import (
 from galmckay.cyclo import ONE, make_root
 from galmckay.verify import (
     verify_target, match_actions, brute_force_match_exists,
-    target_joint_actions, full_target_setup, cross_model_check,
-    lemma_congruence_check, local_model_group,
+    joint_row_action, global_side, local_side, galois_group,
+    cross_model_check, lemma_congruence_check, local_model_group,
 )
 from galmckay.zoo import suzuki_group, torus_normalizer
 
@@ -173,7 +173,12 @@ def _criterion_8_galois_closure(tables):
 def _criterion_8_match_oracle():
     checked = 0
     for family, f, p in FULL_GRID:
-        X, Y = target_joint_actions(family, f, p)
+        g, l = global_side(family, f), local_side(family, f, p)
+        H = galois_group(g, l, p)
+        X = joint_row_action(g.table, g.realizer, g.k, H,
+                             g.table.p_prime_rows(p))
+        Y = joint_row_action(l.table, l.realizer, l.k, H,
+                             l.table.p_prime_rows(p))
         if X.n > 8 or Y.n > 8:
             continue
         assert match_actions(X, Y).ok == brute_force_match_exists(X, Y)
@@ -182,10 +187,10 @@ def _criterion_8_match_oracle():
 
 
 def _criterion_8_gallagher_and_real(family, f, p):
-    s = full_target_setup(family, f, p)
-    table, k = s["gtable"], s["k"]
+    g = global_side(family, f)
+    table = g.table
     for row in range(len(table.rows)):
-        ext = find_extensions(table, s["frob"], k, row, cache=s["gcache"])
+        ext = find_extensions(table, g.realizer, g.k, row, cache=g.cache)
         assert len(ext.rows) == ext.a_psi_order
         # odd cyclic stabilizer quotient: a real row has exactly one
         # real extension

@@ -1,8 +1,10 @@
 """`galmckay verify` reports against the golden copies in bench/golden/.
 
 The targets are the fast local-only ones, whose verdicts rest on the
-Galois action on torus-normalizer tables, and the Clifford labels of the
-2F4 p=7 torus normalizer.  The comparison rule is the benchmark's: every
+Galois action on torus-normalizer tables, the full targets of PSL(2,8)
+and Sz(8), whose verdicts rest on the global and local tables and their
+extension products, and the Clifford labels of the 2F4 p=7 torus
+normalizer.  The comparison rule is the benchmark's: every
 key and value of the golden report must be present and equal; keys the
 report adds are allowed.
 """
@@ -52,7 +54,8 @@ def test_golden_rule():
 
 @pytest.mark.parametrize("family,f,p", [
     ("2G2", 1, 37), ("2B2", 2, 31), ("2B2", 2, 41), ("2F4", 1, 109),
-    ("2F4", 1, 19),
+    ("2F4", 1, 19), ("PSL2", 1, 2), ("PSL2", 1, 3), ("PSL2", 1, 7),
+    ("2B2", 1, 5), ("2B2", 1, 7), ("2B2", 1, 13),
 ])
 def test_verify_matches_golden(family, f, p, capsys):
     with open(GOLDEN / ("verify_%s_%d_%d.json" % (family, f, p))) as fh:

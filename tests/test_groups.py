@@ -337,7 +337,7 @@ def test_enumeration_budget():
 
 def test_list_targets_fit_the_budget():
     from galmckay.groups import ENUMERATION_BUDGET, enumeration_bytes
-    from galmckay.verify import _global_group, list_targets, \
+    from galmckay.verify import global_side, list_targets, \
         local_model_group
     from galmckay.zoo import field_automorphism
 
@@ -345,7 +345,7 @@ def test_list_targets_fit_the_budget():
         N = local_model_group(t["family"], t["f"], t["p"])
         assert enumeration_bytes(N.order, N.degree) <= ENUMERATION_BUDGET
         if t["mode"] == "full":
-            G = _global_group(t["family"], t["f"])
+            G = global_side(t["family"], t["f"]).table.group
             k = automorphism_order(G, field_automorphism(G))
             # the largest group a full target builds is G x| C_k
             assert enumeration_bytes(k * G.order, G.degree) \

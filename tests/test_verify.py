@@ -6,8 +6,9 @@ from galmckay.verify import (
     joint_row_action, condition_one, extension_sweep,
     torus_polynomials, lemma_congruence_check,
     tables_equivalent, cross_model_check, verify_target, list_targets,
-    target_mode, local_model_group, global_table, _memo, _table,
+    target_mode, local_model_group, local_model_table, local_side,
 )
+from galmckay import verify
 from galmckay.groups import FiniteGroup, cyclic_group, symmetric_group
 from galmckay.galois import h_group
 
@@ -181,13 +182,45 @@ def test_every_target_has_a_local_model():
         assert N.order % t["p"] == 0
 
 
-def test_local_model_built_once():
-    def tables():
-        return [v for k, v in _memo.items() if k[0] == "table"]
-    before = len(tables())
-    N = local_model_group("2G2", 1, 37)
-    assert local_model_group("2G2", 1, 37) is N
-    assert _table(local_model_group("2G2", 1, 37)) is _table(N)
+def counted_tables(monkeypatch):
+    """Groups whose tables verify builds from now on, in build order."""
+    built = []
+
+    def counting(G, *args, **kwargs):
+        built.append(G)
+        return dixon_schneider(G, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "dixon_schneider", counting)
+    return built
+
+
+def test_local_model_built_once(monkeypatch):
+    built = counted_tables(monkeypatch)
+    local_model_table.cache_clear()
+    t = local_model_table("2G2", 1, 37)
+    assert local_model_table("2G2", 1, 37) is t
     assert verify_target("2G2", 1, 37)["status"] == "verified"
-    assert len(tables()) - before <= 1
-    assert sum(1 for t in tables() if t.group is N) == 1
+    assert built == [t.group]
+
+
+def test_normalizer_table_shared_with_cross_check(monkeypatch):
+    built = counted_tables(monkeypatch)
+    local_side.cache_clear()
+    local_model_table.cache_clear()
+    assert verify_target("2B2", 1, 5)["status"] == "verified"
+    assert cross_model_check("2B2", 1, 5)
+    N = local_side("2B2", 1, 5).table.group
+    model = local_model_table("2B2", 1, 5).group
+    assert N.order == model.order == 20
+    assert sum(G is N for G in built) == 1
+    assert sum(G is model for G in built) == 1
+    assert sum(G.order == 20 for G in built) == 2
+
+
+def test_local_only_target_builds_no_global_group(monkeypatch):
+    def refuse(f):
+        raise AssertionError("suzuki_group(%d) was built" % f)
+
+    monkeypatch.setattr(verify, "suzuki_group", refuse)
+    monkeypatch.setattr("galmckay.zoo.suzuki_group", refuse)
+    assert verify_target("2B2", 2, 31)["status"] == "verified"
