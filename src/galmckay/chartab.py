@@ -363,6 +363,9 @@ class CharacterTable:
         # and the subgroup of residues checked against the values
         self.galois_perms = {}
         self.galois_checked = frozenset({1 % self.exponent})
+        # extend.automorphism_row_perms: row permutations of a^j, j < k,
+        # by (realizer, k)
+        self.automorphism_perms = {}
 
     def row_index(self, cf: ClassFunction) -> int:
         i = self._row_index.get(cf.values)

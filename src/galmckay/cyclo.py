@@ -221,7 +221,7 @@ class Cyclotomic:
             if gcd(b, n) == 1:
                 prod = prod * self.galois(b)
         norm = (self * prod).rational_value()
-        return prod * Fraction(1, 1) * Cyclotomic.from_rational(Fraction(1) / norm)
+        return prod * Cyclotomic.from_rational(Fraction(1) / norm)
 
     def __truediv__(self, other):
         other = _as_cyclo(other)

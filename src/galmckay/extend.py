@@ -13,11 +13,11 @@ from . import GalMcKayError
 from .cyclo import ONE, ZERO
 from .groups import (
     FiniteGroup, SemidirectProduct, automorphism_order, check_realizer,
-    perm_pow, identity_perm, semidirect_product, induced_class_permutation,
+    compose, perm_pow, identity_perm, semidirect_product,
+    induced_class_permutation,
 )
 from .chartab import (
-    CharacterTable, ChartabError, ClassFunction, dixon_schneider, induce,
-    inner_product,
+    CharacterTable, ClassFunction, dixon_schneider, induce, inner_product,
 )
 from .galois import act_on_table
 
@@ -26,21 +26,28 @@ class ExtendError(GalMcKayError):
     pass
 
 
-def _action_class_perms(table, realizer, k):
-    """Class permutation of M induced by a^j for j = 0..k-1."""
+def automorphism_row_perms(table: CharacterTable, realizer, k: int):
+    """Row permutations of a^j for j = 0..k-1, a of order dividing k.
+
+    perms[j][i] is the index of the row chi_i composed with a^j.  They are
+    the powers of the row permutation of a, cached on the table per
+    (realizer, k); a table not closed under a raises ChartabError.
+    """
+    key = (tuple(realizer), k)
+    perms = table.automorphism_perms.get(key)
+    if perms is not None:
+        return perms
     M = table.group
     r = check_realizer(M, realizer)
     if k % automorphism_order(M, r):
         raise ExtendError("action does not have order dividing %d" % k)
-    perms = [tuple(range(len(table.classes)))]
-    for j in range(1, k):
-        perms.append(induced_class_permutation(M, perm_pow(r, j)))
+    perms = [tuple(range(len(table.rows)))]
+    if k > 1:
+        base = table.row_perm(induced_class_permutation(M, r))
+        while len(perms) < k:
+            perms.append(compose(perms[-1], base))
+    perms = table.automorphism_perms[key] = tuple(perms)
     return perms
-
-
-def _apply_class_perm(values, cperm):
-    """Values of chi composed with the automorphism whose class map is cperm."""
-    return tuple(values[c] for c in cperm)
 
 
 def extension_product(table: CharacterTable, realizer, q: int):
@@ -91,11 +98,10 @@ def find_extensions(table: CharacterTable, realizer, k: int, row: int,
     """
     M = table.group
     psi = table.rows[row]
-    cperms = _action_class_perms(table, realizer, k)
+    perms = automorphism_row_perms(table, realizer, k)
     realizer = tuple(realizer)
     d = next(j for j in range(1, k + 1)
-             if k % j == 0
-             and _apply_class_perm(psi.values, cperms[j % k]) == psi.values)
+             if k % j == 0 and perms[j % k][row] == row)
     q = k // d
     if q == 1:
         product = SemidirectProduct(M, M, identity_perm(M.degree), 1)
@@ -124,17 +130,11 @@ def find_extensions(table: CharacterTable, realizer, k: int, row: int,
 def joint_stabilizer(table: CharacterTable, realizer, k: int, row: int,
                      H) -> list:
     """Pairs (j, sigma) with psi composed with a^j then sigma equal to psi."""
-    psi = table.rows[row]
-    cperms = _action_class_perms(table, realizer, k)
+    perms = automorphism_row_perms(table, realizer, k)
     pairs = []
     for j in range(k):
-        try:
-            moved = table.row_index(ClassFunction(
-                table.group, _apply_class_perm(psi.values, cperms[j])))
-        except ChartabError:
-            continue
         pairs += [(j, sigma) for sigma in H
-                  if act_on_table(table, sigma)[moved] == row]
+                  if act_on_table(table, sigma)[perms[j][row]] == row]
     return pairs
 
 
@@ -147,16 +147,12 @@ def invariant_extension_exists(table: CharacterTable, realizer, k: int,
     """
     ext = find_extensions(table, realizer, k, row, cache=cache)
     pairs = joint_stabilizer(table, realizer, k, row, H)
-    shared = cache if cache is not None else {}
+    gammas = automorphism_row_perms(ext.table, ext.realizer, k)
     reports = []
     for i in ext.rows:
         report = []
         for j, sigma in pairs:
-            gk = ("gamma", ext.d, j)
-            if gk not in shared:
-                shared[gk] = ext.table.row_perm(induced_class_permutation(
-                    ext.product.group, perm_pow(ext.realizer, j)))
-            image = act_on_table(ext.table, sigma)[shared[gk][i]]
+            image = act_on_table(ext.table, sigma)[gammas[j][i]]
             report.append((j, sigma.b, image == i))
         reports.append(report)
         if all(ok for _, _, ok in report):

@@ -20,14 +20,16 @@ from sympy import factorint
 from . import GalMcKayError
 from .groups import (
     FiniteGroup, GroupError, compose, perm_pow, identity_perm,
-    automorphism_order, check_realizer, induced_class_permutation,
+    automorphism_order, check_realizer,
 )
 from .chartab import CharacterTable, dixon_schneider
 from .galois import h_group, act_on_table
-from .extend import invariant_extension_exists, extension_product
+from .extend import (
+    automorphism_row_perms, invariant_extension_exists, extension_product,
+)
 from .zoo import (
     ZooError, FiniteField, suzuki_group, psl2_8, field_automorphism,
-    torus_normalizer, torus_rows,
+    torus_normalizer, torus_rows, torus_polynomials,
 )
 
 
@@ -164,25 +166,15 @@ def brute_force_match_exists(X: ActionOnSet, Y: ActionOnSet) -> bool:
 
 # -- row actions -----------------------------------------------------------
 
-def joint_row_action(table, realizer, k, H, rows):
-    """ActionOnSet of C_k x H on a subset of row indices.
-
-    C_k acts through conjugation by realizer; None means trivially.
-    """
-    nrows = len(table.rows)
-    gperms = [tuple(range(nrows))]
-    if realizer is not None and k > 1:
-        base = table.row_perm(
-            induced_class_permutation(table.group, realizer))
-        for _ in range(k - 1):
-            gperms.append(compose(gperms[-1], base))
-    else:
-        gperms = [tuple(range(nrows))] * k
+def joint_row_action(side, H, rows):
+    """ActionOnSet of C_k x H on a subset of one side's row indices."""
+    table = side.table
+    gperms = automorphism_row_perms(table, side.realizer, side.k)
     sperms = {s.b: act_on_table(table, s) for s in H}
     pos = {r: i for i, r in enumerate(rows)}
     labels = []
     perms = []
-    for j in range(k):
+    for j in range(side.k):
         for s in H:
             labels.append((j, s.b))
             full = [sperms[s.b][gperms[j][r]] for r in rows]
@@ -195,11 +187,11 @@ def joint_row_action(table, realizer, k, H, rows):
 
 # -- condition checks ------------------------------------------------------
 
-def condition_one(gtable, ltable, p, H, greal=None, lreal=None, k=1):
-    gp = gtable.p_prime_rows(p)
-    lp = ltable.p_prime_rows(p)
-    X = joint_row_action(gtable, greal, k, H, gp)
-    Y = joint_row_action(ltable, lreal, k, H, lp)
+def condition_one(gside, lside, p, H):
+    gp = gside.table.p_prime_rows(p)
+    lp = lside.table.p_prime_rows(p)
+    X = joint_row_action(gside, H, gp)
+    Y = joint_row_action(lside, H, lp)
     res = match_actions(X, Y)
     return {
         "counts": {"global": len(gp), "local": len(lp)},
@@ -211,23 +203,15 @@ def condition_one(gtable, ltable, p, H, greal=None, lreal=None, k=1):
     }
 
 
-def extension_sweep(table, realizer, k, H, p, side, cache=None):
-    """Invariant-extension witnesses for every p'-row of one side.
-
-    The cyclic group of order k acts through conjugation by realizer; None
-    means no action (k is then taken as 1).
-    """
+def extension_sweep(side, H, p, label):
+    """Invariant-extension witnesses for every p'-row of one side."""
+    table = side.table
     entries = []
-    if cache is None:
-        cache = {}
-    if realizer is None:
-        realizer = identity_perm(table.group.degree)
-        k = 1
     for row in table.p_prime_rows(p):
-        w = invariant_extension_exists(table, realizer, k, row, H,
-                                       cache=cache)
+        w = invariant_extension_exists(table, side.realizer, side.k, row, H,
+                                       cache=side.cache)
         entries.append({
-            "side": side,
+            "side": label,
             "row": row,
             "degree": table.rows[row].degree_int(),
             "witness_row": w.extension_row,
@@ -237,22 +221,7 @@ def extension_sweep(table, realizer, k, H, p, side, cache=None):
     return entries
 
 
-# -- torus order polynomials and congruences -------------------------------
-
-def torus_polynomials(f):
-    """Integer values T1, T2+, T2-, T3, T4+, T4- at q^2 = 2^(2f+1)."""
-    q2 = 2 ** (2 * f + 1)
-    r = 2 ** (f + 1)
-    r3 = 2 ** (3 * f + 2)
-    return {
-        "T1": q2 - 1,
-        "T2+": q2 + r + 1,
-        "T2-": q2 - r + 1,
-        "T3": q2 * q2 - q2 + 1,
-        "T4+": q2 * q2 + r3 + q2 + r + 1,
-        "T4-": q2 * q2 - r3 + q2 - r + 1,
-    }
-
+# -- torus order congruences -----------------------------------------------
 
 _CONGRUENCES = {
     "T1": ("mod 8 in {1,7}", 8, {1, 7}, False),
@@ -478,9 +447,9 @@ def out_of_scope_report(family, f, p):
 
 
 class Side(NamedTuple):
-    """Table of the global group or its Sylow normalizer, the realizer of
-    the order-k field automorphism on it, and the `find_extensions` cache
-    seeded with the extension product for the whole C_k."""
+    """A character table, the realizer of the order-k field automorphism
+    on its group, and the `find_extensions` cache of extension products
+    by stabilizer index (seeded with the whole C_k for a full target)."""
     table: CharacterTable
     realizer: tuple
     k: int
@@ -539,12 +508,9 @@ def verify_target(family, f, p):
         return _verify_local_only(family, f, p)
     g, l = global_side(family, f), local_side(family, f, p)
     H = galois_group(g, l, p)
-    frag = condition_one(g.table, l.table, p, H, g.realizer, l.realizer,
-                         g.k)
-    exts = extension_sweep(g.table, g.realizer, g.k, H, p, "global",
-                           cache=g.cache)
-    exts += extension_sweep(l.table, l.realizer, l.k, H, p, "local",
-                            cache=l.cache)
+    frag = condition_one(g, l, p, H)
+    exts = extension_sweep(g, H, p, "global")
+    exts += extension_sweep(l, H, p, "local")
     part2 = all(e["invariant"] for e in exts)
     return {
         "target": {"family": family, "f": f},
@@ -564,11 +530,13 @@ def verify_target(family, f, p):
 
 def _verify_local_only(family, f, p):
     ltable = local_model_table(family, f, p)
+    # no field action; with k = 1 no extension product is ever built
+    side = Side(ltable, identity_perm(ltable.group.degree), 1, {})
     H = h_group(p, ltable.exponent)
     lp = ltable.p_prime_rows(p)
-    Y = joint_row_action(ltable, None, 1, H, lp)
+    Y = joint_row_action(side, H, lp)
     orbit_summary = match_actions(Y, Y).orbit_summary
-    exts = extension_sweep(ltable, None, 1, H, p, "local")
+    exts = extension_sweep(side, H, p, "local")
     part2 = all(e["invariant"] for e in exts)
     return {
         "target": {"family": family, "f": f},

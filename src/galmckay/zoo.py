@@ -208,7 +208,6 @@ def suzuki_group(f: int) -> FiniteGroup:
         for y in range(q2):
             frob[pt(x, y)] = pt(F.frob(x), F.frob(y))
     G.frobenius_perm = tuple(frob)
-    G.frobenius_order = k
     return G
 
 
@@ -247,7 +246,6 @@ def psl2_8() -> FiniteGroup:
         raise ZooError("PSL2(8) construction has order %d" % G.order)
     frob = tuple(INF if i == INF else F.frob(i) for i in range(q + 1))
     G.frobenius_perm = frob
-    G.frobenius_order = 3
     return G
 
 
@@ -262,7 +260,6 @@ def agl18_normalizer() -> FiniteGroup:
     if G.order != 168:
         raise ZooError("affine normalizer has order %d" % G.order)
     G.frobenius_perm = frob
-    G.frobenius_order = 3
     return G
 
 
@@ -414,7 +411,6 @@ def small_group(tag: str) -> FiniteGroup:
         if G.order != 216:
             raise ZooError("SU3(2) has order %d" % G.order)
         G.frobenius_perm = frob
-        G.frobenius_order = 2
         return G
     if tag == "su3_2_ext":
         F = FiniteField(2, 2)
@@ -432,7 +428,6 @@ def small_group(tag: str) -> FiniteGroup:
         if G.order != 6048:
             raise ZooError("SU3(3) has order %d" % G.order)
         G.frobenius_perm = frob
-        G.frobenius_order = 2
         return G
     if tag == "g2_2":
         F = FiniteField(3, 2)
@@ -449,7 +444,6 @@ def small_group(tag: str) -> FiniteGroup:
         if G.order != 60480:
             raise ZooError("SL3(4) has order %d" % G.order)
         G.frobenius_perm = frob
-        G.frobenius_order = 2
         return G
     if tag == "psl3_4":
         F = FiniteField(2, 2)
@@ -457,7 +451,6 @@ def small_group(tag: str) -> FiniteGroup:
         if G.order != 20160:
             raise ZooError("PSL3(4) has order %d" % G.order)
         G.frobenius_perm = frob
-        G.frobenius_order = 2
         return G
     raise ZooError("unknown group tag %r" % tag)
 
@@ -675,10 +668,19 @@ def _st8_mats(d):
     raise ZooError("no braid partner found mod %d" % d)
 
 
-def _poly_values_2b2(f):
+def torus_polynomials(f):
+    """Integer values T1, T2+, T2-, T3, T4+, T4- at q^2 = 2^(2f+1)."""
     q2 = 2 ** (2 * f + 1)
     r = 2 ** (f + 1)
-    return q2, r
+    r3 = 2 ** (3 * f + 2)
+    return {
+        "T1": q2 - 1,
+        "T2+": q2 + r + 1,
+        "T2-": q2 - r + 1,
+        "T3": q2 * q2 - q2 + 1,
+        "T4+": q2 * q2 + r3 + q2 + r + 1,
+        "T4-": q2 * q2 - r3 + q2 - r + 1,
+    }
 
 
 def _poly_values_2g2(f):
@@ -689,17 +691,19 @@ def _poly_values_2g2(f):
 
 def torus_rows(family: str, f: int):
     """Row label -> (torus orders, complement tag, builder thunk)."""
+    if family in ("2B2", "2F4"):
+        t = torus_polynomials(f)
+        q2 = t["T1"] + 1
     if family == "2B2":
-        q2, r = _poly_values_2b2(f)
         return {
-            "q2-1": ([q2 - 1], "C2",
-                     lambda: _cyclic_model(q2 - 1, -1, 2, family, f,
+            "q2-1": ([t["T1"]], "C2",
+                     lambda: _cyclic_model(t["T1"], -1, 2, family, f,
                                            "q2-1", "C2")),
-            "q2+r+1": ([q2 + r + 1], "C4",
-                       lambda: _cyclic_model(q2 + r + 1, q2, 4, family, f,
+            "q2+r+1": ([t["T2+"]], "C4",
+                       lambda: _cyclic_model(t["T2+"], q2, 4, family, f,
                                              "q2+r+1", "C4")),
-            "q2-r+1": ([q2 - r + 1], "C4",
-                       lambda: _cyclic_model(q2 - r + 1, q2, 4, family, f,
+            "q2-r+1": ([t["T2-"]], "C4",
+                       lambda: _cyclic_model(t["T2-"], q2, 4, family, f,
                                              "q2-r+1", "C4")),
         }
     if family == "2G2":
@@ -719,35 +723,32 @@ def torus_rows(family: str, f: int):
                            lambda: _ree_half_model(half, family, f)),
         }
     if family == "2F4":
-        q2, r = _poly_values_2b2(f)
-        t3 = q2 ** 2 - q2 + 1
-        t4p = q2 ** 2 + 2 ** (3 * f + 2) + q2 + r + 1
-        t4m = q2 ** 2 - 2 ** (3 * f + 2) + q2 - r + 1
+        t1, t2p, t2m = t["T1"], t["T2+"], t["T2-"]
         return {
-            "(q2-1)^2": ([q2 - 1, q2 - 1], "D16",
+            "(q2-1)^2": ([t1, t1], "D16",
                          lambda: _matrix_complement_model(
-                             q2 - 1, _d16_mats(q2 - 1), 16, family, f,
+                             t1, _d16_mats(t1), 16, family, f,
                              "(q2-1)^2", "D16")),
             "(q2+1)^2": ([q2 + 1, q2 + 1], "GL2(3)",
                          lambda: _matrix_complement_model(
                              q2 + 1, _gl23_mats(q2 + 1), 48, family, f,
                              "(q2+1)^2", "GL2(3)")),
-            "(q2+r+1)^2": ([q2 + r + 1] * 2, "ST8",
+            "(q2+r+1)^2": ([t2p] * 2, "ST8",
                            lambda: _matrix_complement_model(
-                               q2 + r + 1, _st8_mats(q2 + r + 1), 96,
+                               t2p, _st8_mats(t2p), 96,
                                family, f, "(q2+r+1)^2", "ST8")),
-            "(q2-r+1)^2": ([q2 - r + 1] * 2, "ST8",
+            "(q2-r+1)^2": ([t2m] * 2, "ST8",
                            lambda: _matrix_complement_model(
-                               q2 - r + 1, _st8_mats(q2 - r + 1), 96,
+                               t2m, _st8_mats(t2m), 96,
                                family, f, "(q2-r+1)^2", "ST8")),
-            "q4-q2+1": ([t3], "C6",
-                        lambda: _cyclic_model(t3, q2, 6, family, f,
+            "q4-q2+1": ([t["T3"]], "C6",
+                        lambda: _cyclic_model(t["T3"], q2, 6, family, f,
                                               "q4-q2+1", "C6")),
-            "t4+": ([t4p], "C12",
-                    lambda: _cyclic_model(t4p, q2, 12, family, f,
+            "t4+": ([t["T4+"]], "C12",
+                    lambda: _cyclic_model(t["T4+"], q2, 12, family, f,
                                           "t4+", "C12")),
-            "t4-": ([t4m], "C12",
-                    lambda: _cyclic_model(t4m, q2, 12, family, f,
+            "t4-": ([t["T4-"]], "C12",
+                    lambda: _cyclic_model(t["T4-"], q2, 12, family, f,
                                           "t4-", "C12")),
         }
     raise ZooError("unknown family %r" % family)

@@ -175,10 +175,8 @@ def _criterion_8_match_oracle():
     for family, f, p in FULL_GRID:
         g, l = global_side(family, f), local_side(family, f, p)
         H = galois_group(g, l, p)
-        X = joint_row_action(g.table, g.realizer, g.k, H,
-                             g.table.p_prime_rows(p))
-        Y = joint_row_action(l.table, l.realizer, l.k, H,
-                             l.table.p_prime_rows(p))
+        X = joint_row_action(g, H, g.table.p_prime_rows(p))
+        Y = joint_row_action(l, H, l.table.p_prime_rows(p))
         if X.n > 8 or Y.n > 8:
             continue
         assert match_actions(X, Y).ok == brute_force_match_exists(X, Y)

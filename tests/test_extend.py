@@ -3,14 +3,19 @@ import pytest
 from galmckay.cyclo import ONE
 from galmckay.groups import (
     FiniteGroup, GroupError, automorphism_order, cyclic_group, conjugate,
-    perm_pow, inverse, identity_perm,
+    perm_pow, inverse, identity_perm, induced_class_permutation,
 )
-from galmckay.chartab import dixon_schneider, inner_product, induce
+from galmckay.chartab import (
+    CharacterTable, ChartabError, ClassFunction, dixon_schneider,
+    inner_product, induce,
+)
 from galmckay.galois import h_group
 from galmckay.extend import (
-    ExtendError, find_extensions, invariant_extension_exists,
-    unique_multiplicity_one_extension, joint_stabilizer,
+    ExtendError, automorphism_row_perms, find_extensions,
+    invariant_extension_exists, unique_multiplicity_one_extension,
+    joint_stabilizer,
 )
+from galmckay.zoo import field_automorphism, torus_normalizer
 
 
 def dihedral(n):
@@ -190,3 +195,67 @@ def test_unique_multiplicity_one_rejects_wrong_tau():
                if inner_product(induce(d, X, r), t.rows[two]) != ONE)
     with pytest.raises(ExtendError):
         unique_multiplicity_one_extension(ext, X, bad)
+
+
+def value_wise_row_perms(table, r, k):
+    """perms[j][i]: the row chi_i composed with a^j, found by its values."""
+    G = table.group
+    out = []
+    for j in range(k):
+        cperm = induced_class_permutation(G, perm_pow(r, j))
+        out.append(tuple(
+            table.row_index(ClassFunction(G, [row.values[c] for c in cperm]))
+            for row in table.rows))
+    return tuple(out)
+
+
+def assert_row_perms_value_wise(table, r, k):
+    perms = automorphism_row_perms(table, r, k)
+    assert perms == value_wise_row_perms(table, r, k)
+    assert automorphism_row_perms(table, r, k) is perms
+    return perms
+
+
+def test_row_perms_d14():
+    d, a = d14_with_c3()
+    perms = assert_row_perms_value_wise(dixon_schneider(d), a, 3)
+    # the three degree-2 rows form one orbit
+    assert perms[1] != perms[0]
+
+
+def test_row_perms_c13_c4():
+    spec = torus_normalizer("2B2", 1, 13)
+    perms = assert_row_perms_value_wise(dixon_schneider(spec.group),
+                                        times_mod(3, 13), 3)
+    assert perms[1] != perms[0]
+
+
+def test_row_perms_psl28_frobenius(psl28_table):
+    perms = assert_row_perms_value_wise(
+        psl28_table, field_automorphism(psl28_table.group), 3)
+    assert perms[1] != perms[0]
+
+
+def test_row_perms_extension_product_table():
+    # the original realizer acts on D14 x| C3 through the same points
+    d, a = d14_with_c3()
+    t = dixon_schneider(d)
+    sign = next(i for i, r in enumerate(t.rows)
+                if r.degree_int() == 1 and any(v != ONE for v in r.values))
+    ext = find_extensions(t, a, 3, sign)
+    assert ext.table is not t
+    assert_row_perms_value_wise(ext.table, ext.realizer, 3)
+
+
+def test_row_perms_checks():
+    d, a = d14_with_c3()
+    t = dixon_schneider(d)
+    with pytest.raises(ExtendError):
+        automorphism_row_perms(t, a, 2)
+    with pytest.raises(GroupError):
+        automorphism_row_perms(t, (1, 0) + tuple(range(2, 7)), 3)
+    # drop one degree-2 row: a moves another degree-2 row onto it
+    two = next(i for i, r in enumerate(t.rows) if r.degree_int() == 2)
+    partial = CharacterTable(d, t.rows[:two] + t.rows[two + 1:])
+    with pytest.raises(ChartabError):
+        automorphism_row_perms(partial, a, 3)

@@ -1,3 +1,6 @@
+from collections import Counter
+from functools import cache
+
 import pytest
 
 from galmckay.chartab import dixon_schneider
@@ -7,9 +10,12 @@ from galmckay.verify import (
     torus_polynomials, lemma_congruence_check,
     tables_equivalent, cross_model_check, verify_target, list_targets,
     target_mode, local_model_group, local_model_table, local_side,
+    Side,
 )
-from galmckay import verify
-from galmckay.groups import FiniteGroup, cyclic_group, symmetric_group
+from galmckay import extend, verify
+from galmckay.groups import (
+    FiniteGroup, cyclic_group, identity_perm, symmetric_group,
+)
 from galmckay.galois import h_group
 
 
@@ -85,7 +91,8 @@ def test_condition_one_psl28_p2():
 def test_joint_row_action_stability(psl28_table):
     H = h_group(7, psl28_table.exponent)
     rows = psl28_table.p_prime_rows(7)
-    X = joint_row_action(psl28_table, None, 1, H, rows)
+    side = Side(psl28_table, identity_perm(psl28_table.group.degree), 1, {})
+    X = joint_row_action(side, H, rows)
     assert X.is_abelian()
     assert X.n == len(rows)
 
@@ -224,3 +231,23 @@ def test_local_only_target_builds_no_global_group(monkeypatch):
     monkeypatch.setattr(verify, "suzuki_group", refuse)
     monkeypatch.setattr("galmckay.zoo.suzuki_group", refuse)
     assert verify_target("2B2", 2, 31)["status"] == "verified"
+
+
+def test_row_action_built_once_per_table(monkeypatch):
+    # fresh sides, so every table starts without cached row permutations
+    monkeypatch.setattr(verify, "global_side",
+                        cache(verify.global_side.__wrapped__))
+    monkeypatch.setattr(verify, "local_side",
+                        cache(verify.local_side.__wrapped__))
+    calls = []
+    real = extend.induced_class_permutation
+
+    def counting(G, r):
+        calls.append((G, tuple(r)))
+        return real(G, r)
+
+    monkeypatch.setattr(extend, "induced_class_permutation", counting)
+    assert verify_target("PSL2", 1, 7)["status"] == "verified"
+    keys = Counter((id(G), r) for G, r in calls)
+    assert calls and max(keys.values()) == 1
+    assert all(type(d) is int for d in verify.global_side("PSL2", 1).cache)
