@@ -14,12 +14,10 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from sympy import isprime, primitive_root
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
 from . import GalMcKayError
 from .cyclo import Cyclotomic, ZERO, ONE, rational
 from .groups import FiniteGroup, inverse, perm_pow
+from .ntheory import isprime, primitive_root, sqrt_mod
 
 P0_SEARCH_CAP = 10 ** 8
 

@@ -4,11 +4,10 @@ import argparse
 import json
 import sys
 
-from sympy import primefactors
-
 from . import GalMcKayError
 from .cyclo import Cyclotomic
 from .chartab import CharacterTable, dixon_schneider
+from .ntheory import factorint
 from .zoo import suzuki_group, psl2_8, agl18_normalizer, small_group
 from .verify import (
     verify_target, lemma_congruence_check, cross_model_check,
@@ -32,7 +31,7 @@ _GROUP_BUILDERS = {
 def serialize_table(table: CharacterTable) -> dict:
     """JSON-ready document for a character table (byte-stable order)."""
     G = table.group
-    primes = primefactors(table.exponent) if table.exponent > 1 else []
+    primes = list(factorint(table.exponent))
     classes = []
     for c, cl in enumerate(table.classes):
         classes.append({

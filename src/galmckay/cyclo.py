@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import GalMcKayError
+from .ntheory import factorint
 
 
 class CycloError(GalMcKayError):
@@ -32,19 +33,7 @@ class CycloDivisionError(CycloError):
 @lru_cache(maxsize=None)
 def _factor_prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     """Return ((p, a), ...) with p ascending and n = prod p^a."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            out.append((d, a))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    return tuple(factorint(n).items())
 
 
 def _phi_pp(p: int, a: int) -> int:

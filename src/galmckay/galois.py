@@ -11,11 +11,10 @@ orbit, complement character).
 
 from math import gcd
 
-from sympy import isprime
-
 from . import GalMcKayError
 from .cyclo import ONE
 from .groups import FiniteGroup, compose, inverse, induced_class_permutation
+from .ntheory import isprime
 from .chartab import (
     CharacterTable, ClassFunction, ChartabError, dixon_schneider,
     induce, inner_product,

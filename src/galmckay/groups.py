@@ -3,8 +3,9 @@
 Groups are generated by permutations stored as tuples (point i maps to
 p[i]).  Composition is left-to-right: compose(p, q) applies p first.
 Order, membership before enumeration and a base come from a stabilizer
-chain (sympy's implementation).  An element of G is determined by the
-images of the base points, so the enumerated elements are indexed by
+chain, built on the same tuples by the deterministic Schreier-Sims
+algorithm (Seress, Permutation Group Algorithms, 2003, ch. 4).  An
+element of G is determined by the images of the base points, so the enumerated elements are indexed by
 those images (their base key): enumeration, conjugacy classes, class
 matrices and normalizer orbits compute a product or conjugate on the
 base points only whenever a lookup is all they need, and a lookup of an
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 from math import lcm
 from operator import itemgetter
-
-from sympy.combinatorics import Permutation, PermutationGroup
 
 from . import GalMcKayError
 
@@ -101,6 +100,94 @@ def is_perm(p, degree) -> bool:
     return len(p) == degree and sorted(p) == list(range(degree))
 
 
+# -- stabilizer chains -----------------------------------------------------
+
+def _sift(chain, g, start=0) -> tuple:
+    """(residue, level): g divided by transversal elements from level start
+    on, stopping at the first level whose orbit misses the image of its
+    base point; level is len(chain) when g sifts through."""
+    for i in range(start, len(chain)):
+        b, _, orbit, _ = chain[i]
+        t = orbit.get(g[b])
+        if t is None:
+            return g, i
+        g = compose(g, t[1])
+    return g, len(chain)
+
+
+def _close_orbit(orbit, gens):
+    """Close orbit under gens, keeping the entries already present.
+
+    orbit is {x: (u, w, edge)} over the orbit of a base point b: u[b] = x,
+    w = u^-1, and u = u_y gens[k] for edge = (y, k) (None at b).
+    """
+    inv_gens = [(g, inverse(g)) for g in gens]
+    queue = list(orbit)
+    for x in queue:
+        u, w, _ = orbit[x]
+        for k, (g, gi) in enumerate(inv_gens):
+            y = g[x]
+            if y not in orbit:
+                orbit[y] = (compose(u, g), compose(gi, w), (x, k))
+                queue.append(y)
+
+
+def _extend_chain(chain, g, ident):
+    """Make chain a complete stabilizer chain of <chain, g>.
+
+    Levels after i are complete: their Schreier generators sift to the
+    identity.  A generator that does not gives a new strong generator,
+    and the check restarts at the deepest level it was added to.
+    """
+    h, j = _sift(chain, g)
+    if h == ident:
+        return
+    _add_strong(chain, h, j, 0)
+    i = j
+    while i >= 0:
+        found = _sifted_schreier_generator(chain, i, ident)
+        if found is None:
+            i -= 1
+        else:
+            h, j = found
+            _add_strong(chain, h, j, i + 1)
+            i = j
+
+
+def _sifted_schreier_generator(chain, i, ident):
+    """(residue, level) of the first Schreier generator u_x s w_{x^s} of
+    level i that does not sift to the identity through the later levels,
+    or None.  Those of the orbit's tree edges are the identity, and the
+    pairs (x, k) already checked stay checked: orbits only grow and keep
+    their transversal elements."""
+    _, gens, orbit, checked = chain[i]
+    for x, (u, _, _) in orbit.items():
+        for k, s in enumerate(gens):
+            if (x, k) in checked:
+                continue
+            _, w, edge = orbit[s[x]]
+            if edge != (x, k):
+                h = compose(compose(u, s), w)
+                if h != ident:
+                    h, j = _sift(chain, h, i + 1)
+                    if h != ident:
+                        return h, j
+            checked.add((x, k))
+    return None
+
+
+def _add_strong(chain, h, j, start):
+    """Add h, which fixes the base points before level j, to the strong
+    generators of levels start..j, opening level j if it is new."""
+    if j == len(chain):
+        b = next(x for x, y in enumerate(h) if x != y)
+        ident = identity_perm(len(h))
+        chain.append([b, [], {b: (ident, ident, None)}, set()])
+    for _, gens, orbit, _ in chain[start:j + 1]:
+        gens.append(h)
+        _close_orbit(orbit, gens)
+
+
 # -- conjugacy class record ------------------------------------------------
 
 class ConjClass:
@@ -142,27 +229,28 @@ class FiniteGroup:
         self._index = None
         self._classes = None
         self._class_of = None
-        self._sympy = None
+        self._chain = None
 
     # -- order & membership ----------------------------------------------
 
-    def _sympy_group(self):
-        if self._sympy is None:
-            if not self.generators:
-                self._sympy = PermutationGroup(
-                    Permutation(list(range(self.degree))))
-            else:
-                self._sympy = PermutationGroup(
-                    [Permutation(list(g)) for g in self.generators])
-        return self._sympy
+    def _stabilizer_chain(self) -> list:
+        """Levels [b, strong generators, orbit of b (see _close_orbit),
+        checked Schreier generators], where the strong generators of a
+        level fix the earlier base points.  A new base point is the least
+        point moved by the generator that needs it."""
+        if self._chain is None:
+            chain = []
+            for g in self.generators:
+                _extend_chain(chain, g, identity_perm(self.degree))
+            self._chain = chain
+        return self._chain
 
     @property
     def order(self) -> int:
         if self._order is None:
-            if not self.generators:
-                self._order = 1
-            else:
-                self._order = int(self._sympy_group().order())
+            self._order = 1
+            for _, _, orbit, _ in self._stabilizer_chain():
+                self._order *= len(orbit)
         return self._order
 
     @property
@@ -171,7 +259,7 @@ class FiniteGroup:
         base of its stabilizer chain, padded with point 0 to at least two
         points so that itemgetter(*base) returns a tuple."""
         if self._base is None:
-            base = tuple(self._sympy_group().base) if self.generators else ()
+            base = tuple(level[0] for level in self._stabilizer_chain())
             self._base = base + (0,) * (2 - len(base))
         return self._base
 
@@ -194,11 +282,10 @@ class FiniteGroup:
             except KeyError:
                 return False
             return True
-        if p == identity_perm(self.degree):
-            return True
-        if not self.generators:
+        if not is_perm(p, self.degree):
             return False
-        return self._sympy_group().contains(Permutation(list(p)), strict=True)
+        residue, _ = _sift(self._stabilizer_chain(), p)
+        return residue == identity_perm(self.degree)
 
     def __len__(self):
         return self.order

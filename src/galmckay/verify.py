@@ -15,8 +15,6 @@ from collections import deque
 from functools import cache
 from typing import NamedTuple
 
-from sympy import factorint
-
 from . import GalMcKayError
 from .groups import (
     FiniteGroup, GroupError, compose, perm_pow, identity_perm,
@@ -24,6 +22,7 @@ from .groups import (
 )
 from .chartab import CharacterTable, dixon_schneider
 from .galois import h_group, act_on_table
+from .ntheory import factorint
 from .extend import (
     automorphism_row_perms, invariant_extension_exists, extension_product,
 )

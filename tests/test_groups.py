@@ -272,6 +272,39 @@ def test_base_image_kernel_matches_reference():
                     class_of[index[perm_pow(cl[0], k)]], (G.name, c, k)
 
 
+def test_stabilizer_chain_matches_sympy():
+    """Order and membership before enumeration against sympy's
+    PermutationGroup; then the base keys tell the elements apart."""
+    import random
+    from operator import itemgetter
+
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    rng = random.Random(5)
+    for G in oracle_groups() + [symmetric_group(12)]:
+        S = PermutationGroup([Permutation(list(g)) for g in G.generators]
+                             or [Permutation(list(range(G.degree)))])
+        assert G.order == S.order(), G.name
+        members = list(G.generators)
+        for _ in range(20):
+            x = identity_perm(G.degree)
+            for _ in range(rng.randrange(1, 12)):
+                x = compose(x, rng.choice(G.generators))
+            members.append(x)
+        assert all(x in G for x in members), G.name
+        others = [tuple(rng.sample(range(G.degree), G.degree))
+                  for _ in range(20)]
+        if G.degree == 5:
+            others.append(tuple((2 * x + 1) % 5 for x in range(5)))
+        for x in others:
+            assert (x in G) == S.contains(Permutation(list(x))), (G.name, x)
+        assert G._elements is None, G.name   # nothing enumerated so far
+        if G.order < 10 ** 6:
+            keys = {itemgetter(*G.base)(x) for x in G.elements}
+            assert len(keys) == G.order, G.name
+    assert tuple((2 * x + 1) % 5 for x in range(5)) not in cyclic_group(5)
+
+
 def test_normalizer_matches_brute_force():
     from galmckay.zoo import psl2_8
 

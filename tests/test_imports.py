@@ -1,6 +1,10 @@
-"""Every name a galmckay module imports is used by it or exported."""
+"""Import hygiene: every name a galmckay module imports is used by it or
+exported, and the command line runs without sympy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,19 @@ def test_checker_finds_unused_and_honours_all():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_runs_without_sympy():
+    """sympy is a test oracle only: a cold CLI process never imports it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import galmckay.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['verify', '--family', 'PSL2', '--f', '1',\n"
+        "                    '--p', '7']) == 0\n"
+        "    assert cli.run(['lemma32', '--f-min', '1', '--f-max', '3']) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
