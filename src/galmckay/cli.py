@@ -181,12 +181,12 @@ def run(argv) -> int:
             report = lemma_congruence_check(args.f_min, args.f_max)
             _dump(report, args.format, args.out)
             return 0 if report["ok"] else 2
+        if args.command in ("local-model", "cross-check") and \
+                target_mode(args.family, args.f, args.p) is None:
+            _dump({"status": "out-of-scope", "known_targets": list_targets()},
+                  args.format, args.out)
+            return 1
         if args.command == "local-model":
-            if target_mode(args.family, args.f, args.p) is None:
-                _dump({"status": "out-of-scope",
-                       "known_targets": list_targets()},
-                      args.format, args.out)
-                return 1
             table = local_model_table(args.family, args.f, args.p)
             _dump(serialize_table(table), args.format, args.out)
             return 0

@@ -1,14 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are stored in a canonical basis built as the tensor product of
-power bases of the prime-power subfields: for n = prod p^a, a basis
-monomial is a product of zeta_{p^a}^c with 0 <= c < phi(p^a).  Forbidden
-exponents are rewritten with the relation
+An element is stored as its order n, the least n with the element in
+Q(zeta_n), and its terms: pairs (e, c), e ascending, for the sum of
+c * zeta_n^e.  The exponents run over a canonical basis, the tensor product
+of the power bases of the prime-power subfields (Breuer, "Integral bases for
+subfields of cyclotomic fields", AAECC 8, 1997).  For a prime power q = p^a
+dividing n, the q-part of zeta_n^e is zeta_q^x with x = e * (n/q)^-1 mod q,
+and e is a basis exponent when x < phi(q) for every q.  A forbidden q-part
+is rewritten with
 
-    zeta^{(p-1)p^(a-1)} = -(1 + zeta^{p^(a-1)} + ... + zeta^{(p-2)p^(a-1)}),
+    zeta_q^{(p-1)p^(a-1)} = -(1 + zeta_q^{p^(a-1)} + ... + zeta_q^{(p-2)p^(a-1)}),
 
-and the order is always reduced to the minimal n' | n containing the
-element, so two values are equal iff their representations coincide.
+and n drops to n/p while p divides every exponent, so two values are equal
+iff their orders and terms coincide.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import GalMcKayError
 from .ntheory import factorint
@@ -31,51 +35,42 @@ class CycloDivisionError(CycloError):
 
 
 @lru_cache(maxsize=None)
-def _factor_prime_powers(n: int) -> tuple[tuple[int, int], ...]:
-    """Return ((p, a), ...) with p ascending and n = prod p^a."""
-    return tuple(factorint(n).items())
-
-
-def _phi_pp(p: int, a: int) -> int:
-    return p ** a - p ** (a - 1)
+def _prime_powers(n: int) -> tuple:
+    """((p, q, n/q, (n/q)^-1 mod q, phi(q)), ...) over the prime powers
+    q = p^a of n, p ascending."""
+    out = []
+    for p, a in factorint(n).items():
+        q = p ** a
+        out.append((p, q, n // q, pow(n // q, -1, q), q - q // p))
+    return tuple(out)
 
 
 class Cyclotomic:
     """Immutable exact element of some Q(zeta_n), kept in canonical form."""
 
-    __slots__ = ("pps", "coeffs", "_hash", "_terms")
+    __slots__ = ("order", "_terms", "_hash")
 
-    def __init__(self, pps, coeffs, _normalized=False):
-        # pps: tuple of (p, a); coeffs: dict key-tuple -> int or Fraction
-        if not _normalized:
-            pps, coeffs = _normalize(pps, coeffs)
-        object.__setattr__(self, "pps", pps)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, order: int, terms: tuple):
+        # (order, terms) must be canonical already; from_terms builds them
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclotomic is immutable")
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        n = 1
-        for p, a in self.pps:
-            n *= p ** a
-        return n
-
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._terms
 
     def is_rational(self) -> bool:
-        return not self.pps
+        return self.order == 1
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise CycloError("not a rational value: %r" % (self,))
-        return Fraction(self.coeffs.get((), 0))
+        return Fraction(self._terms[0][1]) if self._terms else Fraction(0)
 
     def integer_value(self) -> int:
         v = self.rational_value()
@@ -91,9 +86,7 @@ class Cyclotomic:
     @staticmethod
     def from_rational(v) -> "Cyclotomic":
         v = Fraction(v)
-        if v == 0:
-            return Cyclotomic((), {}, _normalized=True)
-        return Cyclotomic((), {(): v}, _normalized=True)
+        return Cyclotomic(1, ((0, v),) if v else ())
 
     @staticmethod
     def root(n: int, e: int = 1) -> "Cyclotomic":
@@ -108,62 +101,35 @@ class Cyclotomic:
         """
         if n < 1:
             raise CycloError("order must be positive")
-        pps = _factor_prime_powers(n)
-        crt = _crt_units(n)
-        coeffs: dict = {}
+        acc: dict = {}
         for e, c in terms:
             if c:
-                key = tuple(e * u % q for q, u in crt)
-                coeffs[key] = coeffs.get(key, 0) + c
-        return Cyclotomic(pps, coeffs)
+                e %= n
+                acc[e] = acc.get(e, 0) + c
+        return _normalize(n, acc)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _embed(self, pps: tuple[tuple[int, int], ...]) -> dict:
-        """Coefficients re-keyed for the (finer) prime-power list `pps`."""
-        if pps == self.pps:
-            return dict(self.coeffs)
-        mine = dict(self.pps)
-        out = {}
-        for key, c in self.coeffs.items():
-            nk = []
-            for (p, a) in pps:
-                if p in mine:
-                    old_a = mine[p]
-                    c_old = key[[q for q, _ in self.pps].index(p)]
-                    nk.append(c_old * p ** (a - old_a))
-                else:
-                    nk.append(0)
-            out[tuple(nk)] = c
-        return out
+    def _over(self, n: int) -> list:
+        """Terms over zeta_n, for a multiple n of the order."""
+        s = n // self.order
+        return [(e * s, c) for e, c in self._terms]
 
-    def _common(self, other: "Cyclotomic"):
-        ps = {}
-        for p, a in self.pps:
-            ps[p] = max(ps.get(p, 0), a)
-        for p, a in other.pps:
-            ps[p] = max(ps.get(p, 0), a)
-        pps = tuple(sorted(ps.items()))
-        return pps, self._embed(pps), other._embed(pps)
+    def _scale(self, v) -> "Cyclotomic":
+        """self * v for a nonzero rational v; the basis is unchanged."""
+        return Cyclotomic(self.order, tuple((e, c * v) for e, c in self._terms))
 
     def __add__(self, other):
         other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
-        pps, a, b = self._common(other)
-        for key, c in b.items():
-            c2 = a.get(key, 0) + c
-            if c2:
-                a[key] = c2
-            else:
-                a.pop(key, None)
-        return Cyclotomic(pps, a)
+        n = lcm(self.order, other.order)
+        return Cyclotomic.from_terms(n, self._over(n) + other._over(n))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.pps, {k: -c for k, c in self.coeffs.items()},
-                          _normalized=True)
+        return self._scale(-1)
 
     def __sub__(self, other):
         other = _as_cyclo(other)
@@ -181,21 +147,13 @@ class Cyclotomic:
         if self.is_zero() or other.is_zero():
             return ZERO
         if self.is_rational():
-            v = self.coeffs[()]
-            return Cyclotomic(other.pps,
-                              {k: c * v for k, c in other.coeffs.items()},
-                              _normalized=True)
+            return other._scale(self._terms[0][1])
         if other.is_rational():
-            return other * self
-        pps, a, b = self._common(other)
-        qs = [p ** e for p, e in pps]
-        acc: dict = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                key = tuple((x + y) % q for x, y, q in zip(ka, kb, qs))
-                c = acc.get(key)
-                acc[key] = ca * cb if c is None else c + ca * cb
-        return Cyclotomic(pps, acc)
+            return self._scale(other._terms[0][1])
+        n = lcm(self.order, other.order)
+        b = other._over(n)
+        return Cyclotomic.from_terms(
+            n, [(x + y, c * d) for x, c in self._over(n) for y, d in b])
 
     __rmul__ = __mul__
 
@@ -226,20 +184,15 @@ class Cyclotomic:
     def galois(self, b: int) -> "Cyclotomic":
         """Image under sigma_b: zeta_n -> zeta_n^b; needs gcd(b, n) = 1."""
         n = self.order
-        b %= n if n > 1 else 1
-        if n > 1 and gcd(b, n) != 1:
-            raise CycloError("galois exponent %d not coprime to order %d" % (b, n))
-        if self.is_rational():
+        if gcd(b, n) != 1:
+            raise CycloError("galois exponent %d not coprime to order %d"
+                             % (b % n, n))
+        if n == 1:
             return self
-        out = {}
-        for key, c in self.coeffs.items():
-            nk = tuple((b * x) % (p ** a) for x, (p, a) in zip(key, self.pps))
-            out[nk] = out.get(nk, 0) + c
-        return Cyclotomic(self.pps, out)
+        return Cyclotomic.from_terms(n, [(b * e, c) for e, c in self._terms])
 
     def conj(self) -> "Cyclotomic":
-        n = self.order
-        return self.galois(n - 1 if n > 1 else 0)
+        return self.galois(-1)
 
     # -- comparisons / export ---------------------------------------------
 
@@ -247,16 +200,16 @@ class Cyclotomic:
         other = _as_cyclo(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.pps == other.pps and self.coeffs == other.coeffs
+        return self.order == other.order and self._terms == other._terms
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._terms)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            if self.pps:
-                h = hash((self.pps, tuple(sorted(self.coeffs.items()))))
+            if self.order > 1:
+                h = hash((self.order, self._terms))
             else:
                 # equal to int and Fraction values, so hash like them
                 h = hash(self.rational_value())
@@ -265,27 +218,19 @@ class Cyclotomic:
 
     def terms(self) -> tuple:
         """((exponent e, coefficient), ...) with zeta_n^e, e ascending."""
-        out = self._terms
-        if out is None:
-            n = self.order
-            cofactors = [n // p ** a for p, a in self.pps]
-            out = tuple(sorted(
-                (sum(x * m for x, m in zip(key, cofactors)) % n, c)
-                for key, c in self.coeffs.items()))
-            object.__setattr__(self, "_terms", out)
-        return out
+        return self._terms
 
     def approx(self) -> complex:
         n = self.order
         return sum(float(c) * cmath.exp(2j * cmath.pi * e / n)
-                   for e, c in self.terms()) if self.coeffs else 0j
+                   for e, c in self._terms) if self._terms else 0j
 
     def __repr__(self):
         if self.is_zero():
             return "Cyc(0)"
         n = self.order
         parts = []
-        for e, c in self.terms():
+        for e, c in self._terms:
             if e == 0:
                 parts.append(str(c))
             else:
@@ -294,7 +239,8 @@ class Cyclotomic:
 
     def serialize(self) -> dict:
         return {"order": self.order,
-                "terms": [[e, c.numerator, c.denominator] for e, c in self.terms()]}
+                "terms": [[e, c.numerator, c.denominator]
+                          for e, c in self._terms]}
 
     @staticmethod
     def deserialize(doc: dict) -> "Cyclotomic":
@@ -303,69 +249,34 @@ class Cyclotomic:
             [(e, Fraction(num, den)) for e, num, den in doc["terms"]])
 
 
-@lru_cache(maxsize=None)
-def _crt_units(n: int) -> tuple:
-    """((q, u), ...) over the prime powers q of n, with u = (n/q)^-1 mod q.
-
-    zeta_n^e is the product of zeta_q^(e*u mod q), so e*u mod q is the
-    key entry of zeta_n^e for q.
-    """
-    return tuple((p ** a, pow(n // p ** a, -1, p ** a))
-                 for p, a in _factor_prime_powers(n))
-
-
-def _normalize(pps, coeffs):
-    """Basis-reduce all keys, drop zeros, shrink to the minimal order."""
-    pps = tuple(pps)
-    # 1. rewrite forbidden exponents into the power basis, one prime power
-    # at a time: rewriting entry i leaves every other entry as it is
-    reduced = {k: c for k, c in coeffs.items() if c}
-    for i, (p, a) in enumerate(pps):
-        phi = _phi_pp(p, a)
-        if all(k[i] < phi for k in reduced):
+def _normalize(n: int, acc: dict) -> Cyclotomic:
+    """Canonical form of the sum of c * zeta_n^e over acc {e: c}, 0 <= e < n."""
+    acc = {e: c for e, c in acc.items() if c}
+    # rewrite forbidden q-parts one prime power q at a time: moving the
+    # q-part of zeta_n^e by d moves e by d * n/q and leaves the other parts
+    for p, q, m, u, phi in _prime_powers(n):
+        if all(e * u % q < phi for e in acc):
             continue
-        step = p ** (a - 1)
+        step = q // p
         out: dict = {}
-        for key, c in reduced.items():
-            x = key[i]
+        for e, c in acc.items():
+            x = e * u % q
             if x < phi:
-                out[key] = out.get(key, 0) + c
+                out[e] = out.get(e, 0) + c
                 continue
-            # zeta^{v + (p-1)step} = -sum_t zeta^{v + t*step}, v = x - phi
-            head, tail = key[:i], key[i + 1:]
+            # zeta_q^x = -sum_t zeta_q^t over t = x - phi, x - phi + step, ...
             for t in range(x - phi, phi, step):
-                nk = head + (t,) + tail
-                out[nk] = out.get(nk, 0) - c
-        reduced = {k: c for k, c in out.items() if c}
-
-    # 2. shrink each prime-power part as far as possible
-    pps = list(pps)
-    changed = True
-    while changed and reduced:
-        changed = False
-        for i in range(len(pps)):
-            p, a = pps[i]
-            if a >= 2:
-                if all(k[i] % p == 0 for k in reduced):
-                    pps[i] = (p, a - 1)
-                    nxt = {}
-                    for k, c in reduced.items():
-                        nk = list(k)
-                        nk[i] = k[i] // p
-                        nxt[tuple(nk)] = c
-                    reduced = nxt
-                    changed = True
-            else:
-                if all(k[i] == 0 for k in reduced):
-                    del pps[i]
-                    reduced = {k[:i] + k[i + 1:]: c for k, c in reduced.items()}
-                    changed = True
-            if changed:
-                break
-    if not reduced:
-        return (), {}
-    # drop exhausted prime entries when coeffs became empty handled above
-    return tuple(pps), reduced
+                f = (e + (t - x) * m) % n
+                out[f] = out.get(f, 0) - c
+        acc = {e: c for e, c in out.items() if c}
+    if not acc:
+        return ZERO
+    # the order drops to n/p exactly when p divides every exponent
+    for p, *_ in _prime_powers(n):
+        while n % p == 0 and all(e % p == 0 for e in acc):
+            n //= p
+            acc = {e // p: c for e, c in acc.items()}
+    return Cyclotomic(n, tuple(sorted(acc.items())))
 
 
 def _as_cyclo(v):

@@ -10,8 +10,8 @@ Sylow normalizers and the constructed normalizer models.
 """
 
 from itertools import permutations, product as iproduct
-from math import lcm
-from collections import deque
+from math import lcm, prod
+from collections import Counter, deque
 from functools import cache
 from typing import NamedTuple
 
@@ -273,28 +273,32 @@ def lemma_congruence_check(f_min, f_max):
 
 # -- cross-model consistency -----------------------------------------------
 
+def _column_keys(table: CharacterTable) -> list:
+    """(element order, class size, multiset of values) for each column."""
+    return [(c.element_order, c.size,
+             frozenset(Counter(r.values[j] for r in table.rows).items()))
+            for j, c in enumerate(table.classes)]
+
+
 def tables_equivalent(t1: CharacterTable, t2: CharacterTable) -> bool:
-    """Equality up to row and class-key-respecting column permutation."""
+    """Equality up to row and column permutation; a column only moves
+    within its block of equal _column_keys, which both permutations keep."""
     if t1.group.order != t2.group.order:
         return False
-    if len(t1.classes) != len(t2.classes):
-        return False
-    k1 = [(c.element_order, c.size) for c in t1.classes]
-    k2 = [(c.element_order, c.size) for c in t2.classes]
-    if sorted(k1) != sorted(k2):
+    k1, k2 = _column_keys(t1), _column_keys(t2)
+    if Counter(k1) != Counter(k2):
         return False
     blocks = {}
     for j, key in enumerate(k1):
         blocks.setdefault(key, ([], []))[0].append(j)
     for j, key in enumerate(k2):
         blocks[key][1].append(j)
-    keys = sorted(blocks)
     rowset2 = {r.values for r in t2.rows}
-    choices = [permutations(blocks[key][0]) for key in keys]
+    choices = [permutations(cols1) for cols1, _ in blocks.values()]
     for combo in iproduct(*choices):
         colmap = [0] * len(k1)   # t2 column -> t1 column
-        for key, arrangement in zip(keys, combo):
-            for j2, j1 in zip(blocks[key][1], arrangement):
+        for (_, cols2), arrangement in zip(blocks.values(), combo):
+            for j2, j1 in zip(cols2, arrangement):
                 colmap[j2] = j1
         mapped = {tuple(r.values[colmap[j]] for j in range(len(k1)))
                   for r in t1.rows}
@@ -307,6 +311,11 @@ def cross_model_check(family, f, p) -> bool:
     """Computed Sylow normalizer table vs the constructed model table."""
     if family != "2B2":
         raise VerifyError("cross-model check is implemented for 2B2 only")
+    mode = target_mode(family, f, p)
+    if mode != "full":
+        raise VerifyError("cross-model check needs a full target; "
+                          "(%s, %d, %d) is %s"
+                          % (family, f, p, mode or "out of scope"))
     return tables_equivalent(local_side(family, f, p).table,
                              local_model_table(family, f, p))
 
@@ -372,10 +381,7 @@ def _local_only_primes(family, f):
     defining = 3 if family == "2G2" else 2
     hits = {}
     for label, (orders, tag, build) in rows.items():
-        n = 1
-        for o in orders:
-            n *= o
-        for prime in factorint(n):
+        for prime in factorint(prod(orders)):
             hits.setdefault(int(prime), set()).add(label)
     return tuple(sorted(p for p, labs in hits.items()
                         if p != defining and p % 2 and len(labs) == 1))

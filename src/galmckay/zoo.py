@@ -11,7 +11,7 @@ provenance.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from . import GalMcKayError
 from .groups import FiniteGroup, check_realizer
@@ -482,10 +482,7 @@ class TorusNormalizerSpec:
 
     @property
     def torus_order(self):
-        n = 1
-        for t in self.torus_orders:
-            n *= t
-        return n
+        return prod(self.torus_orders)
 
     def torus_subgroup(self) -> FiniteGroup:
         return FiniteGroup(self.group.degree, self.torus_gens,
@@ -639,11 +636,7 @@ def _mat2_mul(A, B, d):
 def _st8_mats(d):
     """The order-96 complex reflection group inside GL2(Z_d): generated by
     two order-4 reflections s, t with sts = tst; needs i with i^2 = -1."""
-    i4 = None
-    for s in range(d):
-        if (s * s) % d == d - 1:
-            i4 = s
-            break
+    i4 = _sqrt_mod(-1, d)
     if i4 is None:
         raise ZooError("number-theoretic inconsistency: no 4th root of "
                        "unity mod %d" % d)
@@ -804,10 +797,7 @@ def torus_normalizer(family: str, f: int, p: int) -> TorusNormalizerSpec:
     rows = torus_rows(family, f)
     matches = []
     for label, (orders, tag, build) in rows.items():
-        n = 1
-        for t in orders:
-            n *= t
-        if n % p == 0:
+        if prod(orders) % p == 0:
             matches.append((label, build))
     if not matches:
         raise ZooError("prime %d divides no torus order for %s at f=%d"

@@ -82,6 +82,17 @@ def test_cli_local_model_out_of_scope(tmp_path):
     assert doc["status"] == "out-of-scope"
 
 
+def test_cli_cross_check_out_of_scope(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert run(["cross-check", "--family", "2B2", "--f", "1", "--p", "11",
+                "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "out-of-scope"
+    assert {"family": "2B2", "f": 1, "p": 13, "mode": "full"} \
+        in doc["known_targets"]
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_verify_out_of_scope(tmp_path):
     out = tmp_path / "v.json"
     assert run(["verify", "--family", "2B2", "--f", "1", "--p", "11",

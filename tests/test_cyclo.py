@@ -194,3 +194,82 @@ def test_from_terms_full_orbit_and_order():
     assert Cyclotomic.from_terms(12, [(3, 1)]).order == 4
     with pytest.raises(CycloError):
         Cyclotomic.from_terms(0, [])
+
+
+def _prime_powers(n):
+    """[(p, p^a), ...] over the primes p dividing n, by trial division."""
+    out, p = [], 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def test_from_terms_canonical_form_oracle():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randrange(1, 401)
+        terms = []
+        for _ in range(rng.randrange(0, 9)):
+            e = rng.randrange(-2 * n, 2 * n)
+            c = rng.choice([rng.randrange(-4, 5),
+                            Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))])
+            terms.append((e, c))
+            if rng.random() < 0.3:
+                # the same root again, written with a different exponent
+                terms.append((e + n * rng.randrange(-2, 3), c))
+        got = Cyclotomic.from_terms(n, terms)
+        m = got.order
+        exps = [e for e, _ in got.terms()]
+        assert n % m == 0
+        assert exps == sorted(set(exps)) and all(0 <= e < m for e in exps)
+        assert all(c for _, c in got.terms())
+        for p, q in _prime_powers(m):
+            # every q-part is a power-basis exponent of Q(zeta_q) ...
+            u = pow(m // q, -1, q)
+            assert all(e * u % q < q - q // p for e in exps)
+            # ... and the order is minimal
+            assert not all(e % p == 0 for e in exps)
+        numeric = sum(complex(c) * cmath.exp(2j * cmath.pi * e / n)
+                      for e, c in terms)
+        assert abs(got.approx() - numeric) < 1e-9
+        k = rng.randrange(2, 6)
+        assert Cyclotomic.from_terms(k * n, [(k * e, c) for e, c in terms]) \
+            == got
+
+
+@pytest.mark.parametrize("n, terms, doc", [
+    (9, [(7, 1)], {"order": 9, "terms": [[1, -1, 1], [4, -1, 1]]}),
+    (12, [(5, 1)], {"order": 12, "terms": [[3, 1, 1], [7, 1, 1]]}),
+    (16, [(11, 1)], {"order": 16, "terms": [[3, -1, 1]]}),
+    (15, [(1, 1), (4, 1)],
+     {"order": 15, "terms": [[6, -1, 1], [9, -1, 1], [11, -1, 1],
+                             [14, -1, 1]]}),
+    (8, [(1, Fraction(1, 2)), (7, Fraction(1, 2))],
+     {"order": 8, "terms": [[1, 1, 2], [3, -1, 2]]}),
+    (7, [(6, 3), (0, -2)],
+     {"order": 7, "terms": [[0, -5, 1], [1, -3, 1], [2, -3, 1], [3, -3, 1],
+                            [4, -3, 1], [5, -3, 1]]}),
+    (20, [(3, 1), (7, Fraction(-5, 3))],
+     {"order": 20, "terms": [[13, -1, 1], [17, 5, 3]]}),
+    (36, [(5, 1), (30, 2)],
+     {"order": 36, "terms": [[12, -2, 1], [17, -1, 1], [29, -1, 1]]}),
+    (24, [(1, 1), (19, 1)],
+     {"order": 24, "terms": [[3, -1, 1], [9, -1, 1], [11, -1, 1],
+                             [17, -1, 1]]}),
+    (105, [(52, 1)], {"order": 105, "terms": [[17, -1, 1], [87, -1, 1]]}),
+    (30, [(25, 1), (10, 2), (0, Fraction(1, 4))],
+     {"order": 3, "terms": [[0, 1, 4], [1, 1, 1]]}),
+    (27, [(20, -1), (26, 4)],
+     {"order": 27, "terms": [[2, 1, 1], [8, -4, 1], [11, 1, 1],
+                             [17, -4, 1]]}),
+])
+def test_serialize_frozen(n, terms, doc):
+    value = Cyclotomic.from_terms(n, terms)
+    assert value.serialize() == doc
+    assert Cyclotomic.deserialize(doc) == value

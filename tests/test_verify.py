@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -138,6 +139,35 @@ def test_tables_equivalent_distinguishes():
     assert not tables_equivalent(c4, v4)
 
 
+def _rearranged(table, row_order, col_order, swap=None):
+    """A stand-in for table with its rows and columns reordered; swap
+    (i, j, c) then exchanges the values of rows i and j in column c."""
+    values = [[table.rows[i].values[c] for c in col_order] for i in row_order]
+    if swap:
+        i, j, c = swap
+        values[i][c], values[j][c] = values[j][c], values[i][c]
+    return SimpleNamespace(
+        group=table.group, classes=[table.classes[c] for c in col_order],
+        rows=[SimpleNamespace(values=tuple(v)) for v in values])
+
+
+@pytest.mark.parametrize("group", [symmetric_group(4), cyclic_group(5)],
+                         ids=["S4", "C5"])
+def test_tables_equivalent_permutations_and_swaps(group):
+    t = dixon_schneider(group)
+    n = len(t.classes)
+    rows = list(reversed(range(n)))
+    cols = [0] + list(range(2, n)) + [1]
+    assert tables_equivalent(t, _rearranged(t, rows, cols))
+    assert tables_equivalent(_rearranged(t, rows, cols), t)
+    # swapping two values inside one column keeps every column's multiset
+    i, j, c = next((i, j, c) for c in range(1, n)
+                   for i in range(n) for j in range(i + 1, n)
+                   if t.rows[i].values[c] != t.rows[j].values[c])
+    assert not tables_equivalent(
+        t, _rearranged(t, range(n), range(n), swap=(i, j, c)))
+
+
 def test_cross_model_2b2_p5():
     assert cross_model_check("2B2", 1, 5)
 
@@ -145,6 +175,18 @@ def test_cross_model_2b2_p5():
 def test_cross_model_rejects_other_families():
     with pytest.raises(VerifyError):
         cross_model_check("2G2", 1, 7)
+
+
+def test_cross_model_rejects_non_full_targets(monkeypatch):
+    def refuse(f):
+        raise AssertionError("suzuki_group(%d) was built" % f)
+
+    monkeypatch.setattr(verify, "suzuki_group", refuse)
+    monkeypatch.setattr("galmckay.zoo.suzuki_group", refuse)
+    with pytest.raises(VerifyError, match="local-only"):
+        cross_model_check("2B2", 2, 31)
+    with pytest.raises(VerifyError, match="out of scope"):
+        cross_model_check("2B2", 1, 11)
 
 
 def test_out_of_scope_report():
