@@ -15,7 +15,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import GalMcKayError
-from .cyclo import Cyclotomic, ZERO, ONE, rational
+from .cyclo import Cyclotomic, ZERO, rational
 from .groups import FiniteGroup, inverse, perm_pow
 from .ntheory import isprime, primitive_root, sqrt_mod
 
@@ -32,73 +32,60 @@ def _mat_vec(M, v, p):
     return [sum(r[j] * v[j] for j in range(len(v))) % p for r in M]
 
 
-def _solve(A_cols, w, p):
-    """Solve sum_i x_i * A_cols[i] = w; system assumed consistent."""
-    n = len(w)
-    d = len(A_cols)
-    aug = [[A_cols[i][r] for i in range(d)] + [w[r]] for r in range(n)]
-    piv_cols = []
-    row = 0
-    for col in range(d):
-        sel = None
-        for r in range(row, n):
-            if aug[r][col] % p:
-                sel = r
-                break
+def _eliminate(rows, ncols, p):
+    """Gauss-Jordan elimination over F_p of the list rows, in place.
+
+    Pivots are taken in the first ncols columns only, the pivot of a
+    column being the first remaining row with a nonzero entry there.
+    Returns the pivot columns; row r holds the pivot of the r-th one.
+    """
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        sel = next((r for r in range(row, len(rows)) if rows[r][col] % p),
+                   None)
         if sel is None:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(x * inv) % p for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    x = [0] * d
-    for r, col in enumerate(piv_cols):
-        x[col] = aug[r][d]
-    # consistency check
-    for r in range(row, n):
-        if aug[r][d] % p:
-            raise ChartabError("inconsistent linear system")
-    return x
+        rows[row], rows[sel] = rows[sel], rows[row]
+        inv = pow(rows[row][col], -1, p)
+        rows[row] = [(x * inv) % p for x in rows[row]]
+        for r in range(len(rows)):
+            if r != row and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
+def _coordinates(basis, vectors, p):
+    """Matrix X with vectors[c] = sum_i X[i][c] * basis[i], for linearly
+    independent basis vectors spanning every vector; one elimination
+    serves all of them."""
+    d = len(basis)
+    aug = [[b[r] for b in basis] + [w[r] for w in vectors]
+           for r in range(len(basis[0]))]
+    pivots = _eliminate(aug, d, p)
+    if any(x % p for row in aug[len(pivots):] for x in row[d:]):
+        raise ChartabError("inconsistent linear system")
+    X = [[0] * len(vectors) for _ in range(d)]
+    for r, col in enumerate(pivots):
+        X[col] = aug[r][d:]
+    return X
 
 
 def _nullspace(M, p):
     """Basis of {v : M v = 0}, column vectors, M square d x d."""
     d = len(M)
     A = [row[:] for row in M]
-    piv_of_col = [-1] * d
-    row = 0
-    for col in range(d):
-        sel = None
-        for r in range(row, d):
-            if A[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        A[row], A[sel] = A[sel], A[row]
-        inv = pow(A[row][col], -1, p)
-        A[row] = [(x * inv) % p for x in A[row]]
-        for r in range(d):
-            if r != row and A[r][col]:
-                f = A[r][col]
-                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[row])]
-        piv_of_col[col] = row
-        row += 1
+    pivots = _eliminate(A, d, p)
     basis = []
     for col in range(d):
-        if piv_of_col[col] >= 0:
+        if col in pivots:
             continue
         v = [0] * d
         v[col] = 1
-        for c2 in range(d):
-            r = piv_of_col[c2]
-            if r >= 0:
-                v[c2] = (-A[r][col]) % p
+        for r, c2 in enumerate(pivots):
+            v[c2] = (-A[r][col]) % p
         basis.append(v)
     return basis
 
@@ -261,38 +248,12 @@ class ClassFunction:
         self.group = group
         self.values = tuple(values)
 
-    @property
-    def degree(self) -> Cyclotomic:
-        return self.values[0]
-
     def degree_int(self) -> int:
         return self.values[0].integer_value()
 
     def __eq__(self, other):
         return (isinstance(other, ClassFunction)
                 and self.group is other.group and self.values == other.values)
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __add__(self, other):
-        return ClassFunction(self.group,
-                             [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other):
-        return ClassFunction(self.group,
-                             [a - b for a, b in zip(self.values, other.values)])
-
-    def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            return ClassFunction(self.group, [a * b for a, b in
-                                              zip(self.values, other.values)])
-        return ClassFunction(self.group, [a * other for a in self.values])
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return ClassFunction(self.group, [v.conj() for v in self.values])
 
     def galois(self, b):
         return ClassFunction(self.group, [v.galois(b) for v in self.values])
@@ -472,9 +433,7 @@ def dixon_schneider(G: FiniteGroup, p0: int = None) -> CharacterTable:
                 new_spaces.append(sp)
                 continue
             d = len(sp)
-            imgs = [_mat_vec(M, b, p0) for b in sp]
-            A_cols = [_solve(sp, w, p0) for w in imgs]
-            A = [[A_cols[c][r] for c in range(d)] for r in range(d)]
+            A = _coordinates(sp, [_mat_vec(M, b, p0) for b in sp], p0)
             roots = sorted(set(_proots(_charpoly(A, p0), p0, rng)))
             covered = 0
             for lam in roots:
@@ -596,21 +555,3 @@ def induce(G: FiniteGroup, H: FiniteGroup,
         cent_g = G.order // cl.size
         values.append(sums[c] * cent_g)
     return ClassFunction(G, values)
-
-
-def restrict(G: FiniteGroup, H: FiniteGroup,
-             chi: ClassFunction) -> ClassFunction:
-    if chi.group is not G:
-        raise ChartabError("chi is not a class function on G")
-    values = [chi.values[G.class_of_element(cl.rep)]
-              for cl in H.conjugacy_classes]
-    return ClassFunction(H, values)
-
-
-def regular_character(G: FiniteGroup) -> ClassFunction:
-    vals = [rational(G.order)] + [ZERO] * (len(G.conjugacy_classes) - 1)
-    return ClassFunction(G, vals)
-
-
-def trivial_character(G: FiniteGroup) -> ClassFunction:
-    return ClassFunction(G, [ONE] * len(G.conjugacy_classes))

@@ -5,7 +5,6 @@ import json
 import sys
 
 from . import GalMcKayError
-from .cyclo import Cyclotomic
 from .chartab import CharacterTable, dixon_schneider
 from .ntheory import factorint
 from .zoo import suzuki_group, psl2_8, agl18_normalizer, small_group
@@ -37,8 +36,7 @@ def serialize_table(table: CharacterTable) -> dict:
         classes.append({
             "size": cl.size,
             "element_order": cl.element_order,
-            "power_maps": {str(int(b)): G.power_map(c, int(b))
-                           for b in primes},
+            "power_maps": {str(b): G.power_map(c, b) for b in primes},
         })
     irreducibles = []
     for row in table.rows:
@@ -54,28 +52,18 @@ def serialize_table(table: CharacterTable) -> dict:
     }
 
 
-def deserialize_table(doc: dict) -> dict:
-    """Inverse of serialize_table with values as Cyclotomic objects."""
-    return {
-        "order": doc["order"],
-        "exponent": doc["exponent"],
-        "classes": [dict(c) for c in doc["classes"]],
-        "irreducibles": [
-            {"degree": r["degree"],
-             "values": [Cyclotomic.deserialize(v) for v in r["values"]]}
-            for r in doc["irreducibles"]
-        ],
-    }
-
-
 def _dump(doc, fmt, out):
     if fmt == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         text = _as_text(doc) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GalMcKayError("cannot write %s: %s"
+                                % (out, exc.strerror)) from None
     else:
         sys.stdout.write(text)
 

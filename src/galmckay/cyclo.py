@@ -17,7 +17,6 @@ iff their orders and terms coincide.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -28,10 +27,6 @@ from .ntheory import factorint
 
 class CycloError(GalMcKayError):
     pass
-
-
-class CycloDivisionError(CycloError):
-    """Division by the zero cyclotomic."""
 
 
 @lru_cache(maxsize=None)
@@ -78,20 +73,12 @@ class Cyclotomic:
             raise CycloError("not an integer: %r" % (self,))
         return v.numerator
 
-    def is_real(self) -> bool:
-        return self.conj() == self
-
     # -- construction helpers --------------------------------------------
 
     @staticmethod
     def from_rational(v) -> "Cyclotomic":
         v = Fraction(v)
         return Cyclotomic(1, ((0, v),) if v else ())
-
-    @staticmethod
-    def root(n: int, e: int = 1) -> "Cyclotomic":
-        """Canonical form of zeta_n^e."""
-        return Cyclotomic.from_terms(n, ((e, 1),))
 
     @staticmethod
     def from_terms(n: int, terms) -> "Cyclotomic":
@@ -157,28 +144,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def inv(self) -> "Cyclotomic":
-        if self.is_zero():
-            raise CycloDivisionError("division by zero cyclotomic")
-        if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.rational_value())
-        n = self.order
-        prod = ONE
-        for b in range(2, n):
-            if gcd(b, n) == 1:
-                prod = prod * self.galois(b)
-        norm = (self * prod).rational_value()
-        return prod * Cyclotomic.from_rational(Fraction(1) / norm)
-
-    def __truediv__(self, other):
-        other = _as_cyclo(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return _as_cyclo(other) * self.inv()
-
     # -- Galois action ----------------------------------------------------
 
     def galois(self, b: int) -> "Cyclotomic":
@@ -190,9 +155,6 @@ class Cyclotomic:
         if n == 1:
             return self
         return Cyclotomic.from_terms(n, [(b * e, c) for e, c in self._terms])
-
-    def conj(self) -> "Cyclotomic":
-        return self.galois(-1)
 
     # -- comparisons / export ---------------------------------------------
 
@@ -220,11 +182,6 @@ class Cyclotomic:
         """((exponent e, coefficient), ...) with zeta_n^e, e ascending."""
         return self._terms
 
-    def approx(self) -> complex:
-        n = self.order
-        return sum(float(c) * cmath.exp(2j * cmath.pi * e / n)
-                   for e, c in self._terms) if self._terms else 0j
-
     def __repr__(self):
         if self.is_zero():
             return "Cyc(0)"
@@ -241,12 +198,6 @@ class Cyclotomic:
         return {"order": self.order,
                 "terms": [[e, c.numerator, c.denominator]
                           for e, c in self._terms]}
-
-    @staticmethod
-    def deserialize(doc: dict) -> "Cyclotomic":
-        return Cyclotomic.from_terms(
-            doc["order"],
-            [(e, Fraction(num, den)) for e, num, den in doc["terms"]])
 
 
 def _normalize(n: int, acc: dict) -> Cyclotomic:
@@ -293,15 +244,8 @@ ONE = Cyclotomic.from_rational(1)
 
 # -- module-level API ------------------------------------------------------
 
-def make_root(n: int, e: int = 1) -> Cyclotomic:
-    return Cyclotomic.root(n, e)
-
-
 def rational(v) -> Cyclotomic:
     return Cyclotomic.from_rational(v)
 
 
-__all__ = [
-    "Cyclotomic", "CycloError", "CycloDivisionError", "ZERO", "ONE",
-    "make_root", "rational",
-]
+__all__ = ["Cyclotomic", "CycloError", "ZERO", "ONE", "rational"]

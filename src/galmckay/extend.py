@@ -10,15 +10,11 @@ permutation r on the points of M, acting by x -> r^-1 x r.
 """
 
 from . import GalMcKayError
-from .cyclo import ONE, ZERO
 from .groups import (
-    FiniteGroup, SemidirectProduct, automorphism_order, check_realizer,
-    compose, perm_pow, identity_perm, semidirect_product,
+    automorphism_order, check_realizer, compose, perm_pow, semidirect_product,
     induced_class_permutation,
 )
-from .chartab import (
-    CharacterTable, ClassFunction, dixon_schneider, induce, inner_product,
-)
+from .chartab import CharacterTable, dixon_schneider
 from .galois import act_on_table
 
 
@@ -53,9 +49,8 @@ def automorphism_row_perms(table: CharacterTable, realizer, k: int):
 def extension_product(table: CharacterTable, realizer, q: int):
     """(M x| <r>, its character table, class fusion of M) for r of order q."""
     product = semidirect_product(table.group, realizer, q)
-    big = dixon_schneider(product.group)
-    fusion = tuple(product.group.class_of_element(cl.rep)
-                   for cl in table.classes)
+    big = dixon_schneider(product)
+    fusion = tuple(product.class_of_element(cl.rep) for cl in table.classes)
     return product, big, fusion
 
 
@@ -96,7 +91,6 @@ def find_extensions(table: CharacterTable, realizer, k: int, row: int,
     realizer, k) triple) stores extension_product results per stabilizer
     index d.
     """
-    M = table.group
     psi = table.rows[row]
     perms = automorphism_row_perms(table, realizer, k)
     realizer = tuple(realizer)
@@ -104,9 +98,8 @@ def find_extensions(table: CharacterTable, realizer, k: int, row: int,
              if k % j == 0 and perms[j % k][row] == row)
     q = k // d
     if q == 1:
-        product = SemidirectProduct(M, M, identity_perm(M.degree), 1)
         fusion = tuple(range(len(table.classes)))
-        return ExtensionSet(table, row, realizer, k, d, product, table,
+        return ExtensionSet(table, row, realizer, k, d, table.group, table,
                             fusion, (row,))
     if cache is not None and d in cache:
         product, big, fusion = cache[d]
@@ -158,26 +151,3 @@ def invariant_extension_exists(table: CharacterTable, realizer, k: int,
         if all(ok for _, _, ok in report):
             return ExtensionWitness(ext, i, report)
     return ExtensionWitness(ext, ext.rows[0], reports[0])
-
-
-def unique_multiplicity_one_extension(ext: ExtensionSet, X: FiniteGroup,
-                                      tau_hat: ClassFunction) -> int:
-    """The unique extension row occurring once in an induced character.
-
-    X is a subgroup of the extension product group carrying tau_hat, an
-    invariant extension of a character below the base row.  Exactly one
-    member of ext.rows may occur in the induction, with multiplicity one.
-    """
-    Gt = ext.product.group
-    if tau_hat.group is not X:
-        raise ExtendError("tau_hat is not a class function on X")
-    ind = induce(Gt, X, tau_hat)
-    hits = []
-    for i in ext.rows:
-        ip = inner_product(ind, ext.table.rows[i])
-        if ip != ZERO:
-            hits.append((i, ip))
-    if len(hits) != 1 or hits[0][1] != ONE:
-        raise ExtendError("induced character does not single out one "
-                          "extension with multiplicity one")
-    return hits[0][0]

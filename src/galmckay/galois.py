@@ -52,56 +52,10 @@ class GaloisElement:
     def __repr__(self):
         return "GaloisElement(m=%d, b=%d)" % (self.m, self.b)
 
-    def compose(self, other):
-        if self.m != other.m:
-            raise GaloisError("mixed moduli")
-        return GaloisElement(self.m, self.b * other.b)
 
-    def inverse(self):
-        if self.m == 1:
-            return self
-        return GaloisElement(self.m, pow(self.b, -1, self.m))
-
-    def is_identity(self):
-        return self.b == 1 % self.m
-
-    def apply(self, value):
-        """Apply to a cyclotomic whose order divides the modulus."""
-        if self.m % value.order:
-            raise GaloisError("value order %d does not divide modulus %d"
-                              % (value.order, self.m))
-        if value.order == 1:
-            return value
-        return value.galois(self.b)
-
-
-class HGroup:
-    """The image mod m of the Galois group attached to the prime p."""
-
-    def __init__(self, p, m, elements):
-        self.p = p
-        self.m = m
-        self.elements = tuple(elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, sigma):
-        return sigma in self.elements
-
-    def residues(self):
-        return [s.b for s in self.elements]
-
-    def __repr__(self):
-        return "HGroup(p=%d, m=%d, order=%d)" % (self.p, self.m,
-                                                 len(self.elements))
-
-
-def h_group(p, m) -> HGroup:
-    """Residues mod m acting as a power of p on p'-roots of unity."""
+def h_group(p, m) -> tuple:
+    """The Galois elements mod m acting as a power of p on p'-roots of
+    unity."""
     if not isprime(p):
         raise GaloisError("p must be prime")
     if m < 1:
@@ -114,18 +68,8 @@ def h_group(p, m) -> HGroup:
     while x not in powers:
         powers.add(x)
         x = (x * p) % m_pp
-    elems = [GaloisElement(m, b) for b in range(m)
-             if gcd(b, m) == 1 and b % m_pp in powers]
-    if m == 1:
-        elems = [GaloisElement(1, 0)]
-    return HGroup(p, m, elems)
-
-
-def full_galois_group(m) -> list:
-    """All of Gal(Q(zeta_m)/Q) as GaloisElement objects."""
-    if m == 1:
-        return [GaloisElement(1, 0)]
-    return [GaloisElement(m, b) for b in range(1, m) if gcd(b, m) == 1]
+    return tuple(GaloisElement(m, b) for b in range(m)
+                 if gcd(b, m) == 1 and b % m_pp in powers)
 
 
 def power_class_permutation(group: FiniteGroup, b: int) -> tuple:
@@ -183,15 +127,6 @@ def act_on_table(table: CharacterTable, sigma: GaloisElement):
     return perm
 
 
-def power_compatibility_check(table: CharacterTable, sigma: GaloisElement):
-    """True iff sigma(chi(g)) = chi(g^b) for every row and class."""
-    _check_modulus(table, sigma)
-    powered = power_class_permutation(table.group, sigma.b)
-    return all(row.galois(sigma.b).values
-               == tuple(row.values[c] for c in powered)
-               for row in table.rows)
-
-
 class McKayLabel:
     """Label (s, eta) of a torus-normalizer character.
 
@@ -211,10 +146,6 @@ class McKayLabel:
         self.stabilizer_order = stabilizer_order
         self.eta_index = eta_index
         self.eta_degree = eta_degree
-
-    @property
-    def s_trivial(self):
-        return all(v == ONE for v in self.s_values)
 
     def __repr__(self):
         return ("McKayLabel(s_row=%d, orbit=%d, stab=%d, eta=%d)"

@@ -287,9 +287,6 @@ class FiniteGroup:
         residue, _ = _sift(self._stabilizer_chain(), p)
         return residue == identity_perm(self.degree)
 
-    def __len__(self):
-        return self.order
-
     # -- enumeration ------------------------------------------------------
 
     def _enumerate(self):
@@ -323,12 +320,6 @@ class FiniteGroup:
     def elements(self) -> list:
         self._enumerate()
         return self._elements
-
-    @property
-    def element_index(self) -> dict:
-        """base key (images of the base points) -> element index."""
-        self._enumerate()
-        return self._index
 
     def conjugate_indices(self, S, g) -> frozenset:
         """Indices of g^-1 x g over the element indices x in S, for g in G
@@ -389,12 +380,6 @@ class FiniteGroup:
     def conjugacy_classes(self) -> list:
         self._compute_classes()
         return self._classes
-
-    @property
-    def class_of(self) -> list:
-        """element index -> class index."""
-        self._compute_classes()
-        return self._class_of
 
     def class_of_element(self, p) -> int:
         """Class index of p; KeyError if p is not in the group."""
@@ -532,22 +517,10 @@ def induced_class_permutation(G: FiniteGroup, r) -> tuple:
 
 # -- semidirect products ---------------------------------------------------
 
-class SemidirectProduct:
-    """G ⋊ <c> on the points of G, where c = comp_gen has order k.
-
-    G is a subgroup of the product group, and conjugation by comp_gen
-    induces the defining automorphism of G.
-    """
-
-    def __init__(self, group, base, comp_gen, k):
-        self.group = group
-        self.base = base
-        self.comp_gen = comp_gen
-        self.k = k
-
-
-def semidirect_product(G: FiniteGroup, r, k: int) -> SemidirectProduct:
-    """G ⋊ <r> for a realizer r of order k with <r> meeting G trivially."""
+def semidirect_product(G: FiniteGroup, r, k: int) -> FiniteGroup:
+    """G ⋊ <r> for a realizer r of order k with <r> meeting G trivially,
+    on the points of G: G is a subgroup and conjugation by r induces the
+    defining automorphism."""
     if k < 1:
         raise GroupError("k must be positive")
     r = check_realizer(G, r)
@@ -558,21 +531,4 @@ def semidirect_product(G: FiniteGroup, r, k: int) -> SemidirectProduct:
     if H.order != k * G.order:
         raise GroupError("realizer lies in the group or has extra order "
                          "(got %d, want %d)" % (H.order, k * G.order))
-    return SemidirectProduct(H, G, r, k)
-
-
-# -- small standard groups (used by tests and local models) ----------------
-
-def cyclic_group(n: int) -> FiniteGroup:
-    if n == 1:
-        return FiniteGroup(1, [], name="C1")
-    return FiniteGroup(n, [tuple((i + 1) % n for i in range(n))],
-                       name="C%d" % n)
-
-
-def symmetric_group(n: int) -> FiniteGroup:
-    if n < 2:
-        return FiniteGroup(max(n, 1), [], name="S%d" % n)
-    cyc = tuple(list(range(1, n)) + [0])
-    tr = tuple([1, 0] + list(range(2, n)))
-    return FiniteGroup(n, [cyc, tr], name="S%d" % n)
+    return H

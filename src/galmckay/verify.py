@@ -149,20 +149,6 @@ def match_actions(X: ActionOnSet, Y: ActionOnSet) -> MatchResult:
     return MatchResult(True, pairs, summary, None)
 
 
-def brute_force_match_exists(X: ActionOnSet, Y: ActionOnSet) -> bool:
-    """Exhaustive equivariant-bijection search; oracle for small sets."""
-    if X.n != Y.n:
-        return False
-    if X.n > 8:
-        raise VerifyError("brute-force search capped at 8 points")
-    for cand in permutations(range(Y.n)):
-        if all(cand[px[x]] == py[cand[x]]
-               for px, py in zip(X.perms, Y.perms)
-               for x in range(X.n)):
-            return True
-    return False
-
-
 # -- row actions -----------------------------------------------------------
 
 def joint_row_action(side, H, rows):
@@ -259,8 +245,7 @@ def lemma_congruence_check(f_min, f_max):
             f_ok = f_ok and ok
             values[name] = {
                 "value": value,
-                "factors": [[int(pr), int(e)]
-                            for pr, e in sorted(factors.items())],
+                "factors": [[pr, e] for pr, e in sorted(factors.items())],
                 "rule": rule,
                 "ok": ok,
                 "violations": bad,
@@ -382,7 +367,7 @@ def _local_only_primes(family, f):
     hits = {}
     for label, (orders, tag, build) in rows.items():
         for prime in factorint(prod(orders)):
-            hits.setdefault(int(prime), set()).add(label)
+            hits.setdefault(prime, set()).add(label)
     return tuple(sorted(p for p, labs in hits.items()
                         if p != defining and p % 2 and len(labs) == 1))
 
@@ -500,8 +485,8 @@ def local_side(family, f, p) -> Side:
 
 def galois_group(gside: Side, lside: Side, p):
     """The Galois group H over the exponents of both extension products."""
-    return h_group(p, lcm(gside.cache[1][0].group.exponent,
-                          lside.cache[1][0].group.exponent))
+    return h_group(p, lcm(gside.cache[1][0].exponent,
+                          lside.cache[1][0].exponent))
 
 
 def verify_target(family, f, p):

@@ -11,10 +11,12 @@ provenance.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from math import gcd, prod
 
 from . import GalMcKayError
-from .groups import FiniteGroup, check_realizer
+from .groups import FiniteGroup, check_realizer, perm_order
 
 
 class ZooError(GalMcKayError):
@@ -24,7 +26,6 @@ class ZooError(GalMcKayError):
 # -- small finite fields ---------------------------------------------------
 
 _MODULI = {
-    (2, 1): [0, 1],          # placeholder, prime field
     (2, 2): [1, 1, 1],       # x^2 + x + 1
     (2, 3): [1, 1, 0, 1],    # x^3 + x + 1
     (2, 5): [1, 0, 1, 0, 0, 1],  # x^5 + x^2 + 1
@@ -90,9 +91,6 @@ class FiniteField:
             return (-a) % self.p
         return self._undigits([(-x) % self.p for x in self._digits(a)])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
@@ -153,10 +151,6 @@ def suzuki_group(f: int) -> FiniteGroup:
 
     def pt(x, y):
         return 1 + x * q2 + y
-
-    def xy(i):
-        i -= 1
-        return divmod(i, q2)
 
     def translation(a, b):
         perm = [0] * npts
@@ -300,55 +294,23 @@ def _vec_apply(F, A, v):
 
 
 def _su3_matrices(F):
-    """Generators of SU3 over F (p^2 elements): triangular + diagonal +
-    antidiagonal unitary matrices of determinant 1, found by search."""
+    """Generators of SU3 over F (p^2 elements): upper and lower
+    unitriangular, diagonal and antidiagonal (Weyl representative) unitary
+    matrices of determinant 1, found by search in that order."""
     q = F.q
-    one = 1
-    found = []
-    # upper unitriangular
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                A = ((one, a, b), (0, one, c), (0, 0, one))
-                if _is_unitary(F, A) and _mat_det(F, A) == one:
-                    found.append(A)
-    # lower unitriangular
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                A = ((one, 0, 0), (a, one, 0), (b, c, one))
-                if _is_unitary(F, A) and _mat_det(F, A) == one:
-                    found.append(A)
-    # diagonal
-    for a in range(1, q):
-        for b in range(1, q):
-            for c in range(1, q):
-                A = ((a, 0, 0), (0, b, 0), (0, 0, c))
-                if _is_unitary(F, A) and _mat_det(F, A) == one:
-                    found.append(A)
-    # antidiagonal (Weyl representatives)
-    for a in range(1, q):
-        for b in range(1, q):
-            for c in range(1, q):
-                A = ((0, 0, a), (0, b, 0), (c, 0, 0))
-                if _is_unitary(F, A) and _mat_det(F, A) == one:
-                    found.append(A)
+    shapes = (
+        (range(q), lambda a, b, c: ((1, a, b), (0, 1, c), (0, 0, 1))),
+        (range(q), lambda a, b, c: ((1, 0, 0), (a, 1, 0), (b, c, 1))),
+        (range(1, q), lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c))),
+        (range(1, q), lambda a, b, c: ((0, 0, a), (0, b, 0), (c, 0, 0))),
+    )
+    found = [A for entries, shape in shapes
+             for A in itertools.starmap(shape,
+                                        itertools.product(entries, repeat=3))
+             if _is_unitary(F, A) and _mat_det(F, A) == 1]
     if not found:
         raise ZooError("no unitary matrices found")  # pragma: no cover
     return found
-
-
-def _vector_perm_group(F, mats, name):
-    """Action on nonzero vectors of F^3."""
-    q = F.q
-    vecs = [(a, b, c) for a in range(q) for b in range(q) for c in range(q)
-            if (a, b, c) != (0, 0, 0)]
-    index = {v: i for i, v in enumerate(vecs)}
-    gens = []
-    for A in mats:
-        gens.append(tuple(index[_vec_apply(F, A, v)] for v in vecs))
-    frob = tuple(index[tuple(F.frob(x) for x in v)] for v in vecs)
-    return FiniteGroup(len(vecs), gens, name=name), frob
 
 
 def _projective_points(F, isotropic_only=False):
@@ -377,19 +339,6 @@ def _normalize_proj(F, v):
     raise ZooError("zero vector")  # pragma: no cover
 
 
-def _projective_perm_group(F, mats, name, isotropic_only=False):
-    pts = _projective_points(F, isotropic_only)
-    pts = [_normalize_proj(F, v) for v in pts]
-    index = {v: i for i, v in enumerate(pts)}
-    gens = []
-    for A in mats:
-        gens.append(tuple(index[_normalize_proj(F, _vec_apply(F, A, v))]
-                          for v in pts))
-    frob = tuple(index[_normalize_proj(F, tuple(F.frob(x) for x in v))]
-                 for v in pts)
-    return FiniteGroup(len(pts), gens, name=name), frob
-
-
 def _sl3_matrices(F):
     gens = []
     lam = F.generator() if F.q > 2 else 1
@@ -401,58 +350,42 @@ def _sl3_matrices(F):
     return gens
 
 
+# tag -> (name, field (p, k), generating matrices, points of the action,
+# order, extended by the Frobenius map); the points are the nonzero
+# vectors of F^3, or its projective points, or only the isotropic ones
+_SMALL_GROUPS = {
+    "su3_2": ("SU3(2)", (2, 2), _su3_matrices, "vectors", 216, False),
+    "su3_2_ext": ("SU3(2).2", (2, 2), _su3_matrices, "vectors", 432, True),
+    "su3_3": ("SU3(3)", (3, 2), _su3_matrices, "isotropic", 6048, False),
+    "g2_2": ("G2(2)", (3, 2), _su3_matrices, "isotropic", 12096, True),
+    "sl3_4": ("SL3(4)", (2, 2), _sl3_matrices, "vectors", 60480, False),
+    "psl3_4": ("PSL3(4)", (2, 2), _sl3_matrices, "projective", 20160, False),
+}
+
+
 def small_group(tag: str) -> FiniteGroup:
-    """Concrete groups by tag; orders are checked on construction."""
-    if tag == "psl2_8":
-        return psl2_8()
-    if tag == "su3_2":
-        F = FiniteField(2, 2)
-        G, frob = _vector_perm_group(F, _su3_matrices(F), "SU3(2)")
-        if G.order != 216:
-            raise ZooError("SU3(2) has order %d" % G.order)
+    """Concrete groups by tag; orders are checked on construction.  A group
+    extended by the Frobenius map carries no field automorphism."""
+    if tag not in _SMALL_GROUPS:
+        raise ZooError("unknown group tag %r" % tag)
+    name, (p, k), matrices, points, order, extended = _SMALL_GROUPS[tag]
+    F = FiniteField(p, k)
+    if points == "vectors":
+        pts = [v for v in itertools.product(range(F.q), repeat=3) if any(v)]
+        key = tuple
+    else:
+        pts = _projective_points(F, isotropic_only=points == "isotropic")
+        key = functools.partial(_normalize_proj, F)
+    index = {v: i for i, v in enumerate(pts)}
+    gens = [tuple(index[key(_vec_apply(F, A, v))] for v in pts)
+            for A in matrices(F)]
+    frob = tuple(index[key(tuple(F.frob(x) for x in v))] for v in pts)
+    G = FiniteGroup(len(pts), gens + [frob] if extended else gens, name=name)
+    if G.order != order:
+        raise ZooError("%s has order %d" % (name, G.order))
+    if not extended:
         G.frobenius_perm = frob
-        return G
-    if tag == "su3_2_ext":
-        F = FiniteField(2, 2)
-        G, frob = _vector_perm_group(F, _su3_matrices(F), "SU3(2)")
-        H = FiniteGroup(G.degree, list(G.generators) + [frob],
-                        name="SU3(2).2")
-        if H.order != 432:
-            raise ZooError("SU3(2).2 has order %d" % H.order)
-        H.base_subgroup = G
-        return H
-    if tag == "su3_3":
-        F = FiniteField(3, 2)
-        G, frob = _projective_perm_group(F, _su3_matrices(F), "SU3(3)",
-                                         isotropic_only=True)
-        if G.order != 6048:
-            raise ZooError("SU3(3) has order %d" % G.order)
-        G.frobenius_perm = frob
-        return G
-    if tag == "g2_2":
-        F = FiniteField(3, 2)
-        G, frob = _projective_perm_group(F, _su3_matrices(F), "SU3(3)",
-                                         isotropic_only=True)
-        H = FiniteGroup(G.degree, list(G.generators) + [frob], name="G2(2)")
-        if H.order != 12096:
-            raise ZooError("G2(2) has order %d" % H.order)
-        H.base_subgroup = G
-        return H
-    if tag == "sl3_4":
-        F = FiniteField(2, 2)
-        G, frob = _vector_perm_group(F, _sl3_matrices(F), "SL3(4)")
-        if G.order != 60480:
-            raise ZooError("SL3(4) has order %d" % G.order)
-        G.frobenius_perm = frob
-        return G
-    if tag == "psl3_4":
-        F = FiniteField(2, 2)
-        G, frob = _projective_perm_group(F, _sl3_matrices(F), "PSL3(4)")
-        if G.order != 20160:
-            raise ZooError("PSL3(4) has order %d" % G.order)
-        G.frobenius_perm = frob
-        return G
-    raise ZooError("unknown group tag %r" % tag)
+    return G
 
 
 def field_automorphism(G: FiniteGroup) -> tuple:
@@ -479,10 +412,6 @@ class TorusNormalizerSpec:
         self.group = group
         self.torus_gens = tuple(torus_gens)
         self.complement_gens = tuple(complement_gens)
-
-    @property
-    def torus_order(self):
-        return prod(self.torus_orders)
 
     def torus_subgroup(self) -> FiniteGroup:
         return FiniteGroup(self.group.degree, self.torus_gens,
@@ -516,6 +445,14 @@ def _cyclic_model(n, mult, k, family, f, row, tag):
     return TorusNormalizerSpec(family, f, row, [n], tag, G, [t], [w])
 
 
+def _mat2_perm(M, d):
+    """The permutation of Z_d^2, point (x, y) numbered x*d + y, by which the
+    2x2 matrix M mod d acts on column vectors."""
+    (a, b), (c, e) = M
+    return tuple((a * x + b * y) % d * d + (c * x + e * y) % d
+                 for x in range(d) for y in range(d))
+
+
 def _matrix_complement_model(d, mats, want_order, family, f, row, tag):
     """(Z_d)^2 x| W with W given by 2x2 matrices mod d."""
     npts = d * d
@@ -525,11 +462,7 @@ def _matrix_complement_model(d, mats, want_order, family, f, row, tag):
 
     t1 = tuple(pt((x + 1) % d, y) for x in range(d) for y in range(d))
     t2 = tuple(pt(x, (y + 1) % d) for x in range(d) for y in range(d))
-    wgens = []
-    for M in mats:
-        (a, b), (c, e) = M
-        wgens.append(tuple(pt((a * x + b * y) % d, (c * x + e * y) % d)
-                           for x in range(d) for y in range(d)))
+    wgens = [_mat2_perm(M, d) for M in mats]
     W = FiniteGroup(npts, wgens, name="W")
     if W.order != want_order:
         raise ZooError("complement for row %s has order %d, want %d"
@@ -562,41 +495,6 @@ def _d16_mats(d):
     return [rot, refl]
 
 
-def _mat2_pow(A, k, d):
-    R = ((1, 0), (0, 1))
-    for _ in range(k):
-        R = _mat2_mul(R, A, d)
-    return R
-
-
-def _mat2_closure(gens, d, cap=2000):
-    I2 = ((1, 0), (0, 1))
-    seen = {I2}
-    frontier = [I2]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = _mat2_mul(x, g, d)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-                if len(seen) > cap:
-                    return None
-    return seen
-
-
-def _mat2_order(A, d):
-    I2 = ((1, 0), (0, 1))
-    o = 1
-    X = A
-    while X != I2:
-        X = _mat2_mul(X, A, d)
-        o += 1
-        if o > 4 * d * d * d * d:
-            raise ZooError("matrix order diverges")  # pragma: no cover
-    return o
-
-
 # element-order multiset of GL2(3): identity, 13 involutions, 8 of order
 # 3, the 6 order-4 elements of the quaternion Sylow piece, 8 of order 6
 # and 12 of order 8
@@ -606,24 +504,23 @@ _GL23_ORDERS = tuple(sorted([1] + [2] * 13 + [3] * 8 + [4] * 6
 
 def _gl23_mats(d):
     """GL2(3) of order 48 inside GL2(Z_d), by deterministic search:
-    the first order-8 element plus an order-3 partner whose closure has
-    order 48 and the GL2(3) element-order multiset."""
-    from itertools import product
-    I2 = ((1, 0), (0, 1))
-    units = []
-    for a, b, c, e in product(range(d), repeat=4):
-        if gcd((a * e - b * c) % d, d) == 1:
-            units.append(((a, b), (c, e)))
-    e8 = [A for A in units
-          if _mat2_pow(A, 8, d) == I2 and _mat2_pow(A, 4, d) != I2]
-    e3 = [A for A in units if _mat2_pow(A, 3, d) == I2 and A != I2]
+    the first order-8 element plus an order-3 partner that together
+    generate a group of order 48 with the GL2(3) element-order multiset.
+    Orders are those of the faithful action on Z_d^2."""
+    units = [((a, b), (c, e))
+             for a, b, c, e in itertools.product(range(d), repeat=4)
+             if gcd((a * e - b * c) % d, d) == 1]
+    order = {A: perm_order(_mat2_perm(A, d)) for A in units}
+    e8 = [A for A in units if order[A] == 8]
     if not e8:
         raise ZooError("no order-8 element in GL2(Z_%d)" % d)
     A = e8[0]
-    for B in e3:
-        cl = _mat2_closure([A, B], d, cap=48)
-        if cl is not None and len(cl) == 48 and \
-                tuple(sorted(_mat2_order(X, d) for X in cl)) == _GL23_ORDERS:
+    for B in units:
+        if order[B] != 3:
+            continue
+        X = FiniteGroup(d * d, [_mat2_perm(A, d), _mat2_perm(B, d)])
+        if X.order == 48 and tuple(sorted(
+                map(perm_order, X.elements))) == _GL23_ORDERS:
             return [A, B]
     raise ZooError("no GL2(3) complement found inside GL2(Z_%d)" % d)
 
@@ -676,12 +573,6 @@ def torus_polynomials(f):
     }
 
 
-def _poly_values_2g2(f):
-    q2 = 3 ** (2 * f + 1)
-    r = 3 ** (f + 1)
-    return q2, r
-
-
 def torus_rows(family: str, f: int):
     """Row label -> (torus orders, complement tag, builder thunk)."""
     if family in ("2B2", "2F4"):
@@ -700,7 +591,7 @@ def torus_rows(family: str, f: int):
                                              "q2-r+1", "C4")),
         }
     if family == "2G2":
-        q2, r = _poly_values_2g2(f)
+        q2, r = 3 ** (2 * f + 1), 3 ** (f + 1)
         half = (q2 + 1) // 2
         return {
             "q2-1": ([q2 - 1], "C2",

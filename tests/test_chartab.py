@@ -2,23 +2,35 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import Matrix, symbols
+from sympy import GF, Matrix, symbols
+from sympy.polys.matrices import DomainMatrix
 
-from galmckay.cyclo import Cyclotomic, ZERO, ONE, make_root, rational
-from galmckay.groups import (
-    FiniteGroup, cyclic_group, symmetric_group, semidirect_product,
-)
+from galmckay.cyclo import Cyclotomic, ZERO, ONE, rational
+from galmckay.groups import FiniteGroup, semidirect_product
 from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, dixon_schneider, dixon_prime,
-    inner_product, induce, restrict, regular_character, trivial_character,
-    _charpoly,
+    inner_product, induce, _charpoly, _coordinates, _nullspace,
 )
+from oracles import approx, cyclic_group, root, symmetric_group
 
 
 def dihedral(n):
     rot = tuple((i + 1) % n for i in range(n))
     refl = tuple((-i) % n for i in range(n))
     return FiniteGroup(n, [rot, refl], name="D%d" % (2 * n))
+
+
+def trivial_character(G):
+    return ClassFunction(G, [1] * len(G.conjugacy_classes))
+
+
+def regular_character(G):
+    return ClassFunction(G, [G.order] + [0] * (len(G.conjugacy_classes) - 1))
+
+
+def restrict(G, H, chi):
+    return ClassFunction(H, [chi.values[G.class_of_element(cl.rep)]
+                             for cl in H.conjugacy_classes])
 
 
 def quaternion8():
@@ -39,7 +51,7 @@ def test_c2_table():
 def test_c3_table_has_cube_roots():
     t = dixon_schneider(cyclic_group(3))
     assert t.degrees() == [1, 1, 1]
-    z = make_root(3, 1)
+    z = root(3, 1)
     got = {r.values for r in t.rows}
     assert any(z in r for r in got)
 
@@ -67,8 +79,7 @@ def c13_times_8():
 
 def test_c13_c4_table():
     c13, a = c13_times_8()
-    sd = semidirect_product(c13, a, 4)
-    t = dixon_schneider(sd.group)
+    t = dixon_schneider(semidirect_product(c13, a, 4))
     assert sorted(t.degrees()) == [1, 1, 1, 1, 4, 4, 4]
 
 
@@ -78,7 +89,7 @@ def test_second_orthogonality():
     for c, cl in enumerate(G.conjugacy_classes):
         s = ZERO
         for r in t.rows:
-            s = s + r.values[c] * r.values[c].conj()
+            s = s + r.values[c] * r.values[c].galois(-1)
         assert s == rational(G.order // cl.size)
 
 
@@ -124,9 +135,8 @@ def test_induce_regular():
 
 def test_induce_c13_to_frobenius():
     c13, a = c13_times_8()
-    sd = semidirect_product(c13, a, 4)
-    G = sd.group
-    T = sd.base
+    G = semidirect_product(c13, a, 4)
+    T = c13
     tt = dixon_schneider(T)
     nontriv = next(r for r in tt.rows if any(v != ONE for v in r.values))
     ind = induce(G, T, nontriv)
@@ -215,11 +225,39 @@ def test_charpoly_matches_sympy(p):
         assert len(want) == len(A) + 1 and want[-1] == 1
 
 
+def _sympy_rank(A, p):
+    K = GF(p)
+    return DomainMatrix([[K(x) for x in row] for row in A],
+                        (len(A), len(A[0])), K).rank()
+
+
+@pytest.mark.parametrize("p", [7, 101, 10007])
+def test_elimination_matches_sympy_rank(p):
+    """The kernel basis has d - rank(A) vectors, each killed by A, and
+    coordinates over a basis reproduce the vectors they came from."""
+    rng = random.Random(p)
+    for A in _random_matrices(rng, p):
+        d = len(A)
+        kernel = _nullspace(A, p)
+        assert len(kernel) == d - _sympy_rank(A, p)
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0
+                   for v in kernel for row in A)
+        if kernel:
+            continue
+        # A is invertible: its rows are a basis of F_p^d
+        X = [[rng.randrange(p) for _ in range(3)] for _ in range(d)]
+        vectors = [[sum(X[i][c] * A[i][r] for i in range(d)) % p
+                    for r in range(d)] for c in range(3)]
+        assert _coordinates(A, vectors, p) == X
+    with pytest.raises(ChartabError, match="inconsistent"):
+        _coordinates([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], p)
+
+
 def _direct_inner_product(a, b):
     G = a.group
     acc = ZERO
     for cl, x, y in zip(G.conjugacy_classes, a.values, b.values):
-        acc = acc + x * y.conj() * cl.size
+        acc = acc + x * y.galois(-1) * cl.size
     return acc * Fraction(1, G.order)
 
 
@@ -241,19 +279,19 @@ def test_inner_product_matches_direct_formula():
             b = ClassFunction(G, [_random_value(rng) for _ in range(ncl)])
             got = inner_product(a, b)
             assert got == _direct_inner_product(a, b)
-            numeric = sum(cl.size * x.approx() * y.approx().conjugate()
+            numeric = sum(cl.size * approx(x) * approx(y).conjugate()
                           for cl, x, y in zip(G.conjugacy_classes,
                                               a.values, b.values)) / G.order
-            assert abs(got.approx() - numeric) < 1e-9
-            assert inner_product(b, a) == got.conj()
+            assert abs(approx(got) - numeric) < 1e-9
+            assert inner_product(b, a) == got.galois(-1)
 
 
 @pytest.mark.parametrize("perturb", [
     lambda v: v + Fraction(1, 2),
-    lambda v: v + make_root(7, 1),
+    lambda v: v + root(7, 1),
     # these keep every row norm, so only an off-diagonal pair can fail
-    lambda v: v * make_root(7, 1),
-    lambda v: v * make_root(12, 5),
+    lambda v: v * root(7, 1),
+    lambda v: v * root(12, 5),
 ], ids=["plus-half", "plus-root", "times-root7", "times-root12"])
 def test_validate_catches_one_perturbed_value(perturb):
     for G in (dihedral(7), symmetric_group(4)):

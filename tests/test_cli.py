@@ -1,10 +1,36 @@
+import hashlib
 import json
 
-from galmckay.cli import run, serialize_table, deserialize_table
-from galmckay.cyclo import ZERO, ONE, rational
+import pytest
+
+from galmckay.cli import _GROUP_BUILDERS, run, serialize_table
+from galmckay.cyclo import ZERO, rational
 from galmckay.chartab import dixon_schneider
-from galmckay.groups import cyclic_group
 from galmckay.zoo import agl18_normalizer
+from oracles import cyclic_group, deserialize_table
+
+# sha256 of the stdout of `galmckay chartab --group <name>`, the same under
+# any PYTHONHASHSEED: generators, class order and row order are all fixed
+CHARTAB_SHA256 = {
+    "psl2_8":
+        "3fb9afd85ec0c072845a55176b57b0f8bd99751c550f12e2575a5e897904e39f",
+    "agl18_normalizer":
+        "82a347509042c526f52a85b519b9590f5e911aa5c6363bc39dece64a0683c7ef",
+    "su3_2":
+        "02ca8538f8e547613346a98c41795b987dfc52d9c2b07f5c7b2adea532ad2596",
+    "su3_2_ext":
+        "8ab50da3278b4543038e503b6e9d1e5be206b9d89174818371cc6e49921d7570",
+    "su3_3":
+        "ee542aab5c2310f23b1dd6dbbef426599989b768913400510d1263840b1dc578",
+    "g2_2":
+        "faf541b2358c07dd5201f1877ce46c068f4fb7c7f88d619471fd0eee891ea2a1",
+    "psl3_4":
+        "26b4e88b471f9b28922d380c25f4833f292845bc654a19ac2b6b0406839ed354",
+    "sl3_4":
+        "0bca062bfc3d17b72bb239e2a80537964c50591ca684acbfc6e41fd6f07ad9ae",
+    "sz8":
+        "8e75e3905f41e61f74dfe2be49531d7fc497f9698730ca80b25eac2ef7c547d7",
+}
 
 
 def test_serialize_c2_table():
@@ -32,7 +58,7 @@ def test_serialized_orthogonality():
         for j, b in enumerate(rows):
             acc = ZERO
             for s, x, y in zip(sizes, a["values"], b["values"]):
-                acc = acc + x * y.conj() * s
+                acc = acc + x * y.galois(-1) * s
             want = rational(back["order"]) if i == j else ZERO
             assert acc == want
 
@@ -44,6 +70,23 @@ def test_cli_chartab(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["order"] == 168
     assert sum(r["degree"] ** 2 for r in doc["irreducibles"]) == 168
+
+
+@pytest.mark.parametrize("group", sorted(_GROUP_BUILDERS))
+def test_cli_chartab_bytes_pinned(group, capsys):
+    assert run(["chartab", "--group", group]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTAB_SHA256[group]
+
+
+def test_cli_unwritable_out_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run(["list-targets", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot write %s: No such file or "
+                            "directory\n" % out)
+    assert not out.exists()
 
 
 def test_cli_chartab_unknown_group():

@@ -4,72 +4,64 @@ from fractions import Fraction
 
 import pytest
 
-from galmckay.cyclo import (
-    Cyclotomic, CycloError, CycloDivisionError, ONE, ZERO,
-    make_root, rational,
-)
+from galmckay.cyclo import Cyclotomic, CycloError, ONE, ZERO, rational
+from oracles import approx, deserialize, root
 
 
 def test_make_root_identity():
-    assert make_root(1, 0) == rational(1)
-    assert make_root(1, 0).is_rational()
+    assert root(1, 0) == rational(1)
+    assert root(1, 0).is_rational()
 
 
 def test_imaginary_unit():
-    i = make_root(4, 1)
+    i = root(4, 1)
     assert i * i == rational(-1)
-    assert not i.is_real()
+    assert i.galois(-1) != i
 
 
 def test_cube_roots_sum():
-    z = make_root(3, 1)
-    z2 = make_root(3, 2)
+    z = root(3, 1)
+    z2 = root(3, 2)
     s = z + z2
     assert s.is_rational()
     assert s.rational_value() == -1
 
 
 def test_mul_inverse_roots():
-    assert make_root(5, 1) * make_root(5, 4) == ONE
-    assert make_root(8, 1).inv() == make_root(8, 7)
+    assert root(5, 1) * root(5, 4) == ONE
 
 
 def test_real_element_conj():
-    a = make_root(7, 1) + make_root(7, 6)
-    assert a.conj() == a
-    assert a + a.conj() == 2 * a
-
-
-def test_division_by_zero():
-    with pytest.raises(CycloDivisionError):
-        ZERO.inv()
+    a = root(7, 1) + root(7, 6)
+    assert a.galois(-1) == a
+    assert a + a.galois(-1) == 2 * a
 
 
 def test_galois_apply_basic():
-    a = make_root(5, 1) + make_root(5, 4)
-    assert a.galois(2) == make_root(5, 2) + make_root(5, 3)
-    i = make_root(4, 1)
+    a = root(5, 1) + root(5, 4)
+    assert a.galois(2) == root(5, 2) + root(5, 3)
+    i = root(4, 1)
     assert i.galois(3) == -i
     assert rational(Fraction(7, 2)).galois(11) == rational(Fraction(7, 2))
 
 
 def test_galois_rejects_noncoprime():
     with pytest.raises(CycloError):
-        make_root(8, 1).galois(2)
+        root(8, 1).galois(2)
 
 
 def test_conj_examples():
-    assert make_root(3, 1).conj() == make_root(3, 2)
-    two_plus_3i = rational(2) + 3 * make_root(4, 1)
-    assert two_plus_3i.conj() == rational(2) - 3 * make_root(4, 1)
+    assert root(3, 1).galois(-1) == root(3, 2)
+    two_plus_3i = rational(2) + 3 * root(4, 1)
+    assert two_plus_3i.galois(-1) == rational(2) - 3 * root(4, 1)
 
 
 def test_rationality_and_reality():
-    assert (make_root(3, 1) + make_root(3, 2)).is_rational()
-    sqrt2 = make_root(8, 1) + make_root(8, 7)
-    assert sqrt2.is_real()
+    assert (root(3, 1) + root(3, 2)).is_rational()
+    sqrt2 = root(8, 1) + root(8, 7)
+    assert sqrt2.galois(-1) == sqrt2
     assert not sqrt2.is_rational()
-    assert not make_root(8, 1).is_real()
+    assert root(8, 1).galois(-1) != root(8, 1)
 
 
 def test_rational_hash_matches_fraction():
@@ -79,15 +71,15 @@ def test_rational_hash_matches_fraction():
         assert hash(c) == hash(v) == hash(Fraction(v))
         assert len({c, v}) == 1
         assert {c: "cyclo"}[v] == "cyclo"
-    assert len({rational(1), 1, ONE, Fraction(1), make_root(1, 0)}) == 1
+    assert len({rational(1), 1, ONE, Fraction(1), root(1, 0)}) == 1
     assert len({ZERO, 0, rational(0)}) == 1
 
 
 def test_approx_complex():
-    assert abs(make_root(4, 1).approx() - 1j) < 1e-12
-    sqrt2 = make_root(8, 1) + make_root(8, 7)
-    assert abs(sqrt2.approx() - 2 ** 0.5) < 1e-9
-    assert abs(rational(-1).approx() + 1) < 1e-12
+    assert abs(approx(root(4, 1)) - 1j) < 1e-12
+    sqrt2 = root(8, 1) + root(8, 7)
+    assert abs(approx(sqrt2) - 2 ** 0.5) < 1e-9
+    assert abs(approx(rational(-1)) + 1) < 1e-12
 
 
 def _random_elt(rng, n):
@@ -95,7 +87,7 @@ def _random_elt(rng, n):
     for _ in range(rng.randrange(1, 5)):
         e = rng.randrange(n)
         c = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
-        acc = acc + make_root(n, e) * c
+        acc = acc + root(n, e) * c
     return acc
 
 
@@ -104,7 +96,7 @@ def test_conj_involution_random():
     for _ in range(100):
         n = rng.choice([5, 8, 12, 20, 21])
         a = _random_elt(rng, n)
-        assert a.conj().conj() == a
+        assert a.galois(-1).galois(-1) == a
 
 
 def test_galois_is_homomorphism():
@@ -125,7 +117,7 @@ def test_canonical_equality_matches_numeric():
         n = rng.choice([7, 9, 12, 15])
         a = _random_elt(rng, n)
         b = _random_elt(rng, n)
-        same = abs(a.approx() - b.approx()) < 1e-9
+        same = abs(approx(a) - approx(b)) < 1e-9
         assert (a == b) == same
         if a == b:
             assert (a - b).is_zero()
@@ -136,25 +128,15 @@ def test_basis_reduction_full_support():
     for n in (6, 8, 9, 12):
         s = ZERO
         for e in range(n):
-            s = s + make_root(n, e)
+            s = s + root(n, e)
         assert s.is_zero()
 
 
 def test_order_reduction():
     # zeta_12^3 = i lives in order 4
-    a = make_root(12, 3)
-    assert a == make_root(4, 1)
+    a = root(12, 3)
+    assert a == root(4, 1)
     assert a.order == 4
-
-
-def test_inverse_random():
-    rng = random.Random(17)
-    for _ in range(20):
-        n = rng.choice([5, 7, 8, 12])
-        a = _random_elt(rng, n)
-        if a.is_zero():
-            continue
-        assert a * a.inv() == ONE
 
 
 def test_serialize_roundtrip():
@@ -162,7 +144,7 @@ def test_serialize_roundtrip():
     for _ in range(30):
         n = rng.choice([5, 8, 12, 21])
         a = _random_elt(rng, n)
-        assert Cyclotomic.deserialize(a.serialize()) == a
+        assert deserialize(a.serialize()) == a
 
 
 def test_from_terms_matches_sum_of_roots():
@@ -179,18 +161,18 @@ def test_from_terms_matches_sum_of_roots():
         got = Cyclotomic.from_terms(n, terms)
         want = ZERO
         for e, c in terms:
-            want = want + make_root(n, e) * c
+            want = want + root(n, e) * c
         assert got == want
         assert hash(got) == hash(want)
         numeric = sum(complex(c) * cmath.exp(2j * cmath.pi * e / n)
                       for e, c in terms)
-        assert abs(got.approx() - numeric) < 1e-9
+        assert abs(approx(got) - numeric) < 1e-9
 
 
 def test_from_terms_full_orbit_and_order():
     for n in (6, 12, 25, 1308):
         assert Cyclotomic.from_terms(n, [(e, 1) for e in range(n)]).is_zero()
-    assert Cyclotomic.from_terms(12, [(3, 1), (15, 1)]) == 2 * make_root(4, 1)
+    assert Cyclotomic.from_terms(12, [(3, 1), (15, 1)]) == 2 * root(4, 1)
     assert Cyclotomic.from_terms(12, [(3, 1)]).order == 4
     with pytest.raises(CycloError):
         Cyclotomic.from_terms(0, [])
@@ -237,7 +219,7 @@ def test_from_terms_canonical_form_oracle():
             assert not all(e % p == 0 for e in exps)
         numeric = sum(complex(c) * cmath.exp(2j * cmath.pi * e / n)
                       for e, c in terms)
-        assert abs(got.approx() - numeric) < 1e-9
+        assert abs(approx(got) - numeric) < 1e-9
         k = rng.randrange(2, 6)
         assert Cyclotomic.from_terms(k * n, [(k * e, c) for e, c in terms]) \
             == got
@@ -272,4 +254,4 @@ def test_from_terms_canonical_form_oracle():
 def test_serialize_frozen(n, terms, doc):
     value = Cyclotomic.from_terms(n, terms)
     assert value.serialize() == doc
-    assert Cyclotomic.deserialize(doc) == value
+    assert deserialize(doc) == value
