@@ -371,7 +371,7 @@ class CharacterTable:
         return True
 
 
-def dixon_prime(exponent: int, order: int, skip=0, at_least=0) -> int:
+def dixon_prime(exponent: int, order: int, at_least=0) -> int:
     """Smallest prime = 1 mod exponent exceeding 2*sqrt(order).
 
     The prime must also exceed at_least.  The table solver passes the
@@ -381,12 +381,9 @@ def dixon_prime(exponent: int, order: int, skip=0, at_least=0) -> int:
     """
     bound = max(2 * isqrt(order) + 2, at_least)
     p0 = exponent + 1
-    found = 0
     while p0 < P0_SEARCH_CAP:
         if p0 > bound and isprime(p0):
-            if found == skip:
-                return p0
-            found += 1
+            return p0
         p0 += exponent
     raise ChartabError("no Dixon prime = 1 mod %d below %d"
                        % (exponent, P0_SEARCH_CAP))
@@ -403,17 +400,11 @@ def _class_matrix(G: FiniteGroup, i: int, reps):
     return M
 
 
-def dixon_schneider(G: FiniteGroup, p0: int = None) -> CharacterTable:
+def dixon_schneider(G: FiniteGroup) -> CharacterTable:
     classes = G.conjugacy_classes
     ncl = len(classes)
-    m = G.exponent
     n = G.order
-    if p0 is None:
-        p0 = dixon_prime(m, n, at_least=ncl)
-    else:
-        if (p0 % m != 1 or p0 <= 2 * isqrt(n) or p0 <= ncl
-                or not isprime(p0)):
-            raise ChartabError("invalid Dixon prime %d" % p0)
+    p0 = dixon_prime(G.exponent, n, at_least=ncl)
     reps = [cl.rep for cl in classes]
     rng = random.Random(12345)
 

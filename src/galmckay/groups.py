@@ -206,11 +206,11 @@ class ConjClass:
 class FiniteGroup:
     """Permutation group with cached enumeration and class data.
 
-    cap is the byte budget of a full enumeration (see enumeration_bytes);
-    None means ENUMERATION_BUDGET.
+    A full enumeration is refused when its byte estimate (see
+    enumeration_bytes) exceeds ENUMERATION_BUDGET, read at call time.
     """
 
-    def __init__(self, degree, generators, name="G", cap=None):
+    def __init__(self, degree, generators, name="G"):
         gens = []
         ident = identity_perm(degree)
         for g in generators:
@@ -222,7 +222,6 @@ class FiniteGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
-        self.cap = ENUMERATION_BUDGET if cap is None else cap
         self._order = None
         self._base = None
         self._elements = None
@@ -293,11 +292,11 @@ class FiniteGroup:
         if self._elements is not None:
             return
         need = enumeration_bytes(self.order, self.degree)
-        if need > self.cap:
+        if need > ENUMERATION_BUDGET:
             raise GroupTooLargeError(
                 "group of order %d on %d points needs about %d bytes to "
                 "enumerate (budget %d)"
-                % (self.order, self.degree, need, self.cap))
+                % (self.order, self.degree, need, ENUMERATION_BUDGET))
         base = self.base
         base_key = itemgetter(*base)
         ident = identity_perm(self.degree)
@@ -414,8 +413,7 @@ class FiniteGroup:
         for g in gens:
             if tuple(g) not in self:
                 raise GroupError("generator not in group")
-        return FiniteGroup(self.degree, gens, name or self.name + "-sub",
-                           cap=self.cap)
+        return FiniteGroup(self.degree, gens, name or self.name + "-sub")
 
     def sylow_subgroup(self, p: int) -> "FiniteGroup":
         if self.order % p:
@@ -472,7 +470,7 @@ class FiniteGroup:
                     if sch != ident:
                         stab.add(sch)
         N = FiniteGroup(self.degree, sorted(stab),
-                        name="N_%s" % (H.name,), cap=self.cap)
+                        name="N_%s" % (H.name,))
         assert self.order % (N.order or 1) == 0
         assert N.order * len(orbit) == self.order
         return N
@@ -527,7 +525,7 @@ def semidirect_product(G: FiniteGroup, r, k: int) -> FiniteGroup:
     if perm_pow(r, k) != identity_perm(G.degree):
         raise GroupError("realizer^k is not the identity")
     H = FiniteGroup(G.degree, list(G.generators) + [r],
-                    name=G.name + ".%d" % k, cap=G.cap)
+                    name=G.name + ".%d" % k)
     if H.order != k * G.order:
         raise GroupError("realizer lies in the group or has extra order "
                          "(got %d, want %d)" % (H.order, k * G.order))

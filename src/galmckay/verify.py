@@ -27,7 +27,7 @@ from .extend import (
     automorphism_row_perms, invariant_extension_exists, extension_product,
 )
 from .zoo import (
-    ZooError, FiniteField, suzuki_group, psl2_8, field_automorphism,
+    ZooError, suzuki_group, psl2_8, psl2_local_model, field_automorphism,
     torus_normalizer, torus_rows, torus_polynomials,
 )
 
@@ -395,28 +395,12 @@ def list_targets():
     return out
 
 
-def _psl2_local_model(p) -> FiniteGroup:
-    """Closed-form Sylow normalizer models for the degree-9 group."""
-    if p == 2:
-        # affine maps x -> ax + b over the field with 8 elements
-        F = FiniteField(2, 3)
-        add_one = tuple(F.add(x, 1) for x in range(8))
-        mul_gen = tuple(F.mul(x, F.generator()) for x in range(8))
-        return FiniteGroup(8, [add_one, mul_gen], name="AGL(1,8)")
-    if p in (3, 7):
-        n = 9 if p == 3 else 7
-        rot = tuple((i + 1) % n for i in range(n))
-        refl = tuple((-i) % n for i in range(n))
-        return FiniteGroup(n, [rot, refl], name="D%d" % (2 * n))
-    raise VerifyError("no local model for p=%d" % p)
-
-
 def local_model_group(family, f, p) -> FiniteGroup:
     """The target's constructed Sylow normalizer model."""
     if family in ("2B2", "2G2", "2F4"):
         return torus_normalizer(family, f, p).group
     if family == "PSL2" and f == 1:
-        return _psl2_local_model(p)
+        return psl2_local_model(p)
     raise VerifyError("no local model for %s f=%d p=%d" % (family, f, p))
 
 

@@ -37,14 +37,11 @@ class FiniteField:
     """GF(p^k) with elements encoded as integers 0 .. p^k - 1 (base-p digits)."""
 
     def __init__(self, p, k):
-        if (p, k) not in _MODULI and k != 1:
+        if (p, k) not in _MODULI:
             raise ZooError("no modulus on file for GF(%d^%d)" % (p, k))
         self.p = p
         self.k = k
         self.q = p ** k
-        self._mul = None
-        if k == 1:
-            return
         mod = _MODULI[(p, k)]
         q = self.q
         mul = [[0] * q for _ in range(q)]
@@ -81,19 +78,13 @@ class FiniteField:
         return v
 
     def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
         da, db = self._digits(a), self._digits(b)
         return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
         return self._undigits([(-x) % self.p for x in self._digits(a)])
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
         return self._mul[a][b]
 
     def pow(self, a, n):
@@ -213,12 +204,6 @@ def psl2_8() -> FiniteGroup:
     q = 8
     INF = q  # points 0..7 are field elements, 8 is infinity
 
-    def moebius_perm(fn):
-        perm = [0] * (q + 1)
-        for i in range(q + 1):
-            perm[i] = fn(i)
-        return tuple(perm)
-
     def shift(i):
         return INF if i == INF else F.add(i, 1)
 
@@ -234,7 +219,7 @@ def psl2_8() -> FiniteGroup:
             return INF
         return F.inv(i)
 
-    gens = [moebius_perm(shift), moebius_perm(scale), moebius_perm(invert)]
+    gens = [tuple(map(fn, range(q + 1))) for fn in (shift, scale, invert)]
     G = FiniteGroup(q + 1, gens, name="PSL2(8)")
     if G.order != 504:
         raise ZooError("PSL2(8) construction has order %d" % G.order)
@@ -255,6 +240,19 @@ def agl18_normalizer() -> FiniteGroup:
         raise ZooError("affine normalizer has order %d" % G.order)
     G.frobenius_perm = frob
     return G
+
+
+def psl2_local_model(p) -> FiniteGroup:
+    """Sylow p-normalizer models of PSL2(8): AGL(1,8) for p = 2, and the
+    dihedral groups C9 x| C2 and C7 x| C2 for p = 3 and 7."""
+    if p == 2:
+        # x -> x + 1 and x -> lambda*x, without the Frobenius map
+        return FiniteGroup(8, agl18_normalizer().generators[:2],
+                           name="AGL(1,8)")
+    if p in (3, 7):
+        row, n = ("q+1", 9) if p == 3 else ("q-1", 7)
+        return _affine_model("PSL2", 1, row, "C2", (n,), [((-1,),)], 2).group
+    raise ZooError("no local model for p=%d" % p)
 
 
 # -- unitary and linear groups ---------------------------------------------
@@ -415,7 +413,7 @@ class TorusNormalizerSpec:
 
     def torus_subgroup(self) -> FiniteGroup:
         return FiniteGroup(self.group.degree, self.torus_gens,
-                           name="T-" + self.row, cap=self.group.cap)
+                           name="T-" + self.row)
 
     def __repr__(self):
         return "TorusNormalizerSpec(%s f=%d row=%s T=%s W=%s)" % (
@@ -423,57 +421,38 @@ class TorusNormalizerSpec:
             self.complement_tag)
 
 
-def _cyclic_model(n, mult, k, family, f, row, tag):
-    """C_n x| C_k with the complement acting by x -> mult*x."""
-    mult %= n
-    if gcd(mult, n) != 1:
-        raise ZooError("multiplier %d not invertible mod %d" % (mult, n))
-    o = 1
-    m = mult
-    while m != 1:
-        m = (m * mult) % n
-        o += 1
-    if o != k:
-        raise ZooError("number-theoretic inconsistency: multiplier %d has "
-                       "order %d mod %d, need %d" % (mult, o, n, k))
-    t = tuple((i + 1) % n for i in range(n))
-    w = tuple((mult * i) % n for i in range(n))
-    G = FiniteGroup(n, [t, w], name="%s-%s" % (family, row))
-    if G.order != n * k:
-        raise ZooError("cyclic model has order %d, want %d"
-                       % (G.order, n * k))
-    return TorusNormalizerSpec(family, f, row, [n], tag, G, [t], [w])
+def _affine_perm(moduli, M, shift):
+    """The permutation v -> M*v + shift of Z_n1 x ... x Z_nr (moduli),
+    row i of M and shift[i] read mod n_i, with the points numbered in
+    mixed radix, last coordinate fastest."""
+    index = [0] * prod(moduli)
+    for row, s, n in zip(M, shift, moduli):
+        # this coordinate of the image of every point, in point order
+        col = [s]
+        for m, k in zip(row, moduli):
+            col = [c + m * x for c in col for x in range(k)]
+        index = [i * n + c % n for i, c in zip(index, col)]
+    return tuple(index)
 
 
-def _mat2_perm(M, d):
-    """The permutation of Z_d^2, point (x, y) numbered x*d + y, by which the
-    2x2 matrix M mod d acts on column vectors."""
-    (a, b), (c, e) = M
-    return tuple((a * x + b * y) % d * d + (c * x + e * y) % d
-                 for x in range(d) for y in range(d))
-
-
-def _matrix_complement_model(d, mats, want_order, family, f, row, tag):
-    """(Z_d)^2 x| W with W given by 2x2 matrices mod d."""
-    npts = d * d
-
-    def pt(x, y):
-        return x * d + y
-
-    t1 = tuple(pt((x + 1) % d, y) for x in range(d) for y in range(d))
-    t2 = tuple(pt(x, (y + 1) % d) for x in range(d) for y in range(d))
-    wgens = [_mat2_perm(M, d) for M in mats]
+def _affine_model(family, f, row, tag, moduli, wmats, w_order):
+    """T x| W on the points of T = Z_n1 x ... x Z_nr (moduli), generated
+    by the unit translations of T and the integer matrices wmats of W;
+    W must have order w_order."""
+    r = len(moduli)
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    tgens = [_affine_perm(moduli, unit, e) for e in unit]
+    wgens = [_affine_perm(moduli, M, (0,) * r) for M in wmats]
+    npts = prod(moduli)
     W = FiniteGroup(npts, wgens, name="W")
-    if W.order != want_order:
+    if W.order != w_order:
         raise ZooError("complement for row %s has order %d, want %d"
-                       % (row, W.order, want_order))
-    G = FiniteGroup(npts, [t1, t2] + wgens,
-                    name="%s-%s" % (family, row))
-    if G.order != npts * want_order:
+                       % (row, W.order, w_order))
+    G = FiniteGroup(npts, tgens + wgens, name="%s-%s" % (family, row))
+    if G.order != npts * w_order:
         raise ZooError("torus normalizer for row %s has order %d, want %d"
-                       % (row, G.order, npts * want_order))
-    return TorusNormalizerSpec(family, f, row, [d, d], tag, G,
-                               [t1, t2], wgens)
+                       % (row, G.order, npts * w_order))
+    return TorusNormalizerSpec(family, f, row, moduli, tag, G, tgens, wgens)
 
 
 def _sqrt_mod(a, d):
@@ -510,15 +489,18 @@ def _gl23_mats(d):
     units = [((a, b), (c, e))
              for a, b, c, e in itertools.product(range(d), repeat=4)
              if gcd((a * e - b * c) % d, d) == 1]
-    order = {A: perm_order(_mat2_perm(A, d)) for A in units}
-    e8 = [A for A in units if order[A] == 8]
-    if not e8:
+
+    def perm(M):
+        return _affine_perm((d, d), M, (0, 0))
+
+    A = next((A for A in units if perm_order(perm(A)) == 8), None)
+    if A is None:
         raise ZooError("no order-8 element in GL2(Z_%d)" % d)
-    A = e8[0]
     for B in units:
-        if order[B] != 3:
+        pb = perm(B)
+        if perm_order(pb) != 3:
             continue
-        X = FiniteGroup(d * d, [_mat2_perm(A, d), _mat2_perm(B, d)])
+        X = FiniteGroup(d * d, [perm(A), pb])
         if X.order == 48 and tuple(sorted(
                 map(perm_order, X.elements))) == _GL23_ORDERS:
             return [A, B]
@@ -574,113 +556,63 @@ def torus_polynomials(f):
 
 
 def torus_rows(family: str, f: int):
-    """Row label -> (torus orders, complement tag, builder thunk)."""
-    if family in ("2B2", "2F4"):
-        t = torus_polynomials(f)
-        q2 = t["T1"] + 1
-    if family == "2B2":
-        return {
-            "q2-1": ([t["T1"]], "C2",
-                     lambda: _cyclic_model(t["T1"], -1, 2, family, f,
-                                           "q2-1", "C2")),
-            "q2+r+1": ([t["T2+"]], "C4",
-                       lambda: _cyclic_model(t["T2+"], q2, 4, family, f,
-                                             "q2+r+1", "C4")),
-            "q2-r+1": ([t["T2-"]], "C4",
-                       lambda: _cyclic_model(t["T2-"], q2, 4, family, f,
-                                             "q2-r+1", "C4")),
-        }
-    if family == "2G2":
-        q2, r = 3 ** (2 * f + 1), 3 ** (f + 1)
-        half = (q2 + 1) // 2
-        return {
-            "q2-1": ([q2 - 1], "C2",
-                     lambda: _cyclic_model(q2 - 1, -1, 2, family, f,
-                                           "q2-1", "C2")),
-            "q2+r+1": ([q2 + r + 1], "C6",
-                       lambda: _cyclic_model(q2 + r + 1, q2, 6, family, f,
-                                             "q2+r+1", "C6")),
-            "q2-r+1": ([q2 - r + 1], "C6",
-                       lambda: _cyclic_model(q2 - r + 1, q2, 6, family, f,
-                                             "q2-r+1", "C6")),
-            "(q2+1)/2x2": ([half, 2], "C6",
-                           lambda: _ree_half_model(half, family, f)),
-        }
+    """Row label -> (torus orders, complement tag, builder thunk).
+
+    A cyclic row (n, multiplier, k) is C_n x| C_k, the complement acting
+    by x -> multiplier*x; a square row (d, matrix search, |W|, tag) is
+    (Z_d)^2 x| W, W generated by the 2x2 matrices the search returns.
+    """
+    if family not in ("2B2", "2G2", "2F4"):
+        raise ZooError("unknown family %r" % family)
+    p = 3 if family == "2G2" else 2
+    q2, r = p ** (2 * f + 1), p ** (f + 1)
     if family == "2F4":
-        t1, t2p, t2m = t["T1"], t["T2+"], t["T2-"]
-        return {
-            "(q2-1)^2": ([t1, t1], "D16",
-                         lambda: _matrix_complement_model(
-                             t1, _d16_mats(t1), 16, family, f,
-                             "(q2-1)^2", "D16")),
-            "(q2+1)^2": ([q2 + 1, q2 + 1], "GL2(3)",
-                         lambda: _matrix_complement_model(
-                             q2 + 1, _gl23_mats(q2 + 1), 48, family, f,
-                             "(q2+1)^2", "GL2(3)")),
-            "(q2+r+1)^2": ([t2p] * 2, "ST8",
-                           lambda: _matrix_complement_model(
-                               t2p, _st8_mats(t2p), 96,
-                               family, f, "(q2+r+1)^2", "ST8")),
-            "(q2-r+1)^2": ([t2m] * 2, "ST8",
-                           lambda: _matrix_complement_model(
-                               t2m, _st8_mats(t2m), 96,
-                               family, f, "(q2-r+1)^2", "ST8")),
-            "q4-q2+1": ([t["T3"]], "C6",
-                        lambda: _cyclic_model(t["T3"], q2, 6, family, f,
-                                              "q4-q2+1", "C6")),
-            "t4+": ([t["T4+"]], "C12",
-                    lambda: _cyclic_model(t["T4+"], q2, 12, family, f,
-                                          "t4+", "C12")),
-            "t4-": ([t["T4-"]], "C12",
-                    lambda: _cyclic_model(t["T4-"], q2, 12, family, f,
-                                          "t4-", "C12")),
-        }
-    raise ZooError("unknown family %r" % family)
+        t = torus_polynomials(f)
+        square = {"(q2-1)^2": (q2 - 1, _d16_mats, 16, "D16"),
+                  "(q2+1)^2": (q2 + 1, _gl23_mats, 48, "GL2(3)"),
+                  "(q2+r+1)^2": (q2 + r + 1, _st8_mats, 96, "ST8"),
+                  "(q2-r+1)^2": (q2 - r + 1, _st8_mats, 96, "ST8")}
+        cyclic = {"q4-q2+1": (t["T3"], q2, 6), "t4+": (t["T4+"], q2, 12),
+                  "t4-": (t["T4-"], q2, 12)}
+    else:
+        w = 4 if family == "2B2" else 6
+        square = {}
+        cyclic = {"q2-1": (q2 - 1, -1, 2), "q2+r+1": (q2 + r + 1, q2, w),
+                  "q2-r+1": (q2 - r + 1, q2, w)}
+    rows = {label: _square_row(family, f, label, *row)
+            for label, row in square.items()}
+    for label, (n, mult, k) in cyclic.items():
+        rows[label] = ([n], "C%d" % k, functools.partial(
+            _affine_model, family, f, label, "C%d" % k, (n,), [((mult,),)], k))
+    if family == "2G2":
+        half = (q2 + 1) // 2
+        rows["(q2+1)/2x2"] = ([half, 2], "C6", lambda: _affine_model(
+            family, f, "(q2+1)/2x2", "C6", *_ree_half_model(half), 6))
+    return rows
 
 
-def _ree_half_model(half, family, f):
-    """(C_half x C2) x| C6 with T = C2 x C2 x C_odd.
+def _square_row(family, f, label, d, search, w_order, tag):
+    return [d, d], tag, lambda: _affine_model(family, f, label, tag, (d, d),
+                                              search(d), w_order)
 
-    half is even with odd part m; the C3 part of C6 cycles the three
-    involutions of the 2-torsion C2 x C2 and acts by an order-3 multiplier
-    on C_m, the C2 part inverts C_m.
+
+def _ree_half_model(half):
+    """Moduli (2, 2, m) and complement matrices of (C_half x C2) x| C6,
+    with T = C2 x C2 x C_m for the odd part m of the even half.
+
+    The order-3 matrix cycles the three involutions of C2 x C2 and acts
+    by an order-3 multiplier on C_m; the involution inverts C_m.
     """
     if half % 2:
         raise ZooError("expected even torus half-order, got %d" % half)
     m = half // 2
-    mult3 = None
-    for c in range(2, m):
-        if gcd(c, m) == 1 and (c ** 3) % m == 1 and c != 1:
-            mult3 = c
-            break
+    mult3 = next((c for c in range(2, m) if pow(c, 3, m) == 1), None)
     if mult3 is None:
         raise ZooError("number-theoretic inconsistency: no order-3 "
                        "multiplier mod %d" % m)
-    # points: (a, b, x) with a, b in Z2, x in Z_m
-    npts = 4 * m
-
-    def pt(a, b, x):
-        return (a * 2 + b) * m + x
-
-    ga = tuple(pt(1 - a, b, x) for a in range(2) for b in range(2)
-               for x in range(m))
-    gb = tuple(pt(a, 1 - b, x) for a in range(2) for b in range(2)
-               for x in range(m))
-    gx = tuple(pt(a, b, (x + 1) % m) for a in range(2) for b in range(2)
-               for x in range(m))
-    # order 3: (a,b) -> (b, a+b) mod 2, x -> mult3 * x
-    w3 = tuple(pt(b, (a + b) % 2, (mult3 * x) % m)
-               for a in range(2) for b in range(2) for x in range(m))
-    # order 2: invert the odd part
-    w2 = tuple(pt(a, b, (-x) % m) for a in range(2) for b in range(2)
-               for x in range(m))
-    G = FiniteGroup(npts, [ga, gb, gx, w3, w2],
-                    name="%s-(q2+1)/2x2" % family)
-    if G.order != npts * 6:
-        raise ZooError("Ree half model has order %d, want %d"
-                       % (G.order, npts * 6))
-    return TorusNormalizerSpec(family, f, "(q2+1)/2x2", [2, 2, m], "C6",
-                               G, [ga, gb, gx], [w3, w2])
+    w3 = ((0, 1, 0), (1, 1, 0), (0, 0, mult3))
+    w2 = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    return (2, 2, m), [w3, w2]
 
 
 def torus_normalizer(family: str, f: int, p: int) -> TorusNormalizerSpec:

@@ -93,13 +93,16 @@ def test_second_orthogonality():
         assert s == rational(G.order // cl.size)
 
 
-def test_dixon_prime_independence():
+def test_dixon_prime_independence(monkeypatch):
+    from galmckay import chartab
+
     G = dihedral(6)
-    p1 = dixon_prime(G.exponent, G.order)
-    p2 = dixon_prime(G.exponent, G.order, skip=1)
+    p1 = dixon_prime(G.exponent, G.order, at_least=len(G.conjugacy_classes))
+    p2 = dixon_prime(G.exponent, G.order, at_least=p1)
     assert p1 != p2
-    t1 = dixon_schneider(G, p0=p1)
-    t2 = dixon_schneider(G, p0=p2)
+    t1 = dixon_schneider(G)
+    monkeypatch.setattr(chartab, "dixon_prime", lambda *args, **kw: p2)
+    t2 = dixon_schneider(G)
     assert [r.values for r in t1.rows] == [r.values for r in t2.rows]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from math import prod
 
 import pytest
@@ -233,3 +234,24 @@ def test_torus_normalizer_rejects_prime_of_several_rows(family, f, p, rows):
         torus_normalizer(family, f, p)
     assert "several rows" in str(err.value)
     assert str(err.value).endswith(": " + ", ".join(rows))
+
+
+@pytest.mark.parametrize("family,f,digest", [
+    ("2B2", 1,
+     "19a19580eb7c79c5dbb152fbe07db25898ea658026e08f96aa806803c86dc5d1"),
+    ("2B2", 2,
+     "aaf88fd9c766ecd0fea89e5cfd9c4461642b38b0e9994e6f22280e9ec84fcc7b"),
+    ("2G2", 1,
+     "a137cac17dbf2d9890b17d6b30db6f85e195e90caf0584a400e7679f0bdf79b0"),
+    ("2F4", 1,
+     "8c552129f62f031249cc4b08eeab588ad6504e32ac883bfc78716d4baf50104e"),
+])
+def test_torus_models_pinned(family, f, digest):
+    # every row's labels, orders and generators, in row order; the digests
+    # do not depend on PYTHONHASHSEED
+    models = repr([
+        (label, tuple(orders), tag, tuple(s.torus_orders),
+         s.group.generators, s.torus_gens, s.complement_gens)
+        for label, (orders, tag, b) in torus_rows(family, f).items()
+        for s in [b()]])
+    assert hashlib.sha256(models.encode()).hexdigest() == digest
