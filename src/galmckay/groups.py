@@ -13,6 +13,11 @@ arbitrary permutation compares the whole permutation with the element
 its key names.  Conjugacy classes, power maps, Sylow subgroups and
 normalizers are computed here on a full element enumeration, which is
 refused when its estimated memory exceeds a byte budget.
+
+A semidirect product G ⋊ <r> with r of order k is never enumerated: it
+is held as the k cosets G r^j of the enumerated G, an element as its
+coset and its index in G.  Its classes, class matrices and lookups are
+base-key lookups in G's index, so the byte budget bounds G alone.
 """
 
 from __future__ import annotations
@@ -132,8 +137,9 @@ def _close_orbit(orbit, gens):
                 queue.append(y)
 
 
-def _extend_chain(chain, g, ident):
-    """Make chain a complete stabilizer chain of <chain, g>.
+def _extend_chain(chain, g, ident) -> bool:
+    """Make chain a complete stabilizer chain of <chain, g>; False if g
+    already sifts through it, so that the chain is unchanged.
 
     Levels after i are complete: their Schreier generators sift to the
     identity.  A generator that does not gives a new strong generator,
@@ -141,7 +147,7 @@ def _extend_chain(chain, g, ident):
     """
     h, j = _sift(chain, g)
     if h == ident:
-        return
+        return False
     _add_strong(chain, h, j, 0)
     i = j
     while i >= 0:
@@ -152,6 +158,7 @@ def _extend_chain(chain, g, ident):
             h, j = found
             _add_strong(chain, h, j, i + 1)
             i = j
+    return True
 
 
 def _sifted_schreier_generator(chain, i, ident):
@@ -188,7 +195,7 @@ def _add_strong(chain, h, j, start):
         _close_orbit(orbit, gens)
 
 
-# -- conjugacy class record ------------------------------------------------
+# -- conjugacy classes ------------------------------------------------------
 
 class ConjClass:
     __slots__ = ("rep", "size", "element_order", "indices")
@@ -203,7 +210,83 @@ class ConjClass:
         return "ConjClass(order=%d, size=%d)" % (self.element_order, self.size)
 
 
-class FiniteGroup:
+def _lookup_orbits(elements, index, maps) -> list:
+    """Orbits on the indices of an enumerated group under maps m -> g^-1 m h.
+
+    Each map is a pair (h, pre) with pre the itemgetter of the base key of
+    g^-1: the base image at b of g^-1 m h is h[m[g^-1[b]]], so an image
+    costs one lookup in index.  Each orbit is a sorted list.
+    """
+    seen = [False] * len(elements)
+    orbits = []
+    for start in range(len(elements)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for xi in orbit:
+            x = elements[xi]
+            for h, pre in maps:
+                yi = index[itemgetter(*pre(x))(h)]
+                if not seen[yi]:
+                    seen[yi] = True
+                    orbit.append(yi)
+        orbit.sort()
+        orbits.append(orbit)
+    return orbits
+
+
+def _ordered_classes(orbits, element, n) -> tuple:
+    """(classes, class_of) from sorted orbits of element indices below n.
+
+    Classes are ordered by element order, size and least index, and the
+    element at the least index is the representative; element(i) is the
+    permutation at index i.
+    """
+    keyed = []
+    for orbit in orbits:
+        rep = element(orbit[0])
+        keyed.append((perm_order(rep), len(orbit), orbit[0], rep, orbit))
+    keyed.sort(key=itemgetter(0, 1, 2))
+    classes = []
+    class_of = [-1] * n
+    for cid, (eo, size, _, rep, orbit) in enumerate(keyed):
+        classes.append(ConjClass(rep, size, eo, tuple(orbit)))
+        for i in orbit:
+            class_of[i] = cid
+    return classes, class_of
+
+
+class _Classes:
+    """Class lookups shared by FiniteGroup and SemidirectProduct.  Both
+    number their elements; index_of gives the number of an element and
+    _compute_classes sets _classes and _class_of, the class of each
+    number."""
+
+    @property
+    def conjugacy_classes(self) -> list:
+        self._compute_classes()
+        return self._classes
+
+    def class_of_element(self, p) -> int:
+        """Class index of p; KeyError if p is not in the group."""
+        self._compute_classes()
+        return self._class_of[self.index_of(p)]
+
+    def power_map(self, c: int, k: int) -> int:
+        """Class index of g^k for g in class c."""
+        rep = self.conjugacy_classes[c].rep
+        return self.class_of_element(perm_pow(rep, k))
+
+    @property
+    def exponent(self) -> int:
+        m = 1
+        for cl in self.conjugacy_classes:
+            m = lcm(m, cl.element_order)
+        return m
+
+
+class FiniteGroup(_Classes):
     """Permutation group with cached enumeration and class data.
 
     A full enumeration is refused when its byte estimate (see
@@ -336,76 +419,24 @@ class FiniteGroup:
         if self._classes is not None:
             return
         self._enumerate()
-        elements = self._elements
-        index = self._index
-        n = len(elements)
         # conjugation by g: see conjugate_indices
         base_key = itemgetter(*self._base)
-        gen_pairs = [(g, itemgetter(*base_key(inverse(g))))
-                     for g in self.generators]
-        class_of = [-1] * n
-        raw = []
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            cid = len(raw)
-            class_of[start] = cid
-            orbit = [start]
-            for xi in orbit:
-                x = elements[xi]
-                for g, pre in gen_pairs:
-                    yi = index[itemgetter(*pre(x))(g)]
-                    if class_of[yi] < 0:
-                        class_of[yi] = cid
-                        orbit.append(yi)
-            orbit.sort()
-            raw.append(orbit)
-        # deterministic ordering: element order, class size, minimal index
-        keyed = []
-        for orbit in raw:
-            rep = elements[orbit[0]]
-            keyed.append((perm_order(rep), len(orbit), orbit[0], orbit))
-        keyed.sort(key=lambda t: t[:3])
-        classes = []
-        new_class_of = [-1] * n
-        for cid, (eo, size, mi, orbit) in enumerate(keyed):
-            classes.append(ConjClass(elements[mi], size, eo, tuple(orbit)))
-            for i in orbit:
-                new_class_of[i] = cid
-        self._classes = classes
-        self._class_of = new_class_of
+        maps = [(g, itemgetter(*base_key(inverse(g))))
+                for g in self.generators]
+        orbits = _lookup_orbits(self._elements, self._index, maps)
+        self._classes, self._class_of = _ordered_classes(
+            orbits, self._elements.__getitem__, len(self._elements))
 
-    @property
-    def conjugacy_classes(self) -> list:
-        self._compute_classes()
-        return self._classes
-
-    def class_of_element(self, p) -> int:
-        """Class index of p; KeyError if p is not in the group."""
-        self._compute_classes()
-        return self._class_of[self.index_of(p)]
-
-    def quotient_classes(self, x, zs) -> list:
-        """Class indices of x^-1 z for z in zs (x and each z in G).
+    def quotient_classes(self, xi: int) -> list:
+        """Class indices of x^-1 z over the class representatives z, for
+        the element x at index xi.
 
         The base image of x^-1 z at b is z[x^-1[b]].
         """
         self._compute_classes()
-        key_of = itemgetter(*map(x.index, self._base))
+        key_of = itemgetter(*map(self._elements[xi].index, self._base))
         index, class_of = self._index, self._class_of
-        return [class_of[index[key_of(z)]] for z in zs]
-
-    def power_map(self, c: int, k: int) -> int:
-        """Class index of g^k for g in class c."""
-        rep = self.conjugacy_classes[c].rep
-        return self.class_of_element(perm_pow(rep, k))
-
-    @property
-    def exponent(self) -> int:
-        m = 1
-        for cl in self.conjugacy_classes:
-            m = lcm(m, cl.element_order)
-        return m
+        return [class_of[index[key_of(cl.rep)]] for cl in self._classes]
 
     # -- subgroups ---------------------------------------------------------
 
@@ -446,7 +477,9 @@ class FiniteGroup:
 
     def normalizer(self, H: "FiniteGroup") -> "FiniteGroup":
         """N_G(H) for H <= G via orbit-stabilizer on the conjugates of H,
-        each held as the set of its element indices in G."""
+        each held as the set of its element indices in G.  A Schreier
+        generator is kept, in sorted order, only if it is not in the
+        group the ones kept before it generate."""
         if H.degree != self.degree:
             raise GroupError("degree mismatch")
         if any(h not in self for h in H.generators):
@@ -469,8 +502,9 @@ class FiniteGroup:
                     sch = compose(compose(t, g), inverse(u))
                     if sch != ident:
                         stab.add(sch)
-        N = FiniteGroup(self.degree, sorted(stab),
-                        name="N_%s" % (H.name,))
+        chain = []
+        gens = [s for s in sorted(stab) if _extend_chain(chain, s, ident)]
+        N = FiniteGroup(self.degree, gens, name="N_%s" % (H.name,))
         assert self.order % (N.order or 1) == 0
         assert N.order * len(orbit) == self.order
         return N
@@ -515,7 +549,7 @@ def induced_class_permutation(G: FiniteGroup, r) -> tuple:
 
 # -- semidirect products ---------------------------------------------------
 
-def semidirect_product(G: FiniteGroup, r, k: int) -> FiniteGroup:
+def semidirect_product(G: FiniteGroup, r, k: int) -> "SemidirectProduct":
     """G ⋊ <r> for a realizer r of order k with <r> meeting G trivially,
     on the points of G: G is a subgroup and conjugation by r induces the
     defining automorphism."""
@@ -524,9 +558,112 @@ def semidirect_product(G: FiniteGroup, r, k: int) -> FiniteGroup:
     r = check_realizer(G, r)
     if perm_pow(r, k) != identity_perm(G.degree):
         raise GroupError("realizer^k is not the identity")
-    H = FiniteGroup(G.degree, list(G.generators) + [r],
-                    name=G.name + ".%d" % k)
-    if H.order != k * G.order:
-        raise GroupError("realizer lies in the group or has extra order "
-                         "(got %d, want %d)" % (H.order, k * G.order))
-    return H
+    for j in range(1, k):
+        if perm_pow(r, j) in G:
+            raise GroupError("realizer lies in the group or has extra order "
+                             "(r^%d is in %s)" % (j, G.name))
+    return SemidirectProduct(G, r, k)
+
+
+class SemidirectProduct(_Classes):
+    """G ⋊ <r> as the cosets G r^j, 0 <= j < k, of the enumerated group G.
+
+    The element m r^j has index j*|G| + G.index_of(m); an element is
+    composed only when it is asked for.  Conjugation keeps each coset:
+    for g in G, g^-1 (m r^j) g = g^-1 m (r^j g r^-j) r^j, and
+    r^-1 (m r^j) r = (r^-1 m r) r^j, so the classes in coset j are orbits
+    of maps m -> g^-1 m h on G's element indices (see _lookup_orbits).
+    In coset 0 they are the r-orbits of G's classes.  Classes are ordered
+    as FiniteGroup orders them.
+    """
+
+    def __init__(self, G: FiniteGroup, r: tuple, k: int):
+        self.degree = G.degree
+        self.generators = G.generators + ((r,) if k > 1 else ())
+        self.name = G.name + ".%d" % k
+        self.order = k * G.order
+        self._G = G
+        self._r = r
+        self._k = k
+        self._rpow = [perm_pow(r, j) for j in range(k)]
+        self._rinv = [inverse(p) for p in self._rpow]
+        # r^-a applied to G's base, for quotient_classes
+        self._base_pre = [itemgetter(*G.base)(w) for w in self._rinv]
+        self._classes = None
+        self._class_of = None
+        self._shifted = None
+
+    def _element(self, i: int) -> tuple:
+        j, mi = divmod(i, self._G.order)
+        return compose(self._G.elements[mi], self._rpow[j])
+
+    def index_of(self, p) -> int:
+        """Index of p: the coset j with p r^-j in G; KeyError if none."""
+        p = tuple(p)
+        G = self._G
+        if is_perm(p, self.degree):
+            for j, w in enumerate(self._rinv):
+                try:
+                    return j * G.order + G.index_of(compose(p, w))
+                except KeyError:
+                    pass
+        raise KeyError(p)
+
+    def __contains__(self, p) -> bool:
+        try:
+            self.index_of(p)
+        except KeyError:
+            return False
+        return True
+
+    def _compute_classes(self):
+        if self._classes is not None:
+            return
+        G, r, k, n = self._G, self._r, self._k, self._G.order
+        # coset 0: unions of the G-classes in one orbit of r
+        cperm = induced_class_permutation(G, r)
+        done = [False] * len(cperm)
+        orbits = []
+        for c in range(len(cperm)):
+            merged = []
+            while not done[c]:
+                done[c] = True
+                merged += G.conjugacy_classes[c].indices
+                c = cperm[c]
+            if merged:
+                orbits.append(sorted(merged))
+        # coset j > 0: conjugation by each generator of G and by r
+        base_key = itemgetter(*G.base)
+        pres = [itemgetter(*base_key(inverse(g))) for g in G.generators]
+        r_map = (r, itemgetter(*base_key(inverse(r))))
+        for j in range(1, k):
+            maps = [(conjugate(g, self._rinv[j]), pre)
+                    for g, pre in zip(G.generators, pres)] + [r_map]
+            for orbit in _lookup_orbits(G.elements, G._index, maps):
+                orbits.append([j * n + i for i in orbit])
+        self._classes, self._class_of = _ordered_classes(
+            orbits, self._element, self.order)
+        # for x in coset a and a representative z in coset b, x^-1 z lies
+        # in coset c = b - a: z r^-c and the index offset of coset c
+        self._shifted = []
+        for a in range(k):
+            row = []
+            for cl in self._classes:
+                c = (cl.indices[0] // n - a) % k
+                row.append((compose(cl.rep, self._rinv[c]), c * n))
+            self._shifted.append(row)
+
+    def quotient_classes(self, xi: int) -> list:
+        """Class indices of x^-1 z over the class representatives z, for
+        the element x = m r^a at index xi.
+
+        The base image at b of the G-part x^-1 z r^-c is (z r^-c)[x^-1[b]],
+        with x^-1[b] = m^-1[r^-a[b]].
+        """
+        self._compute_classes()
+        a, mi = divmod(xi, self._G.order)
+        key_of = itemgetter(*map(self._G.elements[mi].index,
+                                 self._base_pre[a]))
+        index, class_of = self._G._index, self._class_of
+        return [class_of[off + index[key_of(z)]]
+                for z, off in self._shifted[a]]

@@ -13,7 +13,9 @@ from galmckay.cyclo import Cyclotomic
 from galmckay.galois import (
     GaloisElement, _check_modulus, power_class_permutation,
 )
-from galmckay.groups import FiniteGroup
+from galmckay.groups import (
+    FiniteGroup, GroupError, check_realizer, identity_perm, perm_pow,
+)
 from galmckay.verify import VerifyError
 
 
@@ -67,6 +69,22 @@ def symmetric_group(n: int) -> FiniteGroup:
     cyc = tuple(list(range(1, n)) + [0])
     tr = tuple([1, 0] + list(range(2, n)))
     return FiniteGroup(n, [cyc, tr], name="S%d" % n)
+
+
+def semidirect_product_by_enumeration(G: FiniteGroup, r, k: int) -> FiniteGroup:
+    """G ⋊ <r> as the permutation group generated by G and r, enumerated
+    whole: the generic path groups.semidirect_product replaced."""
+    if k < 1:
+        raise GroupError("k must be positive")
+    r = check_realizer(G, r)
+    if perm_pow(r, k) != identity_perm(G.degree):
+        raise GroupError("realizer^k is not the identity")
+    H = FiniteGroup(G.degree, list(G.generators) + [r],
+                    name=G.name + ".%d" % k)
+    if H.order != k * G.order:
+        raise GroupError("realizer lies in the group or has extra order "
+                         "(got %d, want %d)" % (H.order, k * G.order))
+    return H
 
 
 # -- Galois action -------------------------------------------------------------

@@ -166,6 +166,102 @@ def test_semidirect_with_realizer():
         semidirect_product(c3, (1, 2, 0), 3)
 
 
+# -- the coset product against the enumerated product -------------------------
+
+def product_cases():
+    """(G, r, k, product) for small products, PSL(2,8) x| C3, the local
+    products of the full targets and Sz(8) x| C3; the last ones are the
+    products verify builds.  The small ones come first, so that a broken
+    product fails on them before verify builds its tables."""
+    from galmckay.verify import global_side, list_targets, local_side
+
+    c3 = FiniteGroup(3, [(1, 2, 0)], name="C3")
+    # Dic3 = C3 x| C4 with r^2 centralizing C3: in the coset C3 r^2 the
+    # classes of C3 fuse only under conjugation by r
+    c3_7 = FiniteGroup(7, [(1, 2, 0, 3, 4, 5, 6)], name="C3")
+    small = [(cyclic_group(7), neg_mod(7), 2),
+             (cyclic_group(13), tuple(8 * i % 13 for i in range(13)), 4),
+             (c3, (0, 2, 1), 2),
+             (c3_7, (0, 2, 1, 4, 5, 6, 3), 4),
+             (symmetric_group(4), identity_perm(4), 1)]
+    for G, r, k in small:
+        yield G, r, k, semidirect_product(G, r, k)
+    sides = [global_side("PSL2", 1)]
+    sides += [local_side(t["family"], t["f"], t["p"])
+              for t in list_targets() if t["mode"] == "full"]
+    sides.append(global_side("2B2", 1))
+    for s in sides:
+        yield s.table.group, s.realizer, s.k, s.cache[1][0]
+
+
+def product_elements(G, r, k):
+    """The elements of G x| <r>, m r^j at index j*|G| + G.index_of(m)."""
+    return [compose(m, perm_pow(r, j)) for j in range(k) for m in G.elements]
+
+
+def test_coset_product_matches_enumerated_product():
+    from galmckay.chartab import dixon_schneider
+    from oracles import semidirect_product_by_enumeration
+
+    for G, r, k, H in product_cases():
+        O = semidirect_product_by_enumeration(G, r, k)
+        elements = product_elements(G, r, k)
+        assert (H.order, H.exponent) == (O.order, O.exponent), H.name
+        assert len(H.conjugacy_classes) == len(O.conjugacy_classes)
+        for a, b in zip(H.conjugacy_classes, O.conjugacy_classes):
+            assert (a.size, a.element_order) == (b.size, b.element_order)
+            members = {elements[i] for i in a.indices}
+            assert members == {O.elements[i] for i in b.indices}, H.name
+            assert a.rep == elements[a.indices[0]]
+        for i, x in enumerate(elements):
+            assert H.index_of(x) == i
+            assert H.class_of_element(x) == O.class_of_element(x)
+        for i in sorted({0, 1, H.order - 1} | set(range(0, H.order,
+                                                        H.order // 40 + 1))):
+            x = elements[i]
+            assert H.quotient_classes(i) == [
+                O.class_of_element(compose(inverse(x), cl.rep))
+                for cl in H.conjugacy_classes], (H.name, i)
+        assert [row.values for row in dixon_schneider(H).rows] == \
+            [row.values for row in dixon_schneider(O).rows], H.name
+
+
+def test_coset_product_membership():
+    c7 = cyclic_group(7)
+    H = semidirect_product(c7, neg_mod(7), 2)
+    assert neg_mod(7) in H and c7.generators[0] in H
+    assert identity_perm(7) in H
+    # the affine map x -> 2x is in no coset of C7
+    assert tuple(2 * i % 7 for i in range(7)) not in H
+    assert (0, 1, 2) not in H and (0,) * 7 not in H
+    with pytest.raises(KeyError):
+        H.class_of_element(tuple(2 * i % 7 for i in range(7)))
+
+
+def test_verify_enumerates_no_group_above_sz8(monkeypatch):
+    """A cold verify 2B2 1 13 enumerates Sz(8) and smaller groups, never
+    its extension product Sz(8) x| C3."""
+    from functools import cache
+
+    from galmckay import verify
+
+    for name in ("_field_action", "global_side", "local_side"):
+        monkeypatch.setattr(verify, name,
+                            cache(getattr(verify, name).__wrapped__))
+    orders = []
+    enumerate_group = FiniteGroup._enumerate
+
+    def spy(G):
+        if G._elements is None:
+            orders.append(G.order)
+        enumerate_group(G)
+
+    monkeypatch.setattr(FiniteGroup, "_enumerate", spy)
+    assert verify.verify_target("2B2", 1, 13)["status"] == "verified"
+    assert 29120 in orders
+    assert max(orders) == 29120
+
+
 def test_induced_class_permutation_brute_force():
     # oracle: conjugate every element of each class by the realizer and
     # compare the image set with the class the permutation names
@@ -262,7 +358,7 @@ def test_base_image_kernel_matches_reference():
             assert G.index_of(x) == i
             assert G.class_of_element(x) == class_of[i]
             if i < 64:
-                assert G.quotient_classes(x, reps) == \
+                assert G.quotient_classes(i) == \
                     [class_of[index[compose(inverse(x), z)]] for z in reps]
         for c, cl in enumerate(classes):
             for k in primefactors(G.exponent) + [-1, G.exponent + 1]:

@@ -15,7 +15,9 @@ from galmckay.verify import (
 from galmckay import extend, verify
 from galmckay.groups import FiniteGroup, identity_perm
 from galmckay.galois import h_group
-from oracles import brute_force_match_exists, cyclic_group, symmetric_group
+from oracles import (
+    brute_force_match_exists, cyclic_group, full_galois_group, symmetric_group,
+)
 
 
 def test_match_actions_identity():
@@ -85,6 +87,19 @@ def test_condition_one_psl28_p2():
     degrees = sorted(e["degree"] for e in rep["extensions"]
                      if e["side"] == "global")
     assert degrees == [1, 7, 7, 7, 7, 9, 9, 9]
+
+
+def test_condition_one_fails_under_the_full_galois_group():
+    """Negative control: with all of Gal(Q(zeta_126)/Q) in place of H, the
+    p = 2 actions on the p'-rows of PSL(2,8) and of its Sylow-2
+    normalizer no longer match, while p = 3 and p = 7 still do."""
+    H = full_galois_group(126)
+    g = verify.global_side("PSL2", 1)
+    expected = {2: (False, "stabilizer class multiplicity mismatch"),
+                3: (True, None), 7: (True, None)}
+    for p, (part1, reason) in expected.items():
+        res = condition_one(g, local_side("PSL2", 1, p), p, H)
+        assert (res["part1"], res["reason"]) == (part1, reason), p
 
 
 def test_joint_row_action_stability(psl28_table):
