@@ -624,8 +624,8 @@ class SemidirectProduct(_Classes):
         cperm = induced_class_permutation(G, r)
         done = [False] * len(cperm)
         orbits = []
-        for c in range(len(cperm)):
-            merged = []
+        for start in range(len(cperm)):
+            merged, c = [], start
             while not done[c]:
                 done[c] = True
                 merged += G.conjugacy_classes[c].indices
