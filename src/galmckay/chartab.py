@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import GalMcKayError
 from .cyclo import Cyclotomic, ZERO, rational
-from .groups import FiniteGroup, inverse, perm_pow
+from .groups import FiniteGroup
 from .ntheory import isprime, primitive_root, sqrt_mod
 
 P0_SEARCH_CAP = 10 ** 8
@@ -196,13 +196,21 @@ def _ppowmod(base, e, mod, p):
 
 
 def _proots(f, p, rng):
-    """All roots in F_p of f (assumed to split into linear factors)."""
+    """All roots in F_p of f, which must split into linear factors.
+
+    After the square-free reduction f divides x^p - x exactly when it
+    splits; otherwise ChartabError is raised, since the random splitting
+    below would never end.
+    """
     f = _ptrim(f, p)
     inv = pow(f[-1], -1, p)
     f = [(x * inv) % p for x in f]
     deriv = _ptrim([(i * x) % p for i, x in enumerate(f)][1:], p)
     if deriv:
         f = _pdivmod(f, _pgcd(f, deriv, p), p)[0]
+    if _ppowmod([0, 1], p, f, p) != _pdivmod([0, 1], f, p)[1]:
+        raise ChartabError("characteristic polynomial does not split over "
+                           "F_p0")
     roots = []
     stack = [f]
     while stack:
@@ -405,16 +413,27 @@ def dixon_schneider(G: FiniteGroup) -> CharacterTable:
     ncl = len(classes)
     n = G.order
     p0 = dixon_prime(G.exponent, n, at_least=ncl)
-    reps = [cl.rep for cl in classes]
     rng = random.Random(12345)
 
+    # power_classes[k][t]: the class of g_k^t for t < |g_k|; the last one
+    # is the class of g_k^-1
+    power_classes = [G.power_classes(k) for k in range(ncl)]
+
     # simultaneous eigenspaces of the class matrices, split lazily in
-    # ascending class-size order
+    # ascending class-size order.  A class C^m with m prime to |g| comes
+    # after every other class: its central characters are those of C
+    # under sigma_m, so it splits no space that C left whole.
+    ascending = sorted(range(1, ncl), key=lambda i: (classes[i].size, i))
+    galois_seen = set()
+    first, deferred = [], []
+    for i in ascending:
+        (deferred if i in galois_seen else first).append(i)
+        o = classes[i].element_order
+        galois_seen.update(power_classes[i][m] for m in range(1, o)
+                           if gcd(m, o) == 1)
     spaces = [[[1 if r == c else 0 for r in range(ncl)] for c in range(ncl)]]
     # each space: list of basis column vectors (length ncl)
-    order_of_use = sorted(range(1, ncl),
-                          key=lambda i: (classes[i].size, i))
-    for i in order_of_use:
+    for i in first + deferred:
         if all(len(sp) == 1 for sp in spaces):
             break
         M = _class_matrix(G, i)
@@ -443,7 +462,7 @@ def dixon_schneider(G: FiniteGroup) -> CharacterTable:
     if not all(len(sp) == 1 for sp in spaces):
         raise ChartabError("eigenspace splitting failed to converge")
 
-    inv_class = [G.class_of_element(inverse(rep)) for rep in reps]
+    inv_class = [powers[-1] for powers in power_classes]
     sizes = [cl.size for cl in classes]
 
     w_root = primitive_root(p0)
@@ -471,8 +490,7 @@ def dixon_schneider(G: FiniteGroup) -> CharacterTable:
         tbl = lift_tables.get(k)
         if tbl is None:
             o = classes[k].element_order
-            powers = [G.class_of_element(perm_pow(reps[k], t))
-                      for t in range(o)]
+            powers = power_classes[k]
             targets = sorted(set(powers))
             slots = [targets.index(c) for c in powers]
             zinv = inv_powers(o)

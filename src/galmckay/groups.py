@@ -1,7 +1,8 @@
 """Permutation-group kernel.
 
 Groups are generated by permutations stored as tuples (point i maps to
-p[i]).  Composition is left-to-right: compose(p, q) applies p first.
+p[i]).  Composition is left-to-right: compose(p, q) applies p first, and
+is one itemgetter call, so the per-point loop runs in C.
 Order, membership before enumeration and a base come from a stabilizer
 chain, built on the same tuples by the deterministic Schreier-Sims
 algorithm (Seress, Permutation Group Algorithms, 2003, ch. 4).  An
@@ -17,7 +18,9 @@ refused when its estimated memory exceeds a byte budget.
 A semidirect product G ⋊ <r> with r of order k is never enumerated: it
 is held as the k cosets G r^j of the enumerated G, an element as its
 coset and its index in G.  Its classes, class matrices and lookups are
-base-key lookups in G's index, so the byte budget bounds G alone.
+base-key lookups in G's index, so the byte budget bounds G alone.  The
+coset G r^j with 2j > k holds the inverses of G r^(k-j), so its classes
+are read from those of G r^(k-j) by one lookup per element.
 """
 
 from __future__ import annotations
@@ -54,8 +57,11 @@ def identity_perm(degree: int) -> tuple:
 
 
 def compose(p: tuple, q: tuple) -> tuple:
-    """Apply p, then q."""
-    return tuple(map(q.__getitem__, p))
+    """Apply p, then q: the tuple of q[p[i]], read by one itemgetter call.
+    Below two points itemgetter would return a scalar, not a tuple."""
+    if len(p) < 2:
+        return tuple(map(q.__getitem__, p))
+    return itemgetter(*p)(q)
 
 
 def inverse(p: tuple) -> tuple:
@@ -261,7 +267,7 @@ class _Classes:
     """Class lookups shared by FiniteGroup and SemidirectProduct.  Both
     number their elements; index_of gives the number of an element and
     _compute_classes sets _classes and _class_of, the class of each
-    number."""
+    number.  _powers caches power_classes by class."""
 
     @property
     def conjugacy_classes(self) -> list:
@@ -273,10 +279,23 @@ class _Classes:
         self._compute_classes()
         return self._class_of[self.index_of(p)]
 
+    def power_classes(self, c: int) -> list:
+        """Class indices of g^t, t < |g|, for the representative g of class
+        c; each power is one product after the one before it."""
+        powers = self._powers.get(c)
+        if powers is None:
+            cl = self.conjugacy_classes[c]
+            x, powers = cl.rep, [0]
+            for _ in range(1, cl.element_order):
+                powers.append(self.class_of_element(x))
+                x = compose(x, cl.rep)
+            self._powers[c] = powers
+        return powers
+
     def power_map(self, c: int, k: int) -> int:
         """Class index of g^k for g in class c."""
-        rep = self.conjugacy_classes[c].rep
-        return self.class_of_element(perm_pow(rep, k))
+        powers = self.power_classes(c)
+        return powers[k % len(powers)]
 
     @property
     def exponent(self) -> int:
@@ -311,6 +330,7 @@ class FiniteGroup(_Classes):
         self._index = None
         self._classes = None
         self._class_of = None
+        self._powers = {}
         self._chain = None
 
     # -- order & membership ----------------------------------------------
@@ -393,7 +413,7 @@ class FiniteGroup(_Classes):
                 key = key_of(g)
                 if key not in index:
                     index[key] = len(elements)
-                    elements.append(tuple(map(g.__getitem__, e)))
+                    elements.append(compose(e, g))
         assert len(elements) == self.order
         self._elements = elements
         self._index = index
@@ -573,8 +593,10 @@ class SemidirectProduct(_Classes):
     for g in G, g^-1 (m r^j) g = g^-1 m (r^j g r^-j) r^j, and
     r^-1 (m r^j) r = (r^-1 m r) r^j, so the classes in coset j are orbits
     of maps m -> g^-1 m h on G's element indices (see _lookup_orbits).
-    In coset 0 they are the r-orbits of G's classes.  Classes are ordered
-    as FiniteGroup orders them.
+    In coset 0 they are the r-orbits of G's classes.  Coset j > k/2 holds
+    the inverses of coset k - j, so its classes are the inverses of those
+    classes, one lookup per element.  Classes are ordered as FiniteGroup
+    orders them.
     """
 
     def __init__(self, G: FiniteGroup, r: tuple, k: int):
@@ -591,6 +613,7 @@ class SemidirectProduct(_Classes):
         self._base_pre = [itemgetter(*G.base)(w) for w in self._rinv]
         self._classes = None
         self._class_of = None
+        self._powers = {}
         self._shifted = None
 
     def _element(self, i: int) -> tuple:
@@ -632,14 +655,28 @@ class SemidirectProduct(_Classes):
                 c = cperm[c]
             if merged:
                 orbits.append(sorted(merged))
-        # coset j > 0: conjugation by each generator of G and by r
+        # coset 0 < j <= k/2: conjugation by each generator of G and by r
         base_key = itemgetter(*G.base)
         pres = [itemgetter(*base_key(inverse(g))) for g in G.generators]
         r_map = (r, itemgetter(*base_key(inverse(r))))
-        for j in range(1, k):
+        elements, index = G.elements, G._index
+        by_coset = {}
+        for j in range(1, k // 2 + 1):
             maps = [(conjugate(g, self._rinv[j]), pre)
                     for g, pre in zip(G.generators, pres)] + [r_map]
-            for orbit in _lookup_orbits(G.elements, G._index, maps):
+            by_coset[j] = _lookup_orbits(elements, index, maps)
+        # coset j > k/2 holds the inverses of coset c = k - j:
+        # (m r^c)^-1 = m' r^j with m' = r^-c m^-1 r^c, whose base image at
+        # b is r^c[m^-1[r^-c[b]]]
+        for j in range(k // 2 + 1, k):
+            c = k - j
+            pre, rc = self._base_pre[c], self._rpow[c]
+            by_coset[j] = [
+                sorted(index[itemgetter(*map(elements[i].index, pre))(rc)]
+                       for i in orbit)
+                for orbit in by_coset[c]]
+        for j in range(1, k):
+            for orbit in by_coset[j]:
                 orbits.append([j * n + i for i in orbit])
         self._classes, self._class_of = _ordered_classes(
             orbits, self._element, self.order)

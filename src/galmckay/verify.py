@@ -57,10 +57,23 @@ class ActionOnSet:
                 raise VerifyError("action image is not a permutation")
 
     def is_abelian(self):
+        """Whether the perms generate an abelian group: a perm outside the
+        group the kept ones generate must commute with each of them, and is
+        then kept and that group closed under it."""
+        closure = {tuple(range(self.n))}
+        kept = []
         for p in self.perms:
-            for q in self.perms:
-                if compose(p, q) != compose(q, p):
-                    return False
+            if p in closure:
+                continue
+            if any(compose(p, q) != compose(q, p) for q in kept):
+                return False
+            kept.append(p)
+            grown = list(closure)
+            for x in grown:
+                y = compose(x, p)
+                if y not in closure:
+                    closure.add(y)
+                    grown.append(y)
         return True
 
     def stabilizer(self, x):

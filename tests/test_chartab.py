@@ -9,7 +9,7 @@ from galmckay.cyclo import Cyclotomic, ZERO, ONE, rational
 from galmckay.groups import FiniteGroup, semidirect_product
 from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, dixon_schneider, dixon_prime,
-    inner_product, induce, _charpoly, _coordinates, _nullspace,
+    inner_product, induce, _charpoly, _coordinates, _nullspace, _proots,
 )
 from oracles import approx, cyclic_group, root, symmetric_group
 
@@ -254,6 +254,44 @@ def test_elimination_matches_sympy_rank(p):
         assert _coordinates(A, vectors, p) == X
     with pytest.raises(ChartabError, match="inconsistent"):
         _coordinates([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], p)
+
+
+def test_proots_refuses_a_polynomial_that_does_not_split():
+    rng = random.Random(0)
+    # (x - 2)^2 (x - 3) = x^3 - 7x^2 + 16x - 12: the square-free part splits
+    assert sorted(_proots([-12, 16, -7, 1], 7, rng)) == [2, 3]
+    # x^2 + 1 is irreducible over F_7, alone and times x - 2
+    for f in ([1, 0, 1], [-2, 1, -2, 1]):
+        with pytest.raises(ChartabError, match="does not split"):
+            _proots(f, 7, rng)
+
+
+def test_galois_conjugate_classes_build_no_class_matrix(monkeypatch):
+    """Sz(8) needs the class matrices of 4 classes and Sz(8) x| C3 those of
+    3; none of them is a power g^m, m prime to |g|, of another."""
+    from math import gcd
+
+    from galmckay import chartab
+    from galmckay.verify import global_side
+
+    side = global_side("2B2", 1)
+    used = []
+    real = chartab._class_matrix
+
+    def counted(G, i):
+        used.append(i)
+        return real(G, i)
+
+    monkeypatch.setattr(chartab, "_class_matrix", counted)
+    for G, count in ((side.table.group, 4), (side.cache[1][0], 3)):
+        used.clear()
+        dixon_schneider(G)
+        assert len(used) == count, G.name
+        for i in used:
+            o = G.conjugacy_classes[i].element_order
+            conjugates = {G.power_map(i, m) for m in range(1, o)
+                          if gcd(m, o) == 1}
+            assert conjugates.isdisjoint(set(used) - {i}), (G.name, i)
 
 
 def _direct_inner_product(a, b):

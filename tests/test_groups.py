@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from galmckay.groups import (
@@ -14,6 +16,30 @@ def test_perm_helpers():
     assert perm_order(p) == 3
     assert perm_pow(p, 3) == identity_perm(4)
     assert perm_pow(p, -1) == inverse(p)
+
+
+def _map_compose(p, q):
+    return tuple(map(q.__getitem__, p))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 9, 65])
+def test_products_match_map_form(degree):
+    """compose (an itemgetter call from two points on), inverse and
+    perm_pow give the tuples that products built by tuple(map(...)) do."""
+    rng = random.Random(degree)
+    ident = identity_perm(degree)
+    for _ in range(10):
+        p = tuple(rng.sample(range(degree), degree))
+        q = tuple(rng.sample(range(degree), degree))
+        pq = compose(p, q)
+        assert type(pq) is tuple and pq == _map_compose(p, q)
+        pi = inverse(p)
+        assert _map_compose(p, pi) == ident == _map_compose(pi, p)
+        acc = ident
+        for k in range(8):
+            assert perm_pow(p, k) == acc
+            assert _map_compose(perm_pow(p, -k), acc) == ident
+            acc = _map_compose(acc, p)
 
 
 def test_trivial_and_cyclic():
@@ -179,8 +205,12 @@ def product_cases():
     # Dic3 = C3 x| C4 with r^2 centralizing C3: in the coset C3 r^2 the
     # classes of C3 fuse only under conjugation by r
     c3_7 = FiniteGroup(7, [(1, 2, 0, 3, 4, 5, 6)], name="C3")
+    # C11 x| C5 and C7 x| C6 under x -> 3x: cosets j > k/2 are read as
+    # the inverses of coset k - j, and coset 3 of C7 x| C6 is its own pair
     small = [(cyclic_group(7), neg_mod(7), 2),
              (cyclic_group(13), tuple(8 * i % 13 for i in range(13)), 4),
+             (cyclic_group(11), tuple(3 * i % 11 for i in range(11)), 5),
+             (cyclic_group(7), tuple(3 * i % 7 for i in range(7)), 6),
              (c3, (0, 2, 1), 2),
              (c3_7, (0, 2, 1, 4, 5, 6, 3), 4),
              (symmetric_group(4), identity_perm(4), 1)]

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from functools import cache
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from galmckay.verify import (
     Side,
 )
 from galmckay import extend, verify
-from galmckay.groups import FiniteGroup, identity_perm
+from galmckay.groups import FiniteGroup, compose, identity_perm, perm_pow
 from galmckay.galois import h_group
 from oracles import (
     brute_force_match_exists, cyclic_group, full_galois_group, symmetric_group,
@@ -100,6 +101,29 @@ def test_condition_one_fails_under_the_full_galois_group():
     for p, (part1, reason) in expected.items():
         res = condition_one(g, local_side("PSL2", 1, p), p, H)
         assert (res["part1"], res["reason"]) == (part1, reason), p
+
+
+def test_is_abelian_checks_every_generator():
+    """A perm that commutes with no other one is found when it comes last,
+    after perms that lie in the group already closed."""
+    a = (1, 2, 0, 3, 4)
+    b = (0, 1, 2, 4, 3)
+    ab = (1, 2, 0, 4, 3)
+    perms = [identity_perm(5), a, b, ab, perm_pow(a, 2)]
+    assert ActionOnSet(range(5), perms, 5).is_abelian()
+    perms.append((1, 0, 2, 3, 4))
+    assert not ActionOnSet(range(6), perms, 5).is_abelian()
+
+
+def test_is_abelian_matches_pairwise_commutation():
+    rng = random.Random(3)
+    s4 = list(symmetric_group(4).elements)
+    for _ in range(200):
+        perms = rng.sample(s4, rng.randrange(1, 5))
+        pairwise = all(compose(p, q) == compose(q, p)
+                       for p in perms for q in perms)
+        assert ActionOnSet(range(len(perms)), perms, 4).is_abelian() == \
+            pairwise
 
 
 def test_joint_row_action_stability(psl28_table):
