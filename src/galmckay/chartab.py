@@ -397,17 +397,6 @@ def dixon_prime(exponent: int, order: int, at_least=0) -> int:
                        % (exponent, P0_SEARCH_CAP))
 
 
-def _class_matrix(G: FiniteGroup, i: int):
-    """M[j][k] = #{(x,y) in C_i x C_j : xy = z_k} for the representative
-    z_k of class k."""
-    ncl = len(G.conjugacy_classes)
-    M = [[0] * ncl for _ in range(ncl)]
-    for xi in G.conjugacy_classes[i].indices:
-        for k, j in enumerate(G.quotient_classes(xi)):
-            M[j][k] += 1
-    return M
-
-
 def dixon_schneider(G: FiniteGroup) -> CharacterTable:
     classes = G.conjugacy_classes
     ncl = len(classes)
@@ -436,7 +425,7 @@ def dixon_schneider(G: FiniteGroup) -> CharacterTable:
     for i in first + deferred:
         if all(len(sp) == 1 for sp in spaces):
             break
-        M = _class_matrix(G, i)
+        M = G.class_matrix(i)
         new_spaces = []
         for sp in spaces:
             if len(sp) == 1:

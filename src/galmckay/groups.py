@@ -2,44 +2,61 @@
 
 Groups are generated by permutations stored as tuples (point i maps to
 p[i]).  Composition is left-to-right: compose(p, q) applies p first, and
-is one itemgetter call, so the per-point loop runs in C.
-Order, membership before enumeration and a base come from a stabilizer
-chain, built on the same tuples by the deterministic Schreier-Sims
-algorithm (Seress, Permutation Group Algorithms, 2003, ch. 4).  An
-element of G is determined by the images of the base points, so the enumerated elements are indexed by
-those images (their base key): enumeration, conjugacy classes, class
-matrices and normalizer orbits compute a product or conjugate on the
-base points only whenever a lookup is all they need, and a lookup of an
-arbitrary permutation compares the whole permutation with the element
-its key names.  Conjugacy classes, power maps, Sylow subgroups and
-normalizers are computed here on a full element enumeration, which is
-refused when its estimated memory exceeds a byte budget.
+is one itemgetter call, so the per-point loop runs in C.  Order,
+membership and a base come from a stabilizer chain, built on the same
+tuples by the deterministic Schreier-Sims algorithm (Seress, Permutation
+Group Algorithms, 2003, ch. 4); membership sifts through it.
+
+An element of G is determined by the images of the base points, its base
+key.  An enumerated group stores no permutations.  It numbers its
+elements e_0 = 1, e_1, ... in breadth-first order over the generators
+and keeps three things:
+- the base key of each element, mapped to its number;
+- the right-multiplication table R_s[i] = number of e_i s of each
+  generator s;
+- the breadth-first tree, e_i = e_parent(i) s for one generator s.
+Every other answer is an integer table derived from these.  Right
+multiplication by an element applies the R tables along its tree word.
+A walk down the tree gives the left table L_h[i] = number of h e_i, and
+the conjugation table of g is C_g = R_g after L_(g^-1).  For a realizer
+g outside G, C_g is a tree walk over the R tables of the conjugated
+generators.  Conjugacy classes are orbits of the C tables of the
+generators that extend the stabilizer chain.  A class matrix counts the
+classes of u z over an inverse class, and a normalizer maps index sets
+through the C tables.  A permutation is rebuilt from the tree only when
+it is asked for: class representatives and the elements of small
+groups.  Enumeration is refused when its estimated memory exceeds a byte
+budget.
 
 A semidirect product G ⋊ <r> with r of order k is never enumerated: it
 is held as the k cosets G r^j of the enumerated G, an element as its
-coset and its index in G.  Its classes, class matrices and lookups are
-base-key lookups in G's index, so the byte budget bounds G alone.  The
-coset G r^j with 2j > k holds the inverses of G r^(k-j), so its classes
-are read from those of G r^(k-j) by one lookup per element.
+coset and its number in G.  Its classes and class matrices are read from
+G's tables and the conjugation table of r, so the byte budget bounds G
+alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm
 from operator import itemgetter
 
 from . import GalMcKayError
 
-# bytes a full enumeration may take: elements, their base keys and class data
+# bytes an enumeration may take: base keys, tables, class data
 ENUMERATION_BUDGET = 1 << 30
 
 
-def enumeration_bytes(order: int, degree: int) -> int:
-    """Estimated memory of enumerating a group and its classes: per
-    element, 8 bytes per point plus about 240 bytes of tuple header, list
-    slots, base key, dict entry and class data (tracemalloc peaks: 218 at
-    degree 65, 238 at degree 8)."""
-    return order * (8 * degree + 240)
+def enumeration_bytes(order: int, base_length: int, generators: int) -> int:
+    """Estimated memory of enumerating a group, its classes and class
+    matrices.  Per element: the base key (a tuple of 40 + 8 * base_length
+    bytes), its dict entry and the element's number (about 80), the tree
+    (16), the R table and the conjugation table of each generator (16 per
+    generator), and about 40 for class data and transient tables.
+    tracemalloc peaks per element: 249 for Sz(8) (degree 65, a base of 3
+    points, 4 generators; estimate 264) and 250 for S8 (degree 8, a base
+    of 7 points, 2 generators; estimate 264)."""
+    return order * (8 * base_length + 16 * generators + 176)
 
 
 class GroupError(GalMcKayError):
@@ -216,27 +233,21 @@ class ConjClass:
         return "ConjClass(order=%d, size=%d)" % (self.element_order, self.size)
 
 
-def _lookup_orbits(elements, index, maps) -> list:
-    """Orbits on the indices of an enumerated group under maps m -> g^-1 m h.
-
-    Each map is a pair (h, pre) with pre the itemgetter of the base key of
-    g^-1: the base image at b of g^-1 m h is h[m[g^-1[b]]], so an image
-    costs one lookup in index.  Each orbit is a sorted list.
-    """
-    seen = [False] * len(elements)
+def _orbits(n: int, tables) -> list:
+    """Orbits on range(n) under the index maps in tables, each sorted."""
+    seen = [False] * n
     orbits = []
-    for start in range(len(elements)):
+    for start in range(n):
         if seen[start]:
             continue
         seen[start] = True
         orbit = [start]
-        for xi in orbit:
-            x = elements[xi]
-            for h, pre in maps:
-                yi = index[itemgetter(*pre(x))(h)]
-                if not seen[yi]:
-                    seen[yi] = True
-                    orbit.append(yi)
+        for x in orbit:
+            for table in tables:
+                y = table[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
         orbit.sort()
         orbits.append(orbit)
     return orbits
@@ -265,9 +276,10 @@ def _ordered_classes(orbits, element, n) -> tuple:
 
 class _Classes:
     """Class lookups shared by FiniteGroup and SemidirectProduct.  Both
-    number their elements; index_of gives the number of an element and
-    _compute_classes sets _classes and _class_of, the class of each
-    number.  _powers caches power_classes by class."""
+    number their elements; index_of gives the number of an element,
+    times(S, i) the numbers of the products s e_i, and _compute_classes
+    sets _classes and _class_of, the class of each number.  _powers
+    caches power_classes by class."""
 
     @property
     def conjugacy_classes(self) -> list:
@@ -304,12 +316,26 @@ class _Classes:
             m = lcm(m, cl.element_order)
         return m
 
+    def class_matrix(self, i: int) -> list:
+        """M[j][k] = #{(x, y) in C_i x C_j : xy = z_k} for the representative
+        z_k of class k: the number of u in the inverse class C_i^-1 with
+        u z_k in C_j."""
+        classes = self.conjugacy_classes
+        inverses = classes[self.power_classes(i)[-1]].indices
+        M = [[0] * len(classes) for _ in classes]
+        for k, cl in enumerate(classes):
+            products = self.times(inverses, cl.indices[0])
+            for j, count in Counter(
+                    map(self._class_of.__getitem__, products)).items():
+                M[j][k] = count
+        return M
+
 
 class FiniteGroup(_Classes):
     """Permutation group with cached enumeration and class data.
 
-    A full enumeration is refused when its byte estimate (see
-    enumeration_bytes) exceeds ENUMERATION_BUDGET, read at call time.
+    Enumeration is refused when its byte estimate (see enumeration_bytes)
+    exceeds ENUMERATION_BUDGET, read at call time.
     """
 
     def __init__(self, degree, generators, name="G"):
@@ -324,14 +350,21 @@ class FiniteGroup(_Classes):
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
+        self._identity = ident
         self._order = None
         self._base = None
-        self._elements = None
+        self._chain = None
+        self._table_generators = None
+        # enumeration: base key -> number, R tables, tree (from e_1 on)
+        self._key = None
         self._index = None
+        self._right = None
+        self._parent = None
+        self._gen = None
+        self._conj = {}   # conjugation tables by conjugating permutation
         self._classes = None
         self._class_of = None
         self._powers = {}
-        self._chain = None
 
     # -- order & membership ----------------------------------------------
 
@@ -342,10 +375,19 @@ class FiniteGroup(_Classes):
         point moved by the generator that needs it."""
         if self._chain is None:
             chain = []
-            for g in self.generators:
-                _extend_chain(chain, g, identity_perm(self.degree))
+            self._table_generators = tuple(
+                g for g in self.generators
+                if _extend_chain(chain, g, self._identity))
             self._chain = chain
         return self._chain
+
+    @property
+    def table_generators(self) -> tuple:
+        """The generators that are not in the group generated by those
+        before them; they generate the group, and classes are orbits of
+        their conjugation tables."""
+        self._stabilizer_chain()
+        return self._table_generators
 
     @property
     def order(self) -> int:
@@ -366,97 +408,153 @@ class FiniteGroup(_Classes):
         return self._base
 
     def index_of(self, p) -> int:
-        """Index of p in elements; KeyError if p is not in the group."""
-        self._enumerate()
+        """Number of p; KeyError if p is not in the group."""
         p = tuple(p)
-        i = None
-        if len(p) == self.degree:
-            i = self._index.get(itemgetter(*self._base)(p))
-        if i is None or self._elements[i] != p:
+        i = self._number(p) if is_perm(p, self.degree) else None
+        if i is None:
             raise KeyError(p)
+        return i
+
+    def _number(self, p: tuple):
+        """Number of the permutation p, named by its base key, or None if p
+        is not in the group: a base key can name an element of the group
+        and a permutation outside it, so p must also sift through."""
+        self._enumerate()
+        i = self._index.get(self._key(p))
+        if i is None or _sift(self._chain, p)[0] != self._identity:
+            return None
         return i
 
     def __contains__(self, p) -> bool:
         p = tuple(p)
-        if self._index is not None:
-            try:
-                self.index_of(p)
-            except KeyError:
-                return False
-            return True
         if not is_perm(p, self.degree):
             return False
         residue, _ = _sift(self._stabilizer_chain(), p)
-        return residue == identity_perm(self.degree)
+        return residue == self._identity
 
     # -- enumeration ------------------------------------------------------
 
     def _enumerate(self):
-        if self._elements is not None:
+        if self._index is not None:
             return
-        need = enumeration_bytes(self.order, self.degree)
+        base, gens = self.base, self.generators
+        need = enumeration_bytes(self.order, len(base), len(gens))
         if need > ENUMERATION_BUDGET:
             raise GroupTooLargeError(
                 "group of order %d on %d points needs about %d bytes to "
                 "enumerate (budget %d)"
                 % (self.order, self.degree, need, ENUMERATION_BUDGET))
-        base = self.base
-        base_key = itemgetter(*base)
-        ident = identity_perm(self.degree)
-        elements = [ident]
-        index = {base_key(ident): 0}
+        keys = [base]   # the base key of the identity
+        index = {base: 0}
+        right = [[] for _ in gens]
+        parent, gen = [], []
+        steps = [(s, g, table.append)
+                 for s, (g, table) in enumerate(zip(gens, right))]
+        for i, key in enumerate(keys):
+            # the base key of e_i g is g applied to the base key of e_i
+            image = itemgetter(*key)
+            for s, g, record in steps:
+                key = image(g)
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(keys)
+                    keys.append(key)
+                    parent.append(i)
+                    gen.append(s)
+                record(j)
+        assert len(keys) == self.order
+        self._key = itemgetter(*base)
+        self._index, self._right = index, right
+        self._parent, self._gen = parent, gen
+
+    def _word(self, i: int) -> list:
+        """Generator numbers s_1, ..., s_d with e_i = s_1 ... s_d."""
+        word = []
+        while i:
+            word.append(self._gen[i - 1])
+            i = self._parent[i - 1]
+        word.reverse()
+        return word
+
+    def element(self, i: int) -> tuple:
+        """The element numbered i, rebuilt along its tree word."""
+        self._enumerate()
+        p = self._identity
+        for s in self._word(i):
+            p = compose(p, self.generators[s])
+        return p
+
+    def _walk_elements(self):
+        """The elements in order, each its parent times a generator; a
+        caller that stops early rebuilds only a prefix."""
+        self._enumerate()
+        done = [self._identity]
+        yield done[0]
         gens = self.generators
-        for e in elements:
-            # the base key of e*g is g applied to the base key of e
-            key_of = itemgetter(*base_key(e))
-            for g in gens:
-                key = key_of(g)
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(compose(e, g))
-        assert len(elements) == self.order
-        self._elements = elements
-        self._index = index
+        for p, s in zip(self._parent, self._gen):
+            x = compose(done[p], gens[s])
+            done.append(x)
+            yield x
 
     @property
     def elements(self) -> list:
+        """All elements in order, rebuilt on each access."""
+        return list(self._walk_elements())
+
+    def times(self, S, i: int) -> list:
+        """Numbers of x e_i over the numbers x in S: the R tables along
+        the word of e_i."""
         self._enumerate()
-        return self._elements
+        S = list(S)
+        for s in self._word(i):
+            S = list(map(self._right[s].__getitem__, S))
+        return S
+
+    def _tree_walk(self, start: int, tables) -> list:
+        """out[0] = start and out[i] = tables[s][out[parent(i)]] for
+        e_i = e_parent(i) s.  If tables[s] is right multiplication by
+        phi(s) for a homomorphism phi and start numbers h, out[i] numbers
+        h phi(e_i)."""
+        out = [start]
+        append = out.append
+        for p, s in zip(self._parent, self._gen):
+            append(tables[s][out[p]])
+        return out
+
+    def conjugation_table(self, g) -> list:
+        """Numbers of g^-1 e_i g over all i, for g in G or a checked
+        realizer g (see check_realizer); built once per g."""
+        g = tuple(g)
+        table = self._conj.get(g)
+        if table is None:
+            self._enumerate()
+            if g in self:
+                # R_g after the left table of g^-1
+                left = self._tree_walk(self.index_of(inverse(g)), self._right)
+                table = self.times(left, self.index_of(g))
+            else:
+                # g^-1 e_i g is the product of the conjugated generators
+                # along the word of e_i
+                every = range(self.order)
+                table = self._tree_walk(0, [
+                    self.times(every, self.index_of(conjugate(s, g)))
+                    for s in self.generators])
+            self._conj[g] = table
+        return table
 
     def conjugate_indices(self, S, g) -> frozenset:
-        """Indices of g^-1 x g over the element indices x in S, for g in G
-        or a checked realizer g (see check_realizer).
-
-        The base image at b of g^-1 x g is g[x[g^-1[b]]].
-        """
-        elements, index = self.elements, self._index
-        pre = itemgetter(*itemgetter(*self._base)(inverse(g)))
-        return frozenset(index[itemgetter(*pre(elements[i]))(g)] for i in S)
+        """Numbers of g^-1 x g over the numbers x in S, for g as in
+        conjugation_table."""
+        return frozenset(map(self.conjugation_table(g).__getitem__, S))
 
     # -- conjugacy classes -------------------------------------------------
 
     def _compute_classes(self):
         if self._classes is not None:
             return
-        self._enumerate()
-        # conjugation by g: see conjugate_indices
-        base_key = itemgetter(*self._base)
-        maps = [(g, itemgetter(*base_key(inverse(g))))
-                for g in self.generators]
-        orbits = _lookup_orbits(self._elements, self._index, maps)
+        tables = [self.conjugation_table(g) for g in self.table_generators]
         self._classes, self._class_of = _ordered_classes(
-            orbits, self._elements.__getitem__, len(self._elements))
-
-    def quotient_classes(self, xi: int) -> list:
-        """Class indices of x^-1 z over the class representatives z, for
-        the element x at index xi.
-
-        The base image of x^-1 z at b is z[x^-1[b]].
-        """
-        self._compute_classes()
-        key_of = itemgetter(*map(self._elements[xi].index, self._base))
-        index, class_of = self._index, self._class_of
-        return [class_of[index[key_of(cl.rep)]] for cl in self._classes]
+            _orbits(self.order, tables), self.element, self.order)
 
     # -- subgroups ---------------------------------------------------------
 
@@ -480,13 +578,13 @@ class FiniteGroup(_Classes):
         while P.order < target:
             N = self if not gens else self.normalizer(P)
             grew = False
-            for x in N.elements:
+            for x in N._walk_elements():
                 o = perm_order(x)
                 m = o
                 while m % p == 0:
                     m //= p
                 y = perm_pow(x, m)  # p-part of x
-                if y != identity_perm(self.degree) and y not in P:
+                if y != self._identity and y not in P:
                     gens.append(y)
                     P = self.subgroup(gens, name="P")
                     grew = True
@@ -497,29 +595,30 @@ class FiniteGroup(_Classes):
 
     def normalizer(self, H: "FiniteGroup") -> "FiniteGroup":
         """N_G(H) for H <= G via orbit-stabilizer on the conjugates of H,
-        each held as the set of its element indices in G.  A Schreier
-        generator is kept, in sorted order, only if it is not in the
-        group the ones kept before it generate."""
+        each held as the set of its element numbers in G and moved by the
+        generators' conjugation tables.  A Schreier generator is kept, in
+        sorted order, only if it is not in the group the ones kept before
+        it generate."""
         if H.degree != self.degree:
             raise GroupError("degree mismatch")
         if any(h not in self for h in H.generators):
             raise GroupError("%s is not a subgroup of %s" % (H.name, self.name))
         start = frozenset(map(self.index_of, H.elements))
-        ident = identity_perm(self.degree)
-        orbit = {start: ident}
+        ident = self._identity
+        gens = [(g, inverse(g)) for g in self.generators]
+        orbit = {start: (ident, ident)}   # conjugate -> transversal t, t^-1
         queue = [start]
         stab = set()
-        while queue:
-            S = queue.pop(0)
-            t = orbit[S]
-            for g in self.generators:
+        for S in queue:
+            t, ti = orbit[S]
+            for g, gi in gens:
                 Sg = self.conjugate_indices(S, g)
                 u = orbit.get(Sg)
                 if u is None:
-                    orbit[Sg] = compose(t, g)
+                    orbit[Sg] = (compose(t, g), compose(gi, ti))
                     queue.append(Sg)
                 else:
-                    sch = compose(compose(t, g), inverse(u))
+                    sch = compose(compose(t, g), u[1])
                     if sch != ident:
                         stab.add(sch)
         chain = []
@@ -588,15 +687,14 @@ def semidirect_product(G: FiniteGroup, r, k: int) -> "SemidirectProduct":
 class SemidirectProduct(_Classes):
     """G ⋊ <r> as the cosets G r^j, 0 <= j < k, of the enumerated group G.
 
-    The element m r^j has index j*|G| + G.index_of(m); an element is
+    The element m r^j has number j*|G| + G.index_of(m); an element is
     composed only when it is asked for.  Conjugation keeps each coset:
     for g in G, g^-1 (m r^j) g = g^-1 m (r^j g r^-j) r^j, and
-    r^-1 (m r^j) r = (r^-1 m r) r^j, so the classes in coset j are orbits
-    of maps m -> g^-1 m h on G's element indices (see _lookup_orbits).
-    In coset 0 they are the r-orbits of G's classes.  Coset j > k/2 holds
-    the inverses of coset k - j, so its classes are the inverses of those
-    classes, one lookup per element.  Classes are ordered as FiniteGroup
-    orders them.
+    r^-1 (m r^j) r = (r^-1 m r) r^j.  So the classes in coset j are orbits
+    of the maps m -> g^-1 m h, read as C_g followed by right
+    multiplication by g^-1 h, and of the conjugation table of r, which G
+    keeps for every caller.  In coset 0 they are the r-orbits of G's
+    classes.  Classes are ordered as FiniteGroup orders them.
     """
 
     def __init__(self, G: FiniteGroup, r: tuple, k: int):
@@ -609,27 +707,23 @@ class SemidirectProduct(_Classes):
         self._k = k
         self._rpow = [perm_pow(r, j) for j in range(k)]
         self._rinv = [inverse(p) for p in self._rpow]
-        # r^-a applied to G's base, for quotient_classes
-        self._base_pre = [itemgetter(*G.base)(w) for w in self._rinv]
         self._classes = None
         self._class_of = None
         self._powers = {}
-        self._shifted = None
 
     def _element(self, i: int) -> tuple:
         j, mi = divmod(i, self._G.order)
-        return compose(self._G.elements[mi], self._rpow[j])
+        return compose(self._G.element(mi), self._rpow[j])
 
     def index_of(self, p) -> int:
-        """Index of p: the coset j with p r^-j in G; KeyError if none."""
+        """Number of p: the coset j with p r^-j in G; KeyError if none."""
         p = tuple(p)
         G = self._G
         if is_perm(p, self.degree):
             for j, w in enumerate(self._rinv):
-                try:
-                    return j * G.order + G.index_of(compose(p, w))
-                except KeyError:
-                    pass
+                i = G._number(compose(p, w))
+                if i is not None:
+                    return j * G.order + i
         raise KeyError(p)
 
     def __contains__(self, p) -> bool:
@@ -638,6 +732,23 @@ class SemidirectProduct(_Classes):
         except KeyError:
             return False
         return True
+
+    def _shift(self, m: int, a: int) -> int:
+        """Number in G of r^a e_m r^-a."""
+        C = self._G.conjugation_table(self._r)
+        for _ in range(-a % self._k):
+            m = C[m]
+        return m
+
+    def times(self, S, zi: int) -> list:
+        """Numbers of x z over the numbers x in S, all in one coset G r^a,
+        for z = e_z' r^b numbered zi: x z = m (r^a z' r^-a) r^(a+b) for
+        x = m r^a."""
+        n = self._G.order
+        a = S[0] // n
+        b, z = divmod(zi, n)
+        products = self._G.times(map((-a * n).__add__, S), self._shift(z, a))
+        return list(map(((a + b) % self._k * n).__add__, products))
 
     def _compute_classes(self):
         if self._classes is not None:
@@ -655,52 +766,15 @@ class SemidirectProduct(_Classes):
                 c = cperm[c]
             if merged:
                 orbits.append(sorted(merged))
-        # coset 0 < j <= k/2: conjugation by each generator of G and by r
-        base_key = itemgetter(*G.base)
-        pres = [itemgetter(*base_key(inverse(g))) for g in G.generators]
-        r_map = (r, itemgetter(*base_key(inverse(r))))
-        elements, index = G.elements, G._index
-        by_coset = {}
-        for j in range(1, k // 2 + 1):
-            maps = [(conjugate(g, self._rinv[j]), pre)
-                    for g, pre in zip(G.generators, pres)] + [r_map]
-            by_coset[j] = _lookup_orbits(elements, index, maps)
-        # coset j > k/2 holds the inverses of coset c = k - j:
-        # (m r^c)^-1 = m' r^j with m' = r^-c m^-1 r^c, whose base image at
-        # b is r^c[m^-1[r^-c[b]]]
-        for j in range(k // 2 + 1, k):
-            c = k - j
-            pre, rc = self._base_pre[c], self._rpow[c]
-            by_coset[j] = [
-                sorted(index[itemgetter(*map(elements[i].index, pre))(rc)]
-                       for i in orbit)
-                for orbit in by_coset[c]]
+        # coset j >= 1: g^-1 m h = (g^-1 m g)(g^-1 h) for h = r^j g r^-j
+        gens = [(G.conjugation_table(g), G.index_of(g),
+                 G.index_of(inverse(g))) for g in G.table_generators]
         for j in range(1, k):
-            for orbit in by_coset[j]:
+            maps = [G.conjugation_table(r)]
+            for C, gi, ginv in gens:
+                (shift,) = G.times([ginv], self._shift(gi, j))
+                maps.append(G.times(C, shift))
+            for orbit in _orbits(n, maps):
                 orbits.append([j * n + i for i in orbit])
         self._classes, self._class_of = _ordered_classes(
             orbits, self._element, self.order)
-        # for x in coset a and a representative z in coset b, x^-1 z lies
-        # in coset c = b - a: z r^-c and the index offset of coset c
-        self._shifted = []
-        for a in range(k):
-            row = []
-            for cl in self._classes:
-                c = (cl.indices[0] // n - a) % k
-                row.append((compose(cl.rep, self._rinv[c]), c * n))
-            self._shifted.append(row)
-
-    def quotient_classes(self, xi: int) -> list:
-        """Class indices of x^-1 z over the class representatives z, for
-        the element x = m r^a at index xi.
-
-        The base image at b of the G-part x^-1 z r^-c is (z r^-c)[x^-1[b]],
-        with x^-1[b] = m^-1[r^-a[b]].
-        """
-        self._compute_classes()
-        a, mi = divmod(xi, self._G.order)
-        key_of = itemgetter(*map(self._G.elements[mi].index,
-                                 self._base_pre[a]))
-        index, class_of = self._G._index, self._class_of
-        return [class_of[off + index[key_of(z)]]
-                for z, off in self._shifted[a]]

@@ -271,18 +271,18 @@ def test_galois_conjugate_classes_build_no_class_matrix(monkeypatch):
     3; none of them is a power g^m, m prime to |g|, of another."""
     from math import gcd
 
-    from galmckay import chartab
+    from galmckay import groups
     from galmckay.verify import global_side
 
     side = global_side("2B2", 1)
     used = []
-    real = chartab._class_matrix
+    real = groups._Classes.class_matrix
 
     def counted(G, i):
         used.append(i)
         return real(G, i)
 
-    monkeypatch.setattr(chartab, "_class_matrix", counted)
+    monkeypatch.setattr(groups._Classes, "class_matrix", counted)
     for G, count in ((side.table.group, 4), (side.cache[1][0], 3)):
         used.clear()
         dixon_schneider(G)

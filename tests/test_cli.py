@@ -189,7 +189,8 @@ def test_cli_group_over_budget_exits_one(monkeypatch, capsys):
     assert run(["chartab", "--group", "psl2_8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    need = groups.enumeration_bytes(504, 9)
+    # PSL(2,8) has a base of 3 points and 3 generators
+    need = groups.enumeration_bytes(504, 3, 3)
     assert captured.err == (
         "error: group of order 504 on 9 points needs about %d bytes to "
         "enumerate (budget 1000)\n" % need)

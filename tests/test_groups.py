@@ -226,7 +226,37 @@ def product_cases():
 
 def product_elements(G, r, k):
     """The elements of G x| <r>, m r^j at index j*|G| + G.index_of(m)."""
-    return [compose(m, perm_pow(r, j)) for j in range(k) for m in G.elements]
+    elements = G.elements
+    return [compose(m, rj) for rj in (perm_pow(r, j) for j in range(k))
+            for m in elements]
+
+
+def brute_class_matrix(elements, classes, class_of_element, i):
+    """M[j][k] = #{x in C_i : x^-1 z_k in C_j}, by composing permutations;
+    elements[t] is the element numbered t."""
+    M = [[0] * len(classes) for _ in classes]
+    for t in classes[i].indices:
+        xi = inverse(elements[t])
+        for k, cl in enumerate(classes):
+            M[class_of_element(compose(xi, cl.rep))][k] += 1
+    return M
+
+
+def checked_classes(H):
+    """Every class of a group below 2,000 elements.  Above that, the
+    smallest classes until they hold 64 elements, and the smallest class
+    in each coset of a product."""
+    classes = H.conjugacy_classes
+    if H.order < 2000:
+        return range(len(classes))
+    n = H.order // getattr(H, "_k", 1)
+    picked, held, smallest = set(), 0, {}
+    for c in sorted(range(len(classes)), key=lambda c: classes[c].size):
+        if held < 64:
+            picked.add(c)
+            held += classes[c].size
+        smallest.setdefault(classes[c].indices[0] // n, c)
+    return sorted(picked | set(smallest.values()))
 
 
 def test_coset_product_matches_enumerated_product():
@@ -236,22 +266,21 @@ def test_coset_product_matches_enumerated_product():
     for G, r, k, H in product_cases():
         O = semidirect_product_by_enumeration(G, r, k)
         elements = product_elements(G, r, k)
+        o_elements = O.elements
         assert (H.order, H.exponent) == (O.order, O.exponent), H.name
         assert len(H.conjugacy_classes) == len(O.conjugacy_classes)
         for a, b in zip(H.conjugacy_classes, O.conjugacy_classes):
             assert (a.size, a.element_order) == (b.size, b.element_order)
             members = {elements[i] for i in a.indices}
-            assert members == {O.elements[i] for i in b.indices}, H.name
+            assert members == {o_elements[i] for i in b.indices}, H.name
             assert a.rep == elements[a.indices[0]]
         for i, x in enumerate(elements):
             assert H.index_of(x) == i
             assert H.class_of_element(x) == O.class_of_element(x)
-        for i in sorted({0, 1, H.order - 1} | set(range(0, H.order,
-                                                        H.order // 40 + 1))):
-            x = elements[i]
-            assert H.quotient_classes(i) == [
-                O.class_of_element(compose(inverse(x), cl.rep))
-                for cl in H.conjugacy_classes], (H.name, i)
+        for i in checked_classes(H):
+            assert H.class_matrix(i) == brute_class_matrix(
+                elements, H.conjugacy_classes, O.class_of_element, i), \
+                (H.name, i)
         assert [row.values for row in dixon_schneider(H).rows] == \
             [row.values for row in dixon_schneider(O).rows], H.name
 
@@ -268,9 +297,8 @@ def test_coset_product_membership():
         H.class_of_element(tuple(2 * i % 7 for i in range(7)))
 
 
-def test_verify_enumerates_no_group_above_sz8(monkeypatch):
-    """A cold verify 2B2 1 13 enumerates Sz(8) and smaller groups, never
-    its extension product Sz(8) x| C3."""
+def cold_verify_2b2_13(monkeypatch):
+    """verify_target("2B2", 1, 13) with fresh caches of the sides."""
     from functools import cache
 
     from galmckay import verify
@@ -278,18 +306,158 @@ def test_verify_enumerates_no_group_above_sz8(monkeypatch):
     for name in ("_field_action", "global_side", "local_side"):
         monkeypatch.setattr(verify, name,
                             cache(getattr(verify, name).__wrapped__))
+    assert verify.verify_target("2B2", 1, 13)["status"] == "verified"
+
+
+def test_verify_enumerates_no_group_above_sz8(monkeypatch):
+    """A cold verify 2B2 1 13 enumerates Sz(8) and smaller groups, never
+    its extension product Sz(8) x| C3."""
     orders = []
     enumerate_group = FiniteGroup._enumerate
 
     def spy(G):
-        if G._elements is None:
+        if G._index is None:
             orders.append(G.order)
         enumerate_group(G)
 
     monkeypatch.setattr(FiniteGroup, "_enumerate", spy)
-    assert verify.verify_target("2B2", 1, 13)["status"] == "verified"
+    cold_verify_2b2_13(monkeypatch)
     assert 29120 in orders
     assert max(orders) == 29120
+
+
+def test_verify_rebuilds_few_sz8_elements(monkeypatch):
+    """A cold verify 2B2 1 13 rebuilds class representatives and the
+    prefix of Sz(8) that sylow_subgroup reads, never all 29,120 of its
+    permutations."""
+    rebuilt = []
+    walk, element = FiniteGroup._walk_elements, FiniteGroup.element
+
+    def walk_spy(G):
+        for x in walk(G):
+            if G.order == 29120:
+                rebuilt.append(x)
+            yield x
+
+    def element_spy(G, i):
+        x = element(G, i)
+        if G.order == 29120:
+            rebuilt.append(x)
+        return x
+
+    monkeypatch.setattr(FiniteGroup, "_walk_elements", walk_spy)
+    monkeypatch.setattr(FiniteGroup, "element", element_spy)
+    cold_verify_2b2_13(monkeypatch)
+    assert 0 < len(rebuilt) < 100
+
+
+def table_cases():
+    """(G, realizer or None) for the base groups of product_cases and the
+    chartab groups below 10,000 elements, each group once."""
+    from galmckay.cli import _GROUP_BUILDERS
+
+    seen = set()
+    for G, r, k, _ in product_cases():
+        if id(G) not in seen:
+            seen.add(id(G))
+            yield G, (r if k > 1 else None)
+    for name, build in sorted(_GROUP_BUILDERS.items()):
+        G = build()
+        if G.order < 10 ** 4 and name != "sz8":
+            yield G, None
+
+
+def test_tables_match_brute_force():
+    """R, L and C tables, tree words and class matrices of FiniteGroup
+    against products and conjugates of the rebuilt permutations."""
+    rng = random.Random(16)
+    for G, r in table_cases():
+        elements = G.elements
+        index = {x: i for i, x in enumerate(elements)}
+        assert len(index) == G.order, G.name
+        for i in rng.sample(range(G.order), min(G.order, 50)):
+            assert G.element(i) == elements[i], (G.name, i)
+        for s, g in enumerate(G.generators):
+            assert G._right[s] == [index[compose(x, g)] for x in elements]
+        # the tree: e_i is its parent times a generator
+        for i in range(1, G.order):
+            assert elements[i] == compose(elements[G._parent[i - 1]],
+                                          G.generators[G._gen[i - 1]])
+        picks = rng.sample(range(G.order), min(G.order, 2))
+        for h in picks:
+            assert G._tree_walk(h, G._right) == \
+                [index[compose(elements[h], x)] for x in elements], G.name
+        conjugators = [elements[h] for h in picks] + list(G.generators)
+        conjugators += [r] if r is not None else []
+        for g in conjugators:
+            gi = inverse(g)
+            assert G.conjugation_table(g) == \
+                [index[compose(compose(gi, x), g)] for x in elements]
+            assert G.conjugation_table(g) is G.conjugation_table(g)
+        S = rng.sample(range(G.order), min(G.order, 200))
+        for i in picks + [0]:
+            assert G.times(S, i) == \
+                [index[compose(elements[x], elements[i])] for x in S]
+        for i in checked_classes(G):
+            assert G.class_matrix(i) == brute_class_matrix(
+                elements, G.conjugacy_classes, G.class_of_element, i), \
+                (G.name, i)
+        # classes are unions of C-table orbits under every generator
+        for cl in G.conjugacy_classes:
+            members = set(cl.indices)
+            for g in G.generators:
+                assert set(G.conjugate_indices(cl.indices, g)) == members
+
+
+def test_coset_product_times_match_brute_force():
+    """SemidirectProduct.times: x z read as m (r^a z' r^-a) r^(a+b)."""
+    rng = random.Random(61)
+    for G, r, k, H in product_cases():
+        elements = product_elements(G, r, k)
+        n = G.order
+        for a in range(k):
+            S = rng.sample(range(a * n, (a + 1) * n), min(n, 100))
+            for zi in rng.sample(range(H.order), min(H.order, 6)):
+                assert H.times(S, zi) == [
+                    H.index_of(compose(elements[x], elements[zi]))
+                    for x in S], (H.name, a, zi)
+
+
+@pytest.mark.parametrize("tag, every", [("su3_2", 19), ("su3_3", 67)])
+def test_table_generators_keep_classes(tag, every):
+    """Classes read from the generators that extend the chain are the
+    orbits under all the generators' conjugation tables."""
+    from galmckay.groups import _orbits
+    from galmckay.zoo import small_group
+
+    G = small_group(tag)
+    assert len(G.generators) == every
+    assert len(G.table_generators) < every
+    tables = [G.conjugation_table(g) for g in G.generators]
+    assert [list(cl.indices) for cl in G.conjugacy_classes] == sorted(
+        _orbits(G.order, tables),
+        key=lambda o: (perm_order(G.element(o[0])), len(o), o[0]))
+
+
+def test_sz8_kernel_memory_within_estimate():
+    """The tracemalloc peak of enumerating Sz(8), its classes and the 4
+    class matrices its table needs stays within enumeration_bytes."""
+    import tracemalloc
+
+    from galmckay.groups import enumeration_bytes
+    from galmckay.zoo import suzuki_group
+
+    G = suzuki_group(1)
+    assert (G.order, len(G.base), len(G.generators)) == (29120, 3, 4)
+    tracemalloc.start()
+    try:
+        G.conjugacy_classes
+        for i in (1, 2, 8, 5):   # the classes dixon_schneider uses
+            G.class_matrix(i)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= enumeration_bytes(29120, 3, 4)
 
 
 def test_induced_class_permutation_brute_force():
@@ -383,13 +551,13 @@ def test_base_image_kernel_matches_reference():
         assert G.elements == elements, G.name
         assert [(cl.rep, cl.size, cl.element_order, cl.indices)
                 for cl in G.conjugacy_classes] == classes, G.name
-        reps = [cl[0] for cl in classes]
         for i, x in enumerate(elements):
             assert G.index_of(x) == i
             assert G.class_of_element(x) == class_of[i]
-            if i < 64:
-                assert G.quotient_classes(i) == \
-                    [class_of[index[compose(inverse(x), z)]] for z in reps]
+        for i in checked_classes(G):
+            assert G.class_matrix(i) == brute_class_matrix(
+                elements, G.conjugacy_classes,
+                lambda x: class_of[index[x]], i), (G.name, i)
         for c, cl in enumerate(classes):
             for k in primefactors(G.exponent) + [-1, G.exponent + 1]:
                 assert G.power_map(c, k) == \
@@ -422,7 +590,7 @@ def test_stabilizer_chain_matches_sympy():
             others.append(tuple((2 * x + 1) % 5 for x in range(5)))
         for x in others:
             assert (x in G) == S.contains(Permutation(list(x))), (G.name, x)
-        assert G._elements is None, G.name   # nothing enumerated so far
+        assert G._index is None, G.name   # nothing enumerated so far
         if G.order < 10 ** 6:
             keys = {itemgetter(*G.base)(x) for x in G.elements}
             assert len(keys) == G.order, G.name
@@ -476,7 +644,7 @@ def test_enumeration_budget(monkeypatch):
         ENUMERATION_BUDGET, GroupTooLargeError, enumeration_bytes)
 
     s12 = symmetric_group(12)
-    need = enumeration_bytes(479001600, 12)
+    need = enumeration_bytes(479001600, len(s12.base), 2)
     assert need > ENUMERATION_BUDGET
     with pytest.raises(GroupTooLargeError) as err:
         s12.elements
@@ -485,26 +653,33 @@ def test_enumeration_budget(monkeypatch):
     with pytest.raises(GroupTooLargeError):
         s12.conjugacy_classes
     # the budget is read when a group is enumerated
-    monkeypatch.setattr(groups, "ENUMERATION_BUDGET",
-                        enumeration_bytes(24, 4) - 1)
+    s4_need = enumeration_bytes(24, len(symmetric_group(4).base), 2)
+    monkeypatch.setattr(groups, "ENUMERATION_BUDGET", s4_need - 1)
     with pytest.raises(GroupTooLargeError):
         symmetric_group(4).elements
-    monkeypatch.setattr(groups, "ENUMERATION_BUDGET", enumeration_bytes(24, 4))
+    monkeypatch.setattr(groups, "ENUMERATION_BUDGET", s4_need)
     assert len(symmetric_group(4).elements) == 24
 
 
+def budget(order, G):
+    """enumeration_bytes for a group of the given order with G's base
+    and generators."""
+    from galmckay.groups import enumeration_bytes
+
+    return enumeration_bytes(order, len(G.base), len(G.generators))
+
+
 def test_list_targets_fit_the_budget():
-    from galmckay.groups import ENUMERATION_BUDGET, enumeration_bytes
+    from galmckay.groups import ENUMERATION_BUDGET
     from galmckay.verify import global_side, list_targets, \
         local_model_group
     from galmckay.zoo import field_automorphism
 
     for t in list_targets():
         N = local_model_group(t["family"], t["f"], t["p"])
-        assert enumeration_bytes(N.order, N.degree) <= ENUMERATION_BUDGET
+        assert budget(N.order, N) <= ENUMERATION_BUDGET
         if t["mode"] == "full":
             G = global_side(t["family"], t["f"]).table.group
             k = automorphism_order(G, field_automorphism(G))
             # the largest group a full target builds is G x| C_k
-            assert enumeration_bytes(k * G.order, G.degree) \
-                <= ENUMERATION_BUDGET
+            assert budget(k * G.order, G) <= ENUMERATION_BUDGET
