@@ -474,10 +474,11 @@ def test_induced_class_permutation_brute_force():
     for H, r in cases:
         cperm = induced_class_permutation(H, r)
         assert sorted(cperm) == list(range(len(H.conjugacy_classes)))
+        elements = H.elements
         for c, cl in enumerate(H.conjugacy_classes):
-            image = {conjugate(H.elements[i], r) for i in cl.indices}
+            image = {conjugate(elements[i], r) for i in cl.indices}
             target = H.conjugacy_classes[cperm[c]]
-            assert image == {H.elements[i] for i in target.indices}
+            assert image == {elements[i] for i in target.indices}
     assert any(induced_class_permutation(H, r) !=
                tuple(range(len(H.conjugacy_classes))) for H, r in cases)
 
