@@ -4,7 +4,15 @@ The class-sum eigenvalue vectors are found over a prime field F_p0 with
 p0 = 1 mod exp(G) and p0 > 2*sqrt(|G|), by simultaneous eigenspace
 splitting of the class matrices.  Character values are lifted exactly to
 cyclotomics through a discrete Fourier transform over the root-of-unity
-multiplicities, so no discrete logarithms are needed.
+multiplicities, so no discrete logarithms are needed.  The lift runs once
+per rational class: the class of g^t, t prime to |g|, takes
+sigma_t(chi(g)), which must agree with the eigenvector mod p0.
+
+A table numbers each distinct value once and looks rows up by the tuples
+of those numbers.  Its validation applies a generating set of the Galois
+group to the values once; when every image of a row is a row, it checks
+orthogonality for one row of each Galois orbit against every row, and
+otherwise for all pairs of rows.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ from operator import mul
 
 from . import GalMcKayError
 from .cyclo import Cyclotomic, ZERO, rational
-from .groups import FiniteGroup
-from .ntheory import isprime, primitive_root, sqrt_mod
+from .groups import FiniteGroup, _orbits, compose
+from .ntheory import isprime, primitive_root, sqrt_mod, unit_generators
 
 P0_SEARCH_CAP = 10 ** 8
 
@@ -318,14 +326,22 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
 
 
 class CharacterTable:
-    """Immutable exact character table of a finite group."""
+    """Immutable exact character table of a finite group.
+
+    Each distinct value is numbered once, and rows are looked up by the
+    tuples of their value numbers.
+    """
 
     def __init__(self, group: FiniteGroup, rows):
         self.group = group
         self.classes = group.conjugacy_classes
         self.rows = tuple(rows)
         self.exponent = group.exponent
-        self._row_index = {r.values: i for i, r in enumerate(self.rows)}
+        ids: dict = {}
+        self._value_ids = ids
+        self._row_ids = tuple(tuple(ids.setdefault(v, len(ids))
+                                    for v in r.values) for r in self.rows)
+        self._row_index = {r: i for i, r in enumerate(self._row_ids)}
         # galois.act_on_table: row permutations by residue mod the exponent,
         # and the subgroup of residues checked against the values
         self.galois_perms = {}
@@ -335,7 +351,7 @@ class CharacterTable:
         self.automorphism_perms = {}
 
     def row_index(self, cf: ClassFunction) -> int:
-        i = self._row_index.get(cf.values)
+        i = self._row_index.get(tuple(map(self._value_ids.get, cf.values)))
         if i is None:
             raise ChartabError("class function is not a row of this table")
         return i
@@ -343,8 +359,8 @@ class CharacterTable:
     def row_perm(self, class_perm) -> tuple:
         """perm[i] = index of the row chi_i composed with class_perm."""
         perm = []
-        for row in self.rows:
-            i = self._row_index.get(tuple(row.values[c] for c in class_perm))
+        for ids in self._row_ids:
+            i = self._row_index.get(compose(class_perm, ids))
             if i is None:
                 raise ChartabError("permuted row is not a row of this table")
             perm.append(i)
@@ -356,26 +372,59 @@ class CharacterTable:
     def p_prime_rows(self, p: int) -> list:
         return [i for i, r in enumerate(self.rows) if r.degree_int() % p]
 
+    def _galois_orbit_reps(self, e: int):
+        """The least row of each orbit of Gal(Q(zeta_e)/Q) on the rows, or
+        None if the rows repeat or some sigma_b, b in a generating set of
+        (Z/e)^x, sends a row to a class function that is not a row.
+
+        Each sigma_b is applied value-wise, once per distinct value.  It is
+        injective, so on distinct rows it permutes them.
+        """
+        n = len(self.rows)
+        if len(self._row_index) != n:
+            return None
+        values = list(self._value_ids)
+        perms = []
+        for b in unit_generators(e):
+            image = [self._value_ids.get(v.galois(b)) for v in values]
+            perm = [self._row_index.get(compose(ids, image))
+                    for ids in self._row_ids]
+            if None in perm:
+                return None
+            perms.append(perm)
+        return [orbit[0] for orbit in _orbits(n, perms)]
+
     def validate(self):
         G = self.group
-        if len(self.rows) != len(self.classes):
+        n = len(self.rows)
+        if n != len(self.classes):
             raise ChartabError("row count differs from class count")
         if sum(d * d for d in self.degrees()) != G.order:
             raise ChartabError("sum of squared degrees mismatch")
         for d in self.degrees():
             if G.order % d:
                 raise ChartabError("degree does not divide group order")
-        # |G| * <chi_i, chi_j> for all i <= j, in one group-ring pass
+        # |G| * <chi_i, chi_j>, each in one group-ring pass.  For a Galois
+        # automorphism sigma, sigma<chi, psi> = <sigma chi, sigma psi>, as
+        # class sizes are rational; so on a Galois-closed table the pairs
+        # (r, j) with r the least row of its orbit cover every pair, and a
+        # pair of two such rows is needed once.  Otherwise all i <= j.
         sizes = [cl.size for cl in self.classes]
         e = _orders_lcm(*(r.values for r in self.rows))
         terms = [_value_terms(r.values, e) for r in self.rows]
-        for i, a in enumerate(terms):
-            for j in range(i, len(terms)):
-                acc = _weighted_sum(sizes, a, terms[j], e)
-                if Cyclotomic.from_terms(e, acc.items()) != \
-                        (G.order if i == j else 0):
-                    raise ChartabError("row orthogonality fails at (%d,%d)"
-                                       % (i, j))
+        reps = self._galois_orbit_reps(e)
+        if reps is None:
+            pairs = ((i, j) for i in range(n) for j in range(i, n))
+        else:
+            rep_set = set(reps)
+            pairs = ((i, j) for i in reps for j in range(n)
+                     if j >= i or j not in rep_set)
+        for i, j in pairs:
+            acc = _weighted_sum(sizes, terms[i], terms[j], e)
+            if Cyclotomic.from_terms(e, acc.items()) != \
+                    (G.order if i == j else 0):
+                raise ChartabError("row orthogonality fails at (%d,%d)"
+                                   % (i, j))
         return True
 
 
@@ -397,16 +446,15 @@ def dixon_prime(exponent: int, order: int, at_least=0) -> int:
                        % (exponent, P0_SEARCH_CAP))
 
 
-def dixon_schneider(G: FiniteGroup) -> CharacterTable:
+def _characters_mod_p0(G: FiniteGroup, p0: int, power_classes) -> list:
+    """(chi(1), [chi(g_k) mod p0 for each class k]) for every irreducible chi.
+
+    power_classes[k][t] is the class of g_k^t, t < |g_k|.
+    """
     classes = G.conjugacy_classes
     ncl = len(classes)
     n = G.order
-    p0 = dixon_prime(G.exponent, n, at_least=ncl)
     rng = random.Random(12345)
-
-    # power_classes[k][t]: the class of g_k^t for t < |g_k|; the last one
-    # is the class of g_k^-1
-    power_classes = [G.power_classes(k) for k in range(ncl)]
 
     # simultaneous eigenspaces of the class matrices, split lazily in
     # ascending class-size order.  A class C^m with m prime to |g| comes
@@ -453,49 +501,8 @@ def dixon_schneider(G: FiniteGroup) -> CharacterTable:
 
     inv_class = [powers[-1] for powers in power_classes]
     sizes = [cl.size for cl in classes]
-
-    w_root = primitive_root(p0)
-    inv_root_powers = {}
-    lift_tables = {}
-
-    def inv_powers(o):
-        """[z^-s mod p0 for s < o] with z a primitive o-th root mod p0."""
-        tbl = inv_root_powers.get(o)
-        if tbl is None:
-            zinv = pow(w_root, p0 - 1 - (p0 - 1) // o, p0)
-            tbl = [1] * o
-            for t in range(1, o):
-                tbl[t] = tbl[t - 1] * zinv % p0
-            inv_root_powers[o] = tbl
-        return tbl
-
-    def lift_table(k):
-        """The classes C_u of the powers of g = g_k, and F with F[j][u] =
-        (1/o) sum of z^-jt over the t < o with g^t in C_u, o = |g|.
-
-        The multiplicity of zeta_o^j in chi(g) is then
-        sum_u chi(C_u) F[j][u] mod p0.
-        """
-        tbl = lift_tables.get(k)
-        if tbl is None:
-            o = classes[k].element_order
-            powers = power_classes[k]
-            targets = sorted(set(powers))
-            slots = [targets.index(c) for c in powers]
-            zinv = inv_powers(o)
-            oinv = pow(o, -1, p0)
-            F = []
-            for j in range(o):
-                f = [0] * len(targets)
-                for t, u in enumerate(slots):
-                    f[u] += zinv[j * t % o]
-                F.append([x * oinv % p0 for x in f])
-            tbl = lift_tables[k] = (targets, F)
-        return tbl
-
-    rows = []
-    for sp in spaces:
-        w = sp[0]
+    out = []
+    for (w,) in spaces:
         if w[0] % p0 == 0:
             raise ChartabError("eigenvector vanishes at identity class")
         scale = pow(w[0], -1, p0)
@@ -507,24 +514,91 @@ def dixon_schneider(G: FiniteGroup) -> CharacterTable:
         if r is None:
             raise ChartabError("degree is not a square mod p0")
         deg = min(r, p0 - r)
-        chi_mod = [(w[k] * deg * pow(sizes[k], -1, p0)) % p0
-                   for k in range(ncl)]
-        values = []
-        for k in range(ncl):
+        out.append((deg, [(w[k] * deg * pow(sizes[k], -1, p0)) % p0
+                          for k in range(ncl)]))
+    return out
+
+
+def _lift_table(powers, zinv, p0):
+    """The classes C_u of the powers of an element g of order o = |powers|,
+    and F with F[j][u] = (1/o) sum of z^-jt over the t < o with g^t in C_u,
+    zinv[s] = z^-s for a primitive o-th root z mod p0.
+
+    The multiplicity of zeta_o^j in chi(g) is then
+    sum_u chi(C_u) F[j][u] mod p0.
+    """
+    o = len(powers)
+    targets = sorted(set(powers))
+    slots = [targets.index(c) for c in powers]
+    oinv = pow(o, -1, p0)
+    F = []
+    for j in range(o):
+        f = [0] * len(targets)
+        for t, u in enumerate(slots):
+            f[u] += zinv[j * t % o]
+        F.append([x * oinv % p0 for x in f])
+    return targets, F
+
+
+def dixon_schneider(G: FiniteGroup) -> CharacterTable:
+    classes = G.conjugacy_classes
+    ncl = len(classes)
+    p0 = dixon_prime(G.exponent, G.order, at_least=ncl)
+
+    # power_classes[k][t]: the class of g_k^t for t < |g_k|; the last one
+    # is the class of g_k^-1
+    power_classes = [G.power_classes(k) for k in range(ncl)]
+
+    # Each rational class is lifted at its first class k0 alone: the class
+    # of g_k0^t, t prime to |g|, holds chi(g_k0^t) = sigma_t(chi(g_k0)).
+    # source[k] = (k0, t) with k0 <= k, t = 1 exactly when k0 = k.
+    source = {}
+    for k in range(1, ncl):
+        if k not in source:
             o = classes[k].element_order
-            if o == 1:
-                values.append(rational(deg))
+            for t in range(1, o):
+                if gcd(t, o) == 1:
+                    source.setdefault(power_classes[k][t], (k, t))
+
+    # inv_root[o][s] = z^-s mod p0 with z the primitive o-th root
+    # w^((p0 - 1)/o), w the least primitive root; zeta_o maps to z
+    w_root = primitive_root(p0)
+    inv_root = {}
+    lift_tables = {}
+    for k, (_, t) in source.items():
+        o = classes[k].element_order
+        if t == 1:
+            if o not in inv_root:
+                zinv = pow(w_root, p0 - 1 - (p0 - 1) // o, p0)
+                inv_root[o] = [pow(zinv, s, p0) for s in range(o)]
+            lift_tables[k] = _lift_table(power_classes[k], inv_root[o], p0)
+
+    rows = []
+    for deg, chi_mod in _characters_mod_p0(G, p0, power_classes):
+        values = [rational(deg)]
+        for k in range(1, ncl):
+            k0, t = source[k]
+            o = classes[k].element_order
+            if t == 1:
+                targets, F = lift_tables[k]
+                chi = [chi_mod[c] for c in targets]
+                mults = []
+                for j, f in enumerate(F):
+                    mj = sum(map(mul, chi, f)) % p0
+                    if mj > deg:
+                        raise ChartabError("multiplicity lift out of range")
+                    if mj:
+                        mults.append((j, mj))
+                values.append(Cyclotomic.from_terms(o, mults))
                 continue
-            targets, F = lift_table(k)
-            chi = [chi_mod[c] for c in targets]
-            mults = []
-            for j, f in enumerate(F):
-                mj = sum(map(mul, chi, f)) % p0
-                if mj > deg:
-                    raise ChartabError("multiplicity lift out of range")
-                if mj:
-                    mults.append((j, mj))
-            values.append(Cyclotomic.from_terms(o, mults))
+            v = values[k0].galois(t)
+            # v mod p0: zeta_o^a maps to z^a = inv_root[o][-a mod o]
+            zinv, s = inv_root[o], o // v.order
+            if sum(c * zinv[-e * s % o] for e, c in v.terms()) % p0 \
+                    != chi_mod[k]:
+                raise ChartabError("Galois-conjugate value disagrees with "
+                                   "the eigenvector mod p0")
+            values.append(v)
         rows.append(ClassFunction(G, values))
 
     rows.sort(key=lambda r: r.sort_key())

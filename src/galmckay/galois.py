@@ -14,7 +14,7 @@ from math import gcd
 from . import GalMcKayError
 from .cyclo import ONE
 from .groups import FiniteGroup, compose, inverse, induced_class_permutation
-from .ntheory import isprime
+from .ntheory import isprime, units_generated
 from .chartab import (
     CharacterTable, ClassFunction, ChartabError, dixon_schneider,
     induce, inner_product,
@@ -84,16 +84,6 @@ def _check_modulus(table: CharacterTable, sigma: GaloisElement):
                           % (sigma.m, table.exponent))
 
 
-def _generated(subgroup, b, m):
-    """The subgroup of (Z/m)^x generated by a subgroup and the residue b."""
-    out = set(subgroup)
-    x = b
-    while x not in subgroup:
-        out.update(x * h % m for h in subgroup)
-        x = x * b % m
-    return frozenset(out)
-
-
 def act_on_table(table: CharacterTable, sigma: GaloisElement):
     """Row permutation induced by applying sigma to every value.
 
@@ -122,7 +112,7 @@ def act_on_table(table: CharacterTable, sigma: GaloisElement):
             if row.galois(b) != table.rows[perm[i]]:
                 raise GaloisError("Galois action on row %d disagrees with "
                                   "the power map" % i)
-        table.galois_checked = _generated(table.galois_checked, b, e)
+        table.galois_checked = units_generated(table.galois_checked, b, e)
     table.galois_perms[b] = perm
     return perm
 

@@ -1,5 +1,5 @@
-"""Elementary number theory: primality, factoring, primitive roots and
-square roots mod a prime.
+"""Elementary number theory: primality, factoring, primitive roots,
+square roots mod a prime and generators of the unit group mod m.
 
 isprime is the Miller-Rabin test to the 13 prime bases up to 41, which
 has no strong pseudoprime below MR_BOUND (Sorenson and Webster, Strong
@@ -125,3 +125,24 @@ def sqrt_mod(a: int, p: int):
         s, c = i, b * b % p
         r, t = r * b % p, t * c % p
     return min(r, p - r)
+
+
+def units_generated(subgroup, b: int, m: int) -> frozenset:
+    """The subgroup of (Z/m)^x generated by a subgroup and the residue b."""
+    out = set(subgroup)
+    x = b
+    while x not in subgroup:
+        out.update(x * h % m for h in subgroup)
+        x = x * b % m
+    return frozenset(out)
+
+
+def unit_generators(m: int) -> list:
+    """Residues generating (Z/m)^x, each outside the subgroup generated by
+    the ones before it."""
+    gens, sub = [], frozenset({1 % m})
+    for b in range(2, m):
+        if b not in sub and gcd(b, m) == 1:
+            gens.append(b)
+            sub = units_generated(sub, b, m)
+    return gens

@@ -8,14 +8,20 @@ import cmath
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from operator import mul
 
-from galmckay.cyclo import Cyclotomic
+from galmckay.chartab import (
+    CharacterTable, ChartabError, ClassFunction, _characters_mod_p0,
+    _orders_lcm, _value_terms, _weighted_sum, dixon_prime,
+)
+from galmckay.cyclo import Cyclotomic, rational
 from galmckay.galois import (
     GaloisElement, _check_modulus, power_class_permutation,
 )
 from galmckay.groups import (
     FiniteGroup, GroupError, check_realizer, identity_perm, perm_pow,
 )
+from galmckay.ntheory import primitive_root
 from galmckay.verify import VerifyError
 
 
@@ -52,6 +58,99 @@ def deserialize_table(doc: dict) -> dict:
             for r in doc["irreducibles"]
         ],
     }
+
+
+# -- character tables ----------------------------------------------------------
+
+def validate_all_pairs(table):
+    """|G| * <chi_i, chi_j> for every pair i <= j of rows: the orthogonality
+    check that the Galois-orbit one in CharacterTable.validate replaced."""
+    G = table.group
+    sizes = [cl.size for cl in table.classes]
+    e = _orders_lcm(*(r.values for r in table.rows))
+    terms = [_value_terms(r.values, e) for r in table.rows]
+    for i, a in enumerate(terms):
+        for j in range(i, len(terms)):
+            acc = _weighted_sum(sizes, a, terms[j], e)
+            if Cyclotomic.from_terms(e, acc.items()) != \
+                    (G.order if i == j else 0):
+                raise ChartabError("row orthogonality fails at (%d,%d)"
+                                   % (i, j))
+    return True
+
+
+def per_class_dixon_schneider(G):
+    """dixon_schneider with every class lifted on its own through its root
+    of unity multiplicities and all row pairs checked: the path that the
+    rational-class lift and the Galois-orbit check replaced."""
+    classes = G.conjugacy_classes
+    ncl = len(classes)
+    p0 = dixon_prime(G.exponent, G.order, at_least=ncl)
+    power_classes = [G.power_classes(k) for k in range(ncl)]
+
+    w_root = primitive_root(p0)
+    inv_root_powers = {}
+    lift_tables = {}
+
+    def inv_powers(o):
+        """[z^-s mod p0 for s < o] with z a primitive o-th root mod p0."""
+        tbl = inv_root_powers.get(o)
+        if tbl is None:
+            zinv = pow(w_root, p0 - 1 - (p0 - 1) // o, p0)
+            tbl = [1] * o
+            for t in range(1, o):
+                tbl[t] = tbl[t - 1] * zinv % p0
+            inv_root_powers[o] = tbl
+        return tbl
+
+    def lift_table(k):
+        """The classes C_u of the powers of g = g_k, and F with F[j][u] =
+        (1/o) sum of z^-jt over the t < o with g^t in C_u, o = |g|.
+
+        The multiplicity of zeta_o^j in chi(g) is then
+        sum_u chi(C_u) F[j][u] mod p0.
+        """
+        tbl = lift_tables.get(k)
+        if tbl is None:
+            o = classes[k].element_order
+            powers = power_classes[k]
+            targets = sorted(set(powers))
+            slots = [targets.index(c) for c in powers]
+            zinv = inv_powers(o)
+            oinv = pow(o, -1, p0)
+            F = []
+            for j in range(o):
+                f = [0] * len(targets)
+                for t, u in enumerate(slots):
+                    f[u] += zinv[j * t % o]
+                F.append([x * oinv % p0 for x in f])
+            tbl = lift_tables[k] = (targets, F)
+        return tbl
+
+    rows = []
+    for deg, chi_mod in _characters_mod_p0(G, p0, power_classes):
+        values = []
+        for k in range(ncl):
+            o = classes[k].element_order
+            if o == 1:
+                values.append(rational(deg))
+                continue
+            targets, F = lift_table(k)
+            chi = [chi_mod[c] for c in targets]
+            mults = []
+            for j, f in enumerate(F):
+                mj = sum(map(mul, chi, f)) % p0
+                if mj > deg:
+                    raise ChartabError("multiplicity lift out of range")
+                if mj:
+                    mults.append((j, mj))
+            values.append(Cyclotomic.from_terms(o, mults))
+        rows.append(ClassFunction(G, values))
+
+    rows.sort(key=lambda r: r.sort_key())
+    table = CharacterTable(G, rows)
+    validate_all_pairs(table)
+    return table
 
 
 # -- small standard groups ----------------------------------------------------

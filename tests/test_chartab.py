@@ -11,7 +11,12 @@ from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, dixon_schneider, dixon_prime,
     inner_product, induce, _charpoly, _coordinates, _nullspace, _proots,
 )
-from oracles import approx, cyclic_group, root, symmetric_group
+from galmckay.cli import _GROUP_BUILDERS
+from galmckay.galois import act_on_table
+from oracles import (
+    approx, cyclic_group, full_galois_group, per_class_dixon_schneider, root,
+    symmetric_group, validate_all_pairs,
+)
 
 
 def dihedral(n):
@@ -348,3 +353,131 @@ def test_validate_catches_one_perturbed_value(perturb):
                 with pytest.raises(ChartabError,
                                    match="row orthogonality fails"):
                     CharacterTable(G, rows).validate()
+
+
+# -- the rational-class lift and the Galois-orbit check ------------------------
+
+def assert_matches_per_class_oracle(G, table):
+    oracle = per_class_dixon_schneider(G)
+    assert [r.values for r in table.rows] == [r.values for r in oracle.rows]
+    assert validate_all_pairs(table)
+
+
+@pytest.mark.parametrize("name", sorted(_GROUP_BUILDERS))
+def test_lift_matches_per_class_oracle_on_chartab_groups(name):
+    G = _GROUP_BUILDERS[name]()
+    assert_matches_per_class_oracle(G, dixon_schneider(G))
+
+
+def test_lift_matches_per_class_oracle_on_target_models():
+    from galmckay.verify import list_targets, local_model_group
+
+    for target in list_targets():
+        G = local_model_group(target["family"], target["f"], target["p"])
+        assert_matches_per_class_oracle(G, dixon_schneider(G))
+
+
+def test_lift_matches_per_class_oracle_on_extension_products():
+    """The tables of Sz(8).3, PSL(2,8).3 and each N_P.3 that verify
+    builds."""
+    from galmckay.verify import global_side, list_targets, local_side
+
+    for target in list_targets():
+        if target["mode"] != "full":
+            continue
+        for side in (global_side(target["family"], target["f"]),
+                     local_side(target["family"], target["f"], target["p"])):
+            big = side.cache[1][1]
+            assert_matches_per_class_oracle(big.group, big)
+
+
+def galois_orbits(table):
+    """The orbits of Gal(Q(zeta_e)/Q) on the rows, e the table exponent,
+    through the power maps (galois.act_on_table)."""
+    perms = [act_on_table(table, s) for s in full_galois_group(table.exponent)]
+    return sorted({tuple(sorted({p[i] for p in perms}))
+                   for i in range(len(table.rows))})
+
+
+@pytest.mark.parametrize("G", [dihedral(7), cyclic_group(5),
+                               symmetric_group(4)], ids=["D14", "C5", "S4"])
+def test_validate_catches_a_corrupted_galois_orbit(G):
+    """Adding 1/2 at one class to every row of an orbit keeps the table
+    Galois-closed, so only the reduced check runs, and it must fail."""
+    t = dixon_schneider(G)
+    for orbit in galois_orbits(t):
+        for k in range(1, len(t.classes)):
+            rows = list(t.rows)
+            for i in orbit:
+                vals = list(rows[i].values)
+                vals[k] = vals[k] + Fraction(1, 2)
+                rows[i] = ClassFunction(G, vals)
+            bad = CharacterTable(G, rows)
+            assert bad._galois_orbit_reps(bad.exponent) is not None
+            with pytest.raises(ChartabError,
+                               match="row orthogonality fails"):
+                bad.validate()
+
+
+def test_validate_runs_all_pairs_on_a_table_not_galois_closed(monkeypatch):
+    """In the table of C5, chi_1 and chi_4 replaced by a chi_1 + conj(a)
+    chi_4 and conj(a) chi_1 + a chi_4, a = (1 + i)/2: the rows stay
+    orthonormal of degree 1, but sigma with zeta_5 -> zeta_5^2 and i -> i
+    sends the first to a chi_2 + conj(a) chi_3, which is not a row."""
+    from galmckay import chartab
+
+    G = cyclic_group(5)
+    chi = [[root(5, a * k) for k in range(5)] for a in range(5)]
+    a = (1 + root(4, 1)) * Fraction(1, 2)
+    abar = a.galois(-1)
+    mixed = [[x * a + y * abar for x, y in zip(chi[1], chi[4])],
+             [x * abar + y * a for x, y in zip(chi[1], chi[4])]]
+    t = CharacterTable(G, [ClassFunction(G, v)
+                           for v in (chi[0], mixed[0], chi[2], chi[3],
+                                     mixed[1])])
+    assert t._galois_orbit_reps(20) is None
+    sums = []
+    real = chartab._weighted_sum
+
+    def counted(*args):
+        sums.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chartab, "_weighted_sum", counted)
+    assert t.validate()
+    assert len(sums) == 5 * 6 // 2
+
+
+def test_2f4_109_lifts_once_per_rational_class(monkeypatch):
+    """The 2F4 p=109 model has 20 nontrivial classes in 6 rational classes
+    and 21 rows in 7 Galois orbits.  It builds 6 lift tables, and validate
+    sums 7 * 21 row pairs less the 21 pairs of two orbit
+    representatives counted twice."""
+    from math import gcd
+
+    from galmckay import chartab
+    from galmckay.verify import local_model_group
+
+    G = local_model_group("2F4", 1, 109)
+    lifts, sums = [], []
+    real_lift, real_sum = chartab._lift_table, chartab._weighted_sum
+
+    def counted_lift(*args):
+        lifts.append(args)
+        return real_lift(*args)
+
+    def counted_sum(*args):
+        sums.append(args)
+        return real_sum(*args)
+
+    monkeypatch.setattr(chartab, "_lift_table", counted_lift)
+    monkeypatch.setattr(chartab, "_weighted_sum", counted_sum)
+    t = dixon_schneider(G)
+    rational_classes = {frozenset(G.power_map(k, m) for m in range(1, o)
+                                  if gcd(m, o) == 1)
+                        for k, cl in enumerate(G.conjugacy_classes)
+                        for o in [cl.element_order] if o > 1}
+    assert len(lifts) == len(rational_classes) == 6
+    orbits = len(galois_orbits(t))
+    assert (orbits, len(t.rows)) == (7, 21)
+    assert len(sums) == orbits * 21 - orbits * (orbits - 1) // 2 == 126

@@ -8,7 +8,8 @@ import sympy
 from galmckay import GalMcKayError
 from galmckay.chartab import dixon_prime
 from galmckay.ntheory import (
-    MR_BOUND, factorint, isprime, primitive_root, sqrt_mod)
+    MR_BOUND, factorint, isprime, primitive_root, sqrt_mod, unit_generators,
+    units_generated)
 from galmckay.zoo import torus_polynomials
 
 
@@ -72,3 +73,15 @@ def test_sqrt_mod():
             assert (r is None) == (sympy.sqrt_mod(a, p) is None), (a, p)
             if r is not None:
                 assert r * r % p == a % p, (a, p, r)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 20, 52, 1308])
+def test_unit_generators_generate_the_units(m):
+    """Each generator lies outside the subgroup of those before it, and
+    together they generate every unit mod m (sympy's totient counts them)."""
+    sub = frozenset({1 % m})
+    for b in unit_generators(m):
+        assert b not in sub
+        sub = units_generated(sub, b, m)
+    assert len(sub) == sympy.totient(m)
+    assert all(sympy.gcd(b, m) == 1 for b in sub)
