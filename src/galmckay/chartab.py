@@ -9,22 +9,24 @@ per rational class: the class of g^t, t prime to |g|, takes
 sigma_t(chi(g)), which must agree with the eigenvector mod p0.
 
 A table numbers each distinct value once and looks rows up by the tuples
-of those numbers.  Its validation applies a generating set of the Galois
-group to the values once; when every image of a row is a row, it checks
-orthogonality for one row of each Galois orbit against every row, and
-otherwise for all pairs of rows.
+of those numbers.  Its validation first proves the table Galois-compatible,
+chi(g^b) = sigma_b(chi(g)) for a generating set of the Galois group, then
+checks orthogonality once per rational class, through the trace from
+Q(zeta_o) to Q, for one row of each Galois orbit against every row.
+galois.act_on_table relies on that proof.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import GalMcKayError
 from .cyclo import Cyclotomic, ZERO, rational
-from .groups import FiniteGroup, _orbits, compose
+from .groups import FiniteGroup, _orbits, compose, power_class_permutation
 from .ntheory import isprime, primitive_root, sqrt_mod, unit_generators
 
 P0_SEARCH_CAP = 10 ** 8
@@ -37,7 +39,7 @@ class ChartabError(GalMcKayError):
 # -- linear algebra over F_p ----------------------------------------------
 
 def _mat_vec(M, v, p):
-    return [sum(r[j] * v[j] for j in range(len(v))) % p for r in M]
+    return [sum(map(mul, r, v)) % p for r in M]
 
 
 def _eliminate(rows, ncols, p):
@@ -206,9 +208,11 @@ def _ppowmod(base, e, mod, p):
 def _proots(f, p, rng):
     """All roots in F_p of f, which must split into linear factors.
 
-    After the square-free reduction f divides x^p - x exactly when it
-    splits; otherwise ChartabError is raised, since the random splitting
-    below would never end.
+    After the square-free reduction and the root 0 are divided out, f
+    splits exactly when it divides x^(p-1) - 1, that is when
+    h = x^((p-1)/2) mod f has h^2 = 1 mod f; otherwise ChartabError is
+    raised, since the random splitting below would never end.  The same h
+    gives the first Cantor-Zassenhaus split, gcd(h - 1, f).
     """
     f = _ptrim(f, p)
     inv = pow(f[-1], -1, p)
@@ -216,36 +220,31 @@ def _proots(f, p, rng):
     deriv = _ptrim([(i * x) % p for i, x in enumerate(f)][1:], p)
     if deriv:
         f = _pdivmod(f, _pgcd(f, deriv, p), p)[0]
-    if _ppowmod([0, 1], p, f, p) != _pdivmod([0, 1], f, p)[1]:
+    roots = []
+    if f[0] == 0:
+        roots.append(0)
+        f = f[1:]
+    if len(f) == 1:
+        return roots
+    h = _ppowmod([0, 1], (p - 1) // 2, f, p)
+    if _pdivmod(_pmul(h, h, p), f, p)[1] != [1]:
         raise ChartabError("characteristic polynomial does not split over "
                            "F_p0")
-    roots = []
-    stack = [f]
+    stack = [(f, h)]
     while stack:
-        h = stack.pop()
-        if len(h) <= 1:
+        g, h = stack.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
             continue
-        if h[0] == 0:
-            roots.append(0)
-            stack.append(_pdivmod(h, [0, 1], p)[0])
-            continue
-        if len(h) == 2:
-            roots.append((-h[0] * pow(h[1], -1, p)) % p)
-            continue
-        while True:
-            a = rng.randrange(p)
-            t = _ppowmod([a, 1], (p - 1) // 2, h, p)
-            if t:
-                t = t[:]
-                t[0] = (t[0] - 1) % p
-                t = _ptrim(t, p)
-            else:
-                t = [p - 1]
-            d = _pgcd(t, h, p)
-            if 0 < len(d) - 1 < len(h) - 1:
-                stack.append(d)
-                stack.append(_pdivmod(h, d, p)[0])
-                break
+        if h is None:
+            h = _ppowmod([rng.randrange(p), 1], (p - 1) // 2, g, p)
+        t = (h or [0])[:]
+        t[0] -= 1
+        d = _pgcd(t, g, p)
+        if 0 < len(d) - 1 < len(g) - 1:
+            stack += [(d, None), (_pdivmod(g, d, p)[0], None)]
+        else:
+            stack.append((g, None))
     return roots
 
 
@@ -271,9 +270,6 @@ class ClassFunction:
         return (isinstance(other, ClassFunction)
                 and self.group is other.group and self.values == other.values)
 
-    def galois(self, b):
-        return ClassFunction(self.group, [v.galois(b) for v in self.values])
-
     def sort_key(self):
         return (self.degree_int(),
                 tuple((v.order, tuple((e, c.numerator, c.denominator)
@@ -284,44 +280,23 @@ class ClassFunction:
         return "ClassFunction(deg=%s)" % (self.values[0],)
 
 
-# Inner products are summed in the group ring Z[x]/(x^e - 1) with e the
-# lcm of the value orders: each value becomes its terms (a, c) for c*x^a
-# over zeta_e, conj sends a to -a, and the sum is reduced to a cyclotomic
-# once.  x -> zeta_e is a ring homomorphism, so the result is exact.
-
-def _value_terms(values, e):
-    """Terms of each value over zeta_e, as lists of (exponent, coeff)."""
-    out = []
-    for v in values:
-        s = e // v.order
-        out.append([(a * s, c) for a, c in v.terms()])
-    return out
-
-
-def _weighted_sum(sizes, xs, ys, e):
-    """sum_k sizes[k] * x_k * conj(y_k) in Z[x]/(x^e - 1), as a dict."""
-    acc: dict = {}
-    for size, tx, ty in zip(sizes, xs, ys):
-        for a, c in tx:
-            c *= size
-            for b, d in ty:
-                k = (a - b) % e
-                acc[k] = acc.get(k, 0) + c * d
-    return acc
-
-
-def _orders_lcm(*value_lists) -> int:
-    return lcm(*(v.order for values in value_lists for v in values))
-
-
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
+    """<a, b>, summed in the group ring Z[x]/(x^e - 1) with e the lcm of
+    the value orders: each value becomes its terms (k, c) for c*x^k over
+    zeta_e, conj sends k to -k, and the sum is reduced to a cyclotomic
+    once.  x -> zeta_e is a ring homomorphism, so the result is exact."""
     if a.group is not b.group:
         raise ChartabError("class functions on different groups")
     G = a.group
-    e = _orders_lcm(a.values, b.values)
-    acc = _weighted_sum([cl.size for cl in G.conjugacy_classes],
-                        _value_terms(a.values, e), _value_terms(b.values, e),
-                        e)
+    e = lcm(*(v.order for v in a.values + b.values))
+    acc: dict = {}
+    for cl, x, y in zip(G.conjugacy_classes, a.values, b.values):
+        ys = y._over(e)
+        for i, c in x._over(e):
+            c *= cl.size
+            for j, d in ys:
+                k = (i - j) % e
+                acc[k] = acc.get(k, 0) + c * d
     return Cyclotomic.from_terms(e, acc.items()) * Fraction(1, G.order)
 
 
@@ -342,10 +317,11 @@ class CharacterTable:
         self._row_ids = tuple(tuple(ids.setdefault(v, len(ids))
                                     for v in r.values) for r in self.rows)
         self._row_index = {r: i for i, r in enumerate(self._row_ids)}
-        # galois.act_on_table: row permutations by residue mod the exponent,
-        # and the subgroup of residues checked against the values
+        # set by validate, which proves sigma_b(chi(g)) = chi(g^b);
+        # galois.act_on_table relies on it for its row permutations by
+        # residue b mod the exponent
+        self.validated = False
         self.galois_perms = {}
-        self.galois_checked = frozenset({1 % self.exponent})
         # extend.automorphism_row_perms: row permutations of a^j, j < k,
         # by (realizer, k)
         self.automorphism_perms = {}
@@ -372,27 +348,31 @@ class CharacterTable:
     def p_prime_rows(self, p: int) -> list:
         return [i for i, r in enumerate(self.rows) if r.degree_int() % p]
 
-    def _galois_orbit_reps(self, e: int):
-        """The least row of each orbit of Gal(Q(zeta_e)/Q) on the rows, or
-        None if the rows repeat or some sigma_b, b in a generating set of
-        (Z/e)^x, sends a row to a class function that is not a row.
-
-        Each sigma_b is applied value-wise, once per distinct value.  It is
-        injective, so on distinct rows it permutes them.
-        """
-        n = len(self.rows)
-        if len(self._row_index) != n:
-            return None
+    def _galois_class_perms(self) -> list:
+        """The power-map class permutations c -> class of g_c^b for b in a
+        generating set of (Z/e)^x, e the exponent, once the table is proved
+        Galois-compatible: every value at class c lies in Q(zeta_|g_c|),
+        and sigma_b(chi(g_c)) = chi(g_c^b) for every row chi.  By
+        composition and CRT, chi(g^t) = sigma_t(chi(g)) then holds for
+        every t prime to |g|.  Each sigma_b is applied once per distinct
+        value."""
         values = list(self._value_ids)
+        for c, (cl, column) in enumerate(zip(self.classes,
+                                             zip(*self._row_ids))):
+            for i in set(column):
+                if cl.element_order % values[i].order:
+                    raise ChartabError("value at class %d is not in "
+                                       "Q(zeta_%d)" % (c, cl.element_order))
         perms = []
-        for b in unit_generators(e):
+        for b in unit_generators(self.exponent):
             image = [self._value_ids.get(v.galois(b)) for v in values]
-            perm = [self._row_index.get(compose(ids, image))
-                    for ids in self._row_ids]
-            if None in perm:
-                return None
+            perm = power_class_permutation(self.group, b)
+            for r, ids in enumerate(self._row_ids):
+                if compose(ids, image) != compose(perm, ids):
+                    raise ChartabError("sigma_%d of row %d disagrees with "
+                                       "the power map" % (b, r))
             perms.append(perm)
-        return [orbit[0] for orbit in _orbits(n, perms)]
+        return perms
 
     def validate(self):
         G = self.group
@@ -404,28 +384,64 @@ class CharacterTable:
         for d in self.degrees():
             if G.order % d:
                 raise ChartabError("degree does not divide group order")
-        # |G| * <chi_i, chi_j>, each in one group-ring pass.  For a Galois
-        # automorphism sigma, sigma<chi, psi> = <sigma chi, sigma psi>, as
-        # class sizes are rational; so on a Galois-closed table the pairs
-        # (r, j) with r the least row of its orbit cover every pair, and a
-        # pair of two such rows is needed once.  Otherwise all i <= j.
-        sizes = [cl.size for cl in self.classes]
-        e = _orders_lcm(*(r.values for r in self.rows))
-        terms = [_value_terms(r.values, e) for r in self.rows]
-        reps = self._galois_orbit_reps(e)
-        if reps is None:
-            pairs = ((i, j) for i in range(n) for j in range(i, n))
-        else:
-            rep_set = set(reps)
-            pairs = ((i, j) for i in reps for j in range(n)
-                     if j >= i or j not in rep_set)
-        for i, j in pairs:
-            acc = _weighted_sum(sizes, terms[i], terms[j], e)
-            if Cyclotomic.from_terms(e, acc.items()) != \
-                    (G.order if i == j else 0):
-                raise ChartabError("row orthogonality fails at (%d,%d)"
-                                   % (i, j))
+        if len(self._row_index) != n:
+            raise ChartabError("rows repeat")
+        class_perms = self._galois_class_perms()
+        # |G| * <chi_i, chi_j> over the rational classes R, the orbits of
+        # the power maps: the classes of R have one size, and the sum of
+        # chi conj(psi) over R is |R|/phi(o) times the trace from Q(zeta_o)
+        # to Q at g_R, o = |g_R|.  That sum is a rational algebraic integer.
+        # Integral Fraction coefficients become ints, so the sums stay ints.
+        blocks = []
+        for orbit in _orbits(len(self.classes), class_perms):
+            cl = self.classes[orbit[0]]
+            o = cl.element_order
+            blocks.append((len(orbit), cl.size, _traces(o), [
+                [(a * (o // v.order), c.numerator if c.denominator == 1
+                  else c) for a, c in v.terms()]
+                for v in (r.values[orbit[0]] for r in self.rows)]))
+        # sigma<chi, psi> = <sigma chi, sigma psi> and the sigma_b permute
+        # the distinct rows, so the pairs (r, j) with r the least row of
+        # its Galois orbit cover every pair; a pair of two such rows is
+        # needed once.
+        reps = [orbit[0] for orbit in
+                _orbits(n, [self.row_perm(p) for p in class_perms])]
+        rep_set = set(reps)
+        for i in reps:
+            for j in range(n):
+                if j < i and j in rep_set:
+                    continue
+                total = 0
+                for count, size, traces, terms in blocks:
+                    q, rem = divmod(count * _trace_sum(terms[i], terms[j],
+                                                       traces), traces[0])
+                    if rem:
+                        break
+                    total += size * q
+                if rem or total != (G.order if i == j else 0):
+                    raise ChartabError("row orthogonality fails at (%d,%d)"
+                                       % (i, j))
+        self.validated = True
         return True
+
+
+@lru_cache(maxsize=None)
+def _traces(o: int) -> tuple:
+    """(Tr(zeta_o^m) for m < o), the trace from Q(zeta_o) to Q: the
+    Ramanujan sum of d * mu(o/d) over the divisors d of (m, o)."""
+    divisors = [d for d in range(1, o + 1) if o % d == 0]
+    mu = {1: 1}
+    for d in divisors[1:]:
+        mu[d] = -sum(mu[x] for x in divisors if x < d and d % x == 0)
+    return tuple(sum(d * mu[o // d] for d in divisors if m % d == 0)
+                 for m in range(o))
+
+
+def _trace_sum(xs, ys, traces):
+    """Tr(x conj(y)) from Q(zeta_o) to Q for x, y given by their terms over
+    zeta_o, traces as _traces(o)."""
+    o = len(traces)
+    return sum(c * d * traces[(a - b) % o] for a, c in xs for b, d in ys)
 
 
 def dixon_prime(exponent: int, order: int, at_least=0) -> int:
@@ -482,14 +498,13 @@ def _characters_mod_p0(G: FiniteGroup, p0: int, power_classes) -> list:
             d = len(sp)
             A = _coordinates(sp, [_mat_vec(M, b, p0) for b in sp], p0)
             roots = sorted(set(_proots(_charpoly(A, p0), p0, rng)))
+            columns = list(zip(*sp))
             covered = 0
             for lam in roots:
                 Ashift = [[(A[r][c] - (lam if r == c else 0)) % p0
                            for c in range(d)] for r in range(d)]
-                block = []
-                for v in _nullspace(Ashift, p0):
-                    block.append([sum(v[c] * sp[c][r] for c in range(d)) % p0
-                                  for r in range(ncl)])
+                block = [[sum(map(mul, v, col)) % p0 for col in columns]
+                         for v in _nullspace(Ashift, p0)]
                 if block:
                     new_spaces.append(block)
                     covered += len(block)

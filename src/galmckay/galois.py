@@ -3,18 +3,20 @@
 For a prime p and a modulus m, the relevant Galois automorphisms are the
 residues b mod m that act as some power of p on roots of unity of order
 prime to p while acting arbitrarily on p-power roots.  This module builds
-that group, lets it permute the rows of a character table, checks the
-compatibility between Galois action and class power maps, and labels the
-irreducible characters of a torus normalizer by pairs (torus character
-orbit, complement character).
+that group, lets it permute the rows of a character table through the
+class power maps (CharacterTable.validate proves the two actions agree),
+and labels the irreducible characters of a torus normalizer by pairs
+(torus character orbit, complement character).
 """
 
 from math import gcd
 
 from . import GalMcKayError
 from .cyclo import ONE
-from .groups import FiniteGroup, compose, inverse, induced_class_permutation
-from .ntheory import isprime, units_generated
+from .groups import (
+    compose, inverse, induced_class_permutation, power_class_permutation,
+)
+from .ntheory import isprime
 from .chartab import (
     CharacterTable, ClassFunction, ChartabError, dixon_schneider,
     induce, inner_product,
@@ -72,12 +74,6 @@ def h_group(p, m) -> tuple:
                  if gcd(b, m) == 1 and b % m_pp in powers)
 
 
-def power_class_permutation(group: FiniteGroup, b: int) -> tuple:
-    """Class indices of rep^b for the class representatives of group."""
-    return tuple(group.power_map(c, b % cl.element_order)
-                 for c, cl in enumerate(group.conjugacy_classes))
-
-
 def _check_modulus(table: CharacterTable, sigma: GaloisElement):
     if table.exponent > 1 and sigma.m % table.exponent:
         raise GaloisError("modulus %d not divisible by table exponent %d"
@@ -88,32 +84,23 @@ def act_on_table(table: CharacterTable, sigma: GaloisElement):
     """Row permutation induced by applying sigma to every value.
 
     Returns a tuple perm with perm[i] = index of the image of row i.
-    Since sigma_b(chi(g)) = chi(g^b), this is the row permutation of the
+    CharacterTable.validate proves sigma_b(chi(g)) = chi(g^b) for every
+    unit b mod the exponent, so this is the row permutation of the
     power-map class permutation, cached on the table per residue b mod the
-    exponent.  For b outside the subgroup of residues already checked, the
-    image of every row is also computed value by value and must agree.
-    The identity passes from b and c to bc, so every returned permutation
-    equals the value-wise action.
+    exponent.  A table that has not passed validate is validated first,
+    and GaloisError is raised if that fails.
     """
     _check_modulus(table, sigma)
-    e = table.exponent
-    b = sigma.b % e
+    b = sigma.b % table.exponent
     perm = table.galois_perms.get(b)
-    if perm is not None:
-        return perm
-    try:
+    if perm is None:
+        if not table.validated:
+            try:
+                table.validate()
+            except ChartabError as exc:
+                raise GaloisError("table fails validation: %s" % exc) from exc
         perm = table.row_perm(power_class_permutation(table.group, b))
-    except ChartabError:
-        raise GaloisError("table is not closed under the Galois action")
-    if sorted(perm) != list(range(len(table.rows))):
-        raise GaloisError("Galois action on rows is not a bijection")
-    if b not in table.galois_checked:
-        for i, row in enumerate(table.rows):
-            if row.galois(b) != table.rows[perm[i]]:
-                raise GaloisError("Galois action on row %d disagrees with "
-                                  "the power map" % i)
-        table.galois_checked = units_generated(table.galois_checked, b, e)
-    table.galois_perms[b] = perm
+        table.galois_perms[b] = perm
     return perm
 
 

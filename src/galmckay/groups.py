@@ -38,7 +38,7 @@ alone.
 from __future__ import annotations
 
 from collections import Counter
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from . import GalMcKayError
@@ -293,15 +293,28 @@ class _Classes:
 
     def power_classes(self, c: int) -> list:
         """Class indices of g^t, t < |g|, for the representative g of class
-        c; each power is one product after the one before it."""
+        c.  One walk serves the rational class of c: each power is one
+        product after the one before it, and for t prime to |g| the class
+        of (g^t)^s is that of g^(ts)."""
         powers = self._powers.get(c)
         if powers is None:
-            cl = self.conjugacy_classes[c]
-            x, powers = cl.rep, [0]
-            for _ in range(1, cl.element_order):
-                powers.append(self.class_of_element(x))
-                x = compose(x, cl.rep)
-            self._powers[c] = powers
+            powers = self._power_walk(c)
+            o = len(powers)
+            for t in range(o):
+                if powers[t] not in self._powers and gcd(t, o) == 1:
+                    self._powers[powers[t]] = [powers[t * s % o]
+                                               for s in range(o)]
+        return self._powers[c]
+
+    def _power_walk(self, c: int) -> list:
+        """Class indices of g^t, t < |g|, for the representative g of class
+        c, each power numbered by the products of its predecessor with g:
+        a power of g is in the group, so no lookup sifts it."""
+        i = self.conjugacy_classes[c].indices[0]
+        x, powers = 0, []
+        for _ in range(self._classes[c].element_order):
+            powers.append(self._class_of[x])
+            (x,) = self.times([x], i)
         return powers
 
     def power_map(self, c: int, k: int) -> int:
@@ -664,6 +677,12 @@ def induced_class_permutation(G: FiniteGroup, r) -> tuple:
                      for cl in G.conjugacy_classes)
     except KeyError:
         raise GroupError("realizer does not normalize %s" % G.name)
+
+
+def power_class_permutation(group, b: int) -> tuple:
+    """Class indices of rep^b for the class representatives of group."""
+    return tuple(group.power_map(c, b)
+                 for c in range(len(group.conjugacy_classes)))
 
 
 # -- semidirect products ---------------------------------------------------

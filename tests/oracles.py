@@ -12,14 +12,13 @@ from operator import mul
 
 from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, _characters_mod_p0,
-    _orders_lcm, _value_terms, _weighted_sum, dixon_prime,
+    dixon_prime, inner_product,
 )
 from galmckay.cyclo import Cyclotomic, rational
-from galmckay.galois import (
-    GaloisElement, _check_modulus, power_class_permutation,
-)
+from galmckay.galois import GaloisElement, _check_modulus
 from galmckay.groups import (
     FiniteGroup, GroupError, check_realizer, identity_perm, perm_pow,
+    power_class_permutation,
 )
 from galmckay.ntheory import primitive_root
 from galmckay.verify import VerifyError
@@ -63,17 +62,13 @@ def deserialize_table(doc: dict) -> dict:
 # -- character tables ----------------------------------------------------------
 
 def validate_all_pairs(table):
-    """|G| * <chi_i, chi_j> for every pair i <= j of rows: the orthogonality
-    check that the Galois-orbit one in CharacterTable.validate replaced."""
-    G = table.group
-    sizes = [cl.size for cl in table.classes]
-    e = _orders_lcm(*(r.values for r in table.rows))
-    terms = [_value_terms(r.values, e) for r in table.rows]
-    for i, a in enumerate(terms):
-        for j in range(i, len(terms)):
-            acc = _weighted_sum(sizes, a, terms[j], e)
-            if Cyclotomic.from_terms(e, acc.items()) != \
-                    (G.order if i == j else 0):
+    """|G| * <chi_i, chi_j> for every pair i <= j of rows, each summed class
+    by class through inner_product: the orthogonality check that the trace
+    sums over rational classes in CharacterTable.validate replaced."""
+    rows = table.rows
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            if inner_product(a, rows[j]) != (1 if i == j else 0):
                 raise ChartabError("row orthogonality fails at (%d,%d)"
                                    % (i, j))
     return True
@@ -195,11 +190,16 @@ def full_galois_group(m) -> list:
     return [GaloisElement(m, b) for b in range(1, m) if gcd(b, m) == 1]
 
 
+def galois_image(cf, b: int) -> ClassFunction:
+    """sigma_b applied to every value of the class function cf."""
+    return ClassFunction(cf.group, [v.galois(b) for v in cf.values])
+
+
 def power_compatibility_check(table, sigma: GaloisElement):
     """True iff sigma(chi(g)) = chi(g^b) for every row and class."""
     _check_modulus(table, sigma)
     powered = power_class_permutation(table.group, sigma.b)
-    return all(row.galois(sigma.b).values
+    return all(galois_image(row, sigma.b).values
                == tuple(row.values[c] for c in powered)
                for row in table.rows)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from sympy import GF, Matrix, symbols
@@ -10,11 +11,13 @@ from galmckay.groups import FiniteGroup, semidirect_product
 from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, dixon_schneider, dixon_prime,
     inner_product, induce, _charpoly, _coordinates, _nullspace, _proots,
+    _traces,
 )
 from galmckay.cli import _GROUP_BUILDERS
 from galmckay.galois import act_on_table
 from oracles import (
-    approx, cyclic_group, full_galois_group, per_class_dixon_schneider, root,
+    approx, cyclic_group, full_galois_group, galois_image,
+    per_class_dixon_schneider, power_compatibility_check, root,
     symmetric_group, validate_all_pairs,
 )
 
@@ -121,7 +124,7 @@ def test_galois_closure_of_table():
         if gcd(b, m) != 1:
             continue
         for r in t.rows:
-            assert r.galois(b).values in rowset
+            assert galois_image(r, b).values in rowset
 
 
 def test_inner_product_basics():
@@ -271,6 +274,23 @@ def test_proots_refuses_a_polynomial_that_does_not_split():
             _proots(f, 7, rng)
 
 
+@pytest.mark.parametrize("o", [1, 2, 4, 9, 12, 30, 109, 1308])
+def test_traces_are_the_sums_over_galois_conjugates(o):
+    """Tr(zeta_o^m) = sum of zeta_o^(mt) over the units t mod o, numerically
+    and for the cyclotomic sum."""
+    import cmath
+
+    traces = _traces(o)
+    units = [t for t in range(o) if gcd(t, o) == 1]
+    assert traces[0] == len(units)
+    for m in range(o):
+        numeric = sum(cmath.exp(2j * cmath.pi * m * t / o) for t in units)
+        assert abs(numeric - traces[m]) < 1e-6, m
+    for m in range(0, o, max(1, o // 12)):
+        assert Cyclotomic.from_terms(o, [(m * t, 1) for t in units]) \
+            == traces[m]
+
+
 def test_galois_conjugate_classes_build_no_class_matrix(monkeypatch):
     """Sz(8) needs the class matrices of 4 classes and Sz(8) x| C3 those of
     3; none of them is a power g^m, m prime to |g|, of another."""
@@ -332,35 +352,120 @@ def test_inner_product_matches_direct_formula():
             assert inner_product(b, a) == got.galois(-1)
 
 
-@pytest.mark.parametrize("perturb", [
-    lambda v: v + Fraction(1, 2),
-    lambda v: v + root(7, 1),
+# validate's messages when the Galois-compatibility proof fails
+COMPATIBILITY = (r"not in Q\(zeta|disagrees with the power map"
+                 r"|permuted row is not a row")
+
+
+def galois_compatible(table):
+    """Oracle: every value at class c lies in Q(zeta_|g_c|), and for every
+    unit b mod the exponent sigma_b(chi(g)) = chi(g^b) and sigma_b
+    permutes the rows."""
+    rows = {r.values for r in table.rows}
+    return (all(cl.element_order % v.order == 0 for r in table.rows
+                for v, cl in zip(r.values, table.classes))
+            and all(power_compatibility_check(table, s)
+                    and all(galois_image(r, s.b).values in rows
+                            for r in table.rows)
+                    for s in full_galois_group(table.exponent)))
+
+
+def expected_rejection(table):
+    """The message validate must reject a perturbed table with: the
+    compatibility check runs before orthogonality."""
+    return ("row orthogonality fails" if galois_compatible(table)
+            else COMPATIBILITY)
+
+
+def with_value(table, i, k, v):
+    """The table with the value of row i at class k replaced by v."""
+    vals = list(table.rows[i].values)
+    vals[k] = v
+    rows = list(table.rows)
+    rows[i] = ClassFunction(table.group, vals)
+    return CharacterTable(table.group, rows)
+
+
+PERTURBATIONS = {
+    "plus-half": lambda v, o: v + Fraction(1, 2),
+    "plus-root": lambda v, o: v + root(7, 1),
     # these keep every row norm, so only an off-diagonal pair can fail
-    lambda v: v * root(7, 1),
-    lambda v: v * root(12, 5),
-], ids=["plus-half", "plus-root", "times-root7", "times-root12"])
+    "times-root7": lambda v, o: v * root(7, 1),
+    "times-root12": lambda v, o: v * root(12, 5),
+    # stays in the value field of the class
+    "times-class-root": lambda v, o: v * root(o, 1),
+}
+
+
+@pytest.mark.parametrize("perturb", [PERTURBATIONS[k] for k in (
+    "plus-half", "plus-root", "times-root7", "times-root12")],
+    ids=["plus-half", "plus-root", "times-root7", "times-root12"])
 def test_validate_catches_one_perturbed_value(perturb):
     for G in (dihedral(7), symmetric_group(4)):
         t = dixon_schneider(G)
         for i in range(len(t.rows)):
             for k in range(1, len(t.classes)):
-                vals = list(t.rows[i].values)
-                if perturb(vals[k]) == vals[k]:
+                v = t.rows[i].values[k]
+                if perturb(v, 1) == v:
                     continue
-                vals[k] = perturb(vals[k])
-                rows = list(t.rows)
-                rows[i] = ClassFunction(G, vals)
+                bad = with_value(t, i, k, perturb(v, 1))
                 with pytest.raises(ChartabError,
-                                   match="row orthogonality fails"):
-                    CharacterTable(G, rows).validate()
+                                   match=expected_rejection(bad)):
+                    bad.validate()
+
+
+def accepts(check, table):
+    try:
+        check(table)
+    except ChartabError:
+        return False
+    return True
+
+
+def test_validate_agrees_with_the_all_pairs_oracle_on_perturbed_tables():
+    """Over every perturbation family, one value or one swapped pair of
+    values per table: validate accepts exactly the tables that the
+    all-pairs oracle accepts and that are Galois-compatible, so it rejects
+    every table the oracle rejects."""
+    from galmckay.extend import extension_product
+
+    c13, a = c13_times_8()
+    _, d14_3, _ = extension_product(dixon_schneider(dihedral(7)),
+                                    tuple(2 * i % 7 for i in range(7)), 3)
+    tables = [dixon_schneider(G) for G in (
+        dihedral(7), cyclic_group(5), cyclic_group(12), symmetric_group(4),
+        quaternion8(), semidirect_product(c13, a, 4))] + [d14_3]
+    checked = rejected = 0
+    for t in tables:
+        n, ncl = len(t.rows), len(t.classes)
+        perturbed = []
+        for i in range(n):
+            for k in range(1, ncl):
+                v = t.rows[i].values[k]
+                o = t.classes[k].element_order
+                perturbed += [with_value(t, i, k, f(v, o))
+                              for f in PERTURBATIONS.values()
+                              if f(v, o) != v]
+                if k + 1 < ncl and t.rows[i].values[k + 1] != v:
+                    swapped = with_value(t, i, k, t.rows[i].values[k + 1])
+                    perturbed.append(with_value(swapped, i, k + 1, v))
+        for bad in perturbed:
+            oracle = accepts(validate_all_pairs, bad)
+            assert accepts(CharacterTable.validate, bad) == (
+                oracle and galois_compatible(bad))
+            checked += 1
+            rejected += not oracle
+    assert rejected == checked > 1000
 
 
 # -- the rational-class lift and the Galois-orbit check ------------------------
 
 def assert_matches_per_class_oracle(G, table):
+    """The rows equal the per-class oracle's, and validate and the
+    all-pairs oracle both accept them."""
     oracle = per_class_dixon_schneider(G)
     assert [r.values for r in table.rows] == [r.values for r in oracle.rows]
-    assert validate_all_pairs(table)
+    assert table.validated and validate_all_pairs(table)
 
 
 @pytest.mark.parametrize("name", sorted(_GROUP_BUILDERS))
@@ -399,33 +504,45 @@ def galois_orbits(table):
                    for i in range(len(table.rows))})
 
 
+def rational_class(G, k):
+    o = G.conjugacy_classes[k].element_order
+    return {G.power_map(k, m) for m in range(1, o) if gcd(m, o) == 1}
+
+
 @pytest.mark.parametrize("G", [dihedral(7), cyclic_group(5),
                                symmetric_group(4)], ids=["D14", "C5", "S4"])
 def test_validate_catches_a_corrupted_galois_orbit(G):
-    """Adding 1/2 at one class to every row of an orbit keeps the table
-    Galois-closed, so only the reduced check runs, and it must fail."""
+    """Adding 1/2 at one class to every row of an orbit keeps the rows
+    permuted by the Galois group.  Where the class is not alone in its
+    rational class, sigma_b(chi(g)) = chi(g^b) fails; added at every class
+    of the rational class, it holds, and only the orthogonality check over
+    one row per orbit can fail."""
     t = dixon_schneider(G)
     for orbit in galois_orbits(t):
         for k in range(1, len(t.classes)):
-            rows = list(t.rows)
-            for i in orbit:
-                vals = list(rows[i].values)
-                vals[k] = vals[k] + Fraction(1, 2)
-                rows[i] = ClassFunction(G, vals)
-            bad = CharacterTable(G, rows)
-            assert bad._galois_orbit_reps(bad.exponent) is not None
-            with pytest.raises(ChartabError,
-                               match="row orthogonality fails"):
-                bad.validate()
+            for columns in ({k}, rational_class(G, k)):
+                rows = list(t.rows)
+                for i in orbit:
+                    vals = list(rows[i].values)
+                    for c in columns:
+                        vals[c] = vals[c] + Fraction(1, 2)
+                    rows[i] = ClassFunction(G, vals)
+                bad = CharacterTable(G, rows)
+                compatible = columns == rational_class(G, k)
+                assert galois_compatible(bad) == compatible
+                with pytest.raises(ChartabError, match=(
+                        "row orthogonality fails" if compatible
+                        else "disagrees with the power map")):
+                    bad.validate()
 
 
-def test_validate_runs_all_pairs_on_a_table_not_galois_closed(monkeypatch):
+def test_validate_rejects_a_table_not_galois_compatible():
     """In the table of C5, chi_1 and chi_4 replaced by a chi_1 + conj(a)
     chi_4 and conj(a) chi_1 + a chi_4, a = (1 + i)/2: the rows stay
-    orthonormal of degree 1, but sigma with zeta_5 -> zeta_5^2 and i -> i
-    sends the first to a chi_2 + conj(a) chi_3, which is not a row."""
-    from galmckay import chartab
-
+    orthonormal of degree 1, so the all-pairs oracle accepts them, but they
+    take values in Q(i) at classes of order 5, and sigma with
+    zeta_5 -> zeta_5^2 and i -> i sends the first to a chi_2 + conj(a)
+    chi_3, which is not a row.  It is not a character table."""
     G = cyclic_group(5)
     chi = [[root(5, a * k) for k in range(5)] for a in range(5)]
     a = (1 + root(4, 1)) * Fraction(1, 2)
@@ -435,32 +552,36 @@ def test_validate_runs_all_pairs_on_a_table_not_galois_closed(monkeypatch):
     t = CharacterTable(G, [ClassFunction(G, v)
                            for v in (chi[0], mixed[0], chi[2], chi[3],
                                      mixed[1])])
-    assert t._galois_orbit_reps(20) is None
-    sums = []
-    real = chartab._weighted_sum
+    assert validate_all_pairs(t)
+    assert not galois_compatible(t)
+    with pytest.raises(ChartabError, match=r"class 1 is not in Q\(zeta_5\)"):
+        t.validate()
+    assert not t.validated
 
-    def counted(*args):
-        sums.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(chartab, "_weighted_sum", counted)
-    assert t.validate()
-    assert len(sums) == 5 * 6 // 2
+def test_validate_rejects_a_repeated_row():
+    """(1,1,1), (1,1,1), (2,0,-1) on the classes of S3 passes the degree
+    checks and is Galois-compatible, but two rows are equal."""
+    G = symmetric_group(3)
+    assert [cl.size for cl in G.conjugacy_classes] == [1, 3, 2]
+    t = CharacterTable(G, [ClassFunction(G, v) for v in
+                           ((1, 1, 1), (1, 1, 1), (2, 0, -1))])
+    with pytest.raises(ChartabError, match="rows repeat"):
+        t.validate()
 
 
 def test_2f4_109_lifts_once_per_rational_class(monkeypatch):
     """The 2F4 p=109 model has 20 nontrivial classes in 6 rational classes
     and 21 rows in 7 Galois orbits.  It builds 6 lift tables, and validate
-    sums 7 * 21 row pairs less the 21 pairs of two orbit
+    takes one trace sum per rational class, the identity's included, for
+    each of 7 * 21 row pairs less the 21 pairs of two orbit
     representatives counted twice."""
-    from math import gcd
-
     from galmckay import chartab
     from galmckay.verify import local_model_group
 
     G = local_model_group("2F4", 1, 109)
     lifts, sums = [], []
-    real_lift, real_sum = chartab._lift_table, chartab._weighted_sum
+    real_lift, real_sum = chartab._lift_table, chartab._trace_sum
 
     def counted_lift(*args):
         lifts.append(args)
@@ -471,13 +592,51 @@ def test_2f4_109_lifts_once_per_rational_class(monkeypatch):
         return real_sum(*args)
 
     monkeypatch.setattr(chartab, "_lift_table", counted_lift)
-    monkeypatch.setattr(chartab, "_weighted_sum", counted_sum)
+    monkeypatch.setattr(chartab, "_trace_sum", counted_sum)
     t = dixon_schneider(G)
-    rational_classes = {frozenset(G.power_map(k, m) for m in range(1, o)
-                                  if gcd(m, o) == 1)
-                        for k, cl in enumerate(G.conjugacy_classes)
-                        for o in [cl.element_order] if o > 1}
-    assert len(lifts) == len(rational_classes) == 6
+    rational_classes = {frozenset(rational_class(G, k))
+                        for k in range(len(G.conjugacy_classes))}
+    assert len(rational_classes) == 7
+    assert len(lifts) == len(rational_classes) - 1 == 6
     orbits = len(galois_orbits(t))
     assert (orbits, len(t.rows)) == (7, 21)
-    assert len(sums) == orbits * 21 - orbits * (orbits - 1) // 2 == 126
+    pairs = orbits * 21 - orbits * (orbits - 1) // 2
+    assert len(sums) == 7 * pairs == 7 * 126
+
+
+def test_2f4_109_walks_powers_once_per_rational_class(monkeypatch):
+    """dixon_schneider on the 2F4 p=109 model walks the powers of one
+    class in each rational class: 6 walks for its 20 nontrivial classes.
+    After it, act_on_table makes no value-wise pass for any unit mod the
+    exponent: validate has proved sigma_b(chi(g)) = chi(g^b)."""
+    from galmckay import groups
+    from galmckay.galois import GaloisElement
+    from galmckay.verify import local_model_group
+
+    G = local_model_group("2F4", 1, 109)
+    walks, galois_calls = [], []
+    real_walk = groups._Classes._power_walk
+    real_galois = Cyclotomic.galois
+
+    def counted_walk(self, c):
+        walks.append(c)
+        return real_walk(self, c)
+
+    def counted_galois(self, b):
+        galois_calls.append(b)
+        return real_galois(self, b)
+
+    monkeypatch.setattr(groups._Classes, "_power_walk", counted_walk)
+    t = dixon_schneider(G)
+    classes = G.conjugacy_classes
+    nontrivial = [c for c in walks if classes[c].element_order > 1]
+    assert (len(nontrivial), len(classes) - 1) == (6, 20)
+    assert len({frozenset(rational_class(G, c)) for c in nontrivial}) == 6
+    monkeypatch.setattr(Cyclotomic, "galois", counted_galois)
+    units = full_galois_group(t.exponent)
+    perms = [act_on_table(t, s) for s in units]
+    assert galois_calls == [] and len(walks) == 7
+    monkeypatch.undo()
+    assert len(units) == 432
+    assert perms[:50] == [tuple(t.row_index(galois_image(r, s.b))
+                                for r in t.rows) for s in units[:50]]

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from galmckay.cyclo import ONE
+from galmckay.cyclo import ONE, Cyclotomic
 from galmckay.groups import (
     FiniteGroup, induced_class_permutation, perm_pow,
 )
@@ -13,7 +13,7 @@ from galmckay.galois import (
 from galmckay.extend import extension_product, joint_stabilizer
 from galmckay.zoo import torus_normalizer
 from oracles import (
-    cyclic_group, full_galois_group, power_compatibility_check,
+    cyclic_group, full_galois_group, galois_image, power_compatibility_check,
     symmetric_group,
 )
 
@@ -25,7 +25,7 @@ def times_mod(m, n):
 
 def value_wise_perm(table, b):
     """Oracle: the row index of sigma_b applied to every value of each row."""
-    return tuple(table.row_index(row.galois(b)) for row in table.rows)
+    return tuple(table.row_index(galois_image(row, b)) for row in table.rows)
 
 
 def s_trivial(label):
@@ -154,41 +154,56 @@ def test_act_on_table_detects_corruption():
 def test_act_on_table_checks_values_not_only_power_maps():
     # The rows (1,1,1), (1,2,3), (1,3,2) of C3 are closed under the power
     # map g -> g^2, which swaps the two nontrivial classes, but sigma_2
-    # fixes their rational values, so the two actions disagree.
+    # fixes their rational values, so the two actions disagree.  The table
+    # has not passed validate, so act_on_table validates it first, for
+    # every residue, the identity's included.
     G = cyclic_group(3)
     fake = CharacterTable(G, [ClassFunction(G, v) for v in
                               ((1, 1, 1), (1, 2, 3), (1, 3, 2))])
-    sigma = GaloisElement(3, 2)
-    for _ in range(2):
-        with pytest.raises(GaloisError, match="disagrees"):
-            act_on_table(fake, sigma)
-    assert fake.galois_perms == {}
-    assert act_on_table(fake, GaloisElement(3, 1)) == (0, 1, 2)
+    for b in (2, 2, 1):
+        with pytest.raises(GaloisError,
+                           match="disagrees with the power map"):
+            act_on_table(fake, GaloisElement(3, b))
+    assert fake.galois_perms == {} and not fake.validated
 
 
 def test_act_on_table_value_wise_passes(monkeypatch):
+    """After dixon_schneider, act_on_table applies no Galois automorphism
+    to any value: validate has proved sigma_b(chi(g)) = chi(g^b).  A table
+    built from the same rows but not validated is validated on first use,
+    and a corrupted one raises GaloisError."""
     calls = []
-    original = ClassFunction.galois
+    original = Cyclotomic.galois
 
     def counting(self, b):
         calls.append(b)
         return original(self, b)
 
-    monkeypatch.setattr(ClassFunction, "galois", counting)
-    t = dixon_schneider(cyclic_group(7))
-    # count only the passes of act_on_table, not those of validate
+    monkeypatch.setattr(Cyclotomic, "galois", counting)
+    G = cyclic_group(7)
+    t = dixon_schneider(G)
     calls.clear()
     units = full_galois_group(t.exponent)
     assert len(units) == 6
     perms = [act_on_table(t, s) for s in units]
-    passes = len(calls) // len(t.rows)
-    assert len(calls) == passes * len(t.rows)
-    # b = 2 generates {1, 2, 4}; b = 3 then generates all six units
-    assert passes == 2 < len(units)
-    calls.clear()
+    assert calls == []
     assert [act_on_table(t, s) for s in units] == perms
     assert calls == []
     assert len(set(perms)) == 6
+    monkeypatch.undo()
+    assert perms == [value_wise_perm(t, s.b) for s in units]
+
+    fresh = CharacterTable(G, t.rows)
+    assert not fresh.validated
+    assert [act_on_table(fresh, s) for s in units] == perms
+    assert fresh.validated
+    # chi_1 with its values at two classes swapped
+    vals = list(t.rows[1].values)
+    vals[1], vals[2] = vals[2], vals[1]
+    bad = CharacterTable(G, t.rows[:1] + (ClassFunction(G, vals),)
+                         + t.rows[2:])
+    with pytest.raises(GaloisError, match="disagrees with the power map"):
+        act_on_table(bad, units[0])
 
 
 def test_joint_stabilizer_brute_force():
