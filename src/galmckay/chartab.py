@@ -515,22 +515,21 @@ def _characters_mod_p0(G: FiniteGroup, p0: int, power_classes) -> list:
         raise ChartabError("eigenspace splitting failed to converge")
 
     inv_class = [powers[-1] for powers in power_classes]
-    sizes = [cl.size for cl in classes]
+    size_inv = [pow(cl.size, -1, p0) for cl in classes]
     out = []
     for (w,) in spaces:
         if w[0] % p0 == 0:
             raise ChartabError("eigenvector vanishes at identity class")
         scale = pow(w[0], -1, p0)
         w = [(x * scale) % p0 for x in w]  # w[k] = |C_k| chi(g_k)/chi(1)
-        s = sum(w[k] * w[inv_class[k]] * pow(sizes[k], -1, p0)
+        s = sum(w[k] * w[inv_class[k]] * size_inv[k]
                 for k in range(ncl)) % p0
         deg_sq = (n * pow(s, -1, p0)) % p0
         r = sqrt_mod(deg_sq, p0)
         if r is None:
             raise ChartabError("degree is not a square mod p0")
         deg = min(r, p0 - r)
-        out.append((deg, [(w[k] * deg * pow(sizes[k], -1, p0)) % p0
-                          for k in range(ncl)]))
+        out.append((deg, [x * deg * y % p0 for x, y in zip(w, size_inv)]))
     return out
 
 
