@@ -473,20 +473,16 @@ def _characters_mod_p0(G: FiniteGroup, p0: int, power_classes) -> list:
     rng = random.Random(12345)
 
     # simultaneous eigenspaces of the class matrices, split lazily in
-    # ascending class-size order.  A class C^m with m prime to |g| comes
-    # after every other class: its central characters are those of C
-    # under sigma_m, so it splits no space that C left whole.
-    ascending = sorted(range(1, ncl), key=lambda i: (classes[i].size, i))
-    galois_seen = set()
-    first, deferred = [], []
-    for i in ascending:
-        (deferred if i in galois_seen else first).append(i)
-        o = classes[i].element_order
-        galois_seen.update(power_classes[i][m] for m in range(1, o)
-                           if gcd(m, o) == 1)
+    # ascending class-size order.  A class C^m with m prime to |g|, other
+    # than the least class of its rational class C, comes after every
+    # class of that kind: its central characters are those of C under
+    # sigma_m, so it splits no space that C left whole.
+    least = {min(p[m] for m in range(len(p)) if gcd(m, len(p)) == 1)
+             for p in power_classes}
     spaces = [[[1 if r == c else 0 for r in range(ncl)] for c in range(ncl)]]
     # each space: list of basis column vectors (length ncl)
-    for i in first + deferred:
+    for i in sorted(range(1, ncl),
+                    key=lambda i: (i not in least, classes[i].size, i)):
         if all(len(sp) == 1 for sp in spaces):
             break
         M = G.class_matrix(i)
