@@ -610,7 +610,6 @@ def test_2f4_109_walks_powers_once_per_rational_class(monkeypatch):
     After it, act_on_table makes no value-wise pass for any unit mod the
     exponent: validate has proved sigma_b(chi(g)) = chi(g^b)."""
     from galmckay import groups
-    from galmckay.galois import GaloisElement
     from galmckay.verify import local_model_group
 
     G = local_model_group("2F4", 1, 109)
