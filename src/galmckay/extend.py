@@ -6,8 +6,12 @@ exactly |A_psi| ways (Gallagher).  This module enumerates the extensions
 by brute restriction matching and searches for one fixed by every pair
 (a^j, sigma) in the joint stabilizer of psi, where sigma runs over a
 group of Galois automorphisms.  The automorphism a is given by a realizer
-permutation r on the points of M, acting by x -> r^-1 x r.
+permutation r on the points of M, acting by x -> r^-1 x r.  A `Side`
+holds M's table, r and k, and builds each extension product M x| <a^d>
+it is asked for once.
 """
+
+from typing import NamedTuple
 
 from . import GalMcKayError
 from .groups import (
@@ -54,13 +58,33 @@ def extension_product(table: CharacterTable, realizer, q: int):
     return product, big, fusion
 
 
+class Side(NamedTuple):
+    """A character table, the realizer of an automorphism a of order
+    dividing k on its group, and the extension products M x| <a^d> built
+    so far, by stabilizer index d."""
+    table: CharacterTable
+    realizer: tuple
+    k: int
+    products: dict
+
+    def product(self, d: int):
+        """extension_product for M x| <a^d>, built once per side."""
+        found = self.products.get(d)
+        if found is None:
+            found = self.products[d] = extension_product(
+                self.table, perm_pow(self.realizer, d), self.k // d)
+        return found
+
+    def exponent(self) -> int:
+        """Exponent of M x| <a> for k > 1, of the table for k = 1."""
+        return (self.product(1)[0].exponent if self.k > 1
+                else self.table.exponent)
+
+
 class ExtensionSet:
     """All extensions of one character to M x| A_psi."""
 
-    def __init__(self, base_table, base_row, realizer, k, d, product,
-                 table, fusion, rows):
-        self.base_table = base_table
-        self.base_row = base_row
+    def __init__(self, realizer, k, d, product, table, fusion, rows):
         self.realizer = realizer
         self.k = k
         self.d = d
@@ -76,71 +100,56 @@ class ExtensionWitness:
 
     def __init__(self, extension_set, extension_row, invariance):
         self.extension_set = extension_set
-        self.base_row = extension_set.base_row
         self.extension_row = extension_row
         self.invariance = tuple(invariance)
         self.invariant = all(ok for _, _, ok in self.invariance)
 
 
-def find_extensions(table: CharacterTable, realizer, k: int, row: int,
-                    cache=None) -> ExtensionSet:
-    """All rows of Irr(M x| A_psi) restricting to table.rows[row].
+def find_extensions(side: Side, row: int) -> ExtensionSet:
+    """All rows of Irr(M x| A_psi) restricting to side.table.rows[row].
 
-    A = <a> with a of order dividing k, realized by conjugation with the
-    permutation realizer.  An optional cache dict (private to one (table,
-    realizer, k) triple) stores extension_product results per stabilizer
-    index d.
+    A = <a> with a of order dividing side.k, realized by conjugation with
+    side.realizer; the product M x| A_psi comes from side.product.
     """
+    table, k = side.table, side.k
     psi = table.rows[row]
-    perms = automorphism_row_perms(table, realizer, k)
-    realizer = tuple(realizer)
+    perms = automorphism_row_perms(table, side.realizer, k)
     d = next(j for j in range(1, k + 1)
              if k % j == 0 and perms[j % k][row] == row)
     q = k // d
     if q == 1:
-        fusion = tuple(range(len(table.classes)))
-        return ExtensionSet(table, row, realizer, k, d, table.group, table,
-                            fusion, (row,))
-    if cache is not None and d in cache:
-        product, big, fusion = cache[d]
-    else:
-        product, big, fusion = extension_product(
-            table, perm_pow(realizer, d), q)
-        if cache is not None:
-            cache[d] = (product, big, fusion)
-    rows = []
-    for i, chi in enumerate(big.rows):
-        if all(chi.values[fusion[c]] == psi.values[c]
-               for c in range(len(table.classes))):
-            rows.append(i)
+        return ExtensionSet(side.realizer, k, d, table.group, table,
+                            range(len(table.classes)), (row,))
+    product, big, fusion = side.product(d)
+    rows = [i for i, chi in enumerate(big.rows)
+            if all(chi.values[fusion[c]] == psi.values[c]
+                   for c in range(len(table.classes)))]
     if len(rows) != q:
         raise ExtendError("Gallagher count violated: %d extensions, "
                           "expected %d" % (len(rows), q))
-    return ExtensionSet(table, row, realizer, k, d, product, big, fusion,
-                        rows)
+    return ExtensionSet(side.realizer, k, d, product, big, fusion, rows)
 
 
-def joint_stabilizer(table: CharacterTable, realizer, k: int, row: int,
-                     H) -> list:
+def joint_stabilizer(side: Side, row: int, H) -> list:
     """Pairs (j, sigma) with psi composed with a^j then sigma equal to psi."""
-    perms = automorphism_row_perms(table, realizer, k)
+    table = side.table
+    perms = automorphism_row_perms(table, side.realizer, side.k)
     pairs = []
-    for j in range(k):
+    for j in range(side.k):
         pairs += [(j, sigma) for sigma in H
                   if act_on_table(table, sigma)[perms[j][row]] == row]
     return pairs
 
 
-def invariant_extension_exists(table: CharacterTable, realizer, k: int,
-                               row: int, H, cache=None):
+def invariant_extension_exists(side: Side, row: int, H):
     """Search the extensions of a row for a joint-stabilizer-fixed one.
 
     Returns an ExtensionWitness; .invariant reports success.  The Galois
     group H must have modulus divisible by the extension table exponent.
     """
-    ext = find_extensions(table, realizer, k, row, cache=cache)
-    pairs = joint_stabilizer(table, realizer, k, row, H)
-    gammas = automorphism_row_perms(ext.table, ext.realizer, k)
+    ext = find_extensions(side, row)
+    pairs = joint_stabilizer(side, row, H)
+    gammas = automorphism_row_perms(ext.table, ext.realizer, side.k)
     reports = []
     for i in ext.rows:
         report = []

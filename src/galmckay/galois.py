@@ -14,7 +14,8 @@ from math import gcd
 from . import GalMcKayError
 from .cyclo import ONE
 from .groups import (
-    compose, inverse, induced_class_permutation, power_class_permutation,
+    _orbits, compose, inverse, induced_class_permutation,
+    power_class_permutation,
 )
 from .ntheory import isprime
 from .chartab import (
@@ -139,18 +140,16 @@ def _complement_part(x, t_set, comp_elements):
     raise GaloisError("element does not split over the torus")
 
 
-def clifford_label(spec, table=None):
+def clifford_label(spec):
     """Map row index of Irr(N) to its McKayLabel for a torus normalizer.
 
-    N = T x| W with T abelian.  Characters over an orbit representative
-    chi_s of W on Irr(T) arise as Ind from T x| W_s of the canonical
-    extension of chi_s times an inflated eta in Irr(W_s).
+    N = T x| W with T abelian, given by a zoo.TorusNormalizerSpec; the rows
+    are those of dixon_schneider(N).  Characters over an orbit
+    representative chi_s of W on Irr(T) arise as Ind from T x| W_s of the
+    canonical extension of chi_s times an inflated eta in Irr(W_s).
     """
     N = spec.group
-    if table is None:
-        table = dixon_schneider(N)
-    if table.group is not N:
-        raise GaloisError("table does not belong to the given group")
+    table = dixon_schneider(N)
     T = spec.torus_subgroup()
     W = N.subgroup(spec.complement_gens, name="W")
     if T.order * W.order != N.order:
@@ -168,22 +167,8 @@ def clifford_label(spec, table=None):
                 for w in w_elements}
 
     # Orbits of W on Irr(T).
-    orbits = []
-    seen = set()
-    for i in range(len(tt.rows)):
-        if i in seen:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for w in spec.complement_gens:
-                k = row_perm[tuple(w)][j]
-                if k not in orbit:
-                    orbit.add(k)
-                    frontier.append(k)
-        seen |= orbit
-        orbits.append(sorted(orbit))
+    orbits = _orbits(len(tt.rows),
+                     [row_perm[tuple(w)] for w in spec.complement_gens])
 
     # Orbits grouped by the stabilizer W_s of their representative s, so
     # that W_s, N_s and the table of W_s are built once per stabilizer.

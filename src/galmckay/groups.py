@@ -775,16 +775,9 @@ class SemidirectProduct(_Classes):
         G, r, k, n = self._G, self._r, self._k, self._G.order
         # coset 0: unions of the G-classes in one orbit of r
         cperm = induced_class_permutation(G, r)
-        done = [False] * len(cperm)
-        orbits = []
-        for start in range(len(cperm)):
-            merged, c = [], start
-            while not done[c]:
-                done[c] = True
-                merged += G.conjugacy_classes[c].indices
-                c = cperm[c]
-            if merged:
-                orbits.append(sorted(merged))
+        orbits = [sorted(i for c in orbit
+                         for i in G.conjugacy_classes[c].indices)
+                  for orbit in _orbits(len(cperm), [cperm])]
         # coset j >= 1: g^-1 m h = (g^-1 m g)(g^-1 h) for h = r^j g r^-j
         gens = [(G.conjugation_table(g), G.index_of(g),
                  G.index_of(inverse(g))) for g in G.table_generators]

@@ -4,7 +4,9 @@ The two halves of the condition are checked per target and prime: an
 equivariant bijection between the p'-characters of the global group and
 of a Sylow normalizer (found by stabilizer matching for the abelian
 acting group), and an invariant-extension witness for every character on
-both sides.  The module also houses the congruence verifier for the
+both sides.  A local-only target, whose global group is too large to
+enumerate, takes the same path with its local side on both sides.  The
+module also houses the congruence verifier for the
 torus order polynomials and the consistency check between computed
 Sylow normalizers and the constructed normalizer models.
 """
@@ -13,19 +15,16 @@ from itertools import permutations, product as iproduct
 from math import lcm, prod
 from collections import Counter, deque
 from functools import cache
-from typing import NamedTuple
 
 from . import GalMcKayError
 from .groups import (
-    FiniteGroup, GroupError, compose, perm_pow, identity_perm,
+    FiniteGroup, GroupError, _orbits, compose, perm_pow, identity_perm,
     automorphism_order, check_realizer,
 )
 from .chartab import CharacterTable, dixon_schneider
 from .galois import h_group, act_on_table
 from .ntheory import factorint
-from .extend import (
-    automorphism_row_perms, invariant_extension_exists, extension_product,
-)
+from .extend import Side, automorphism_row_perms, invariant_extension_exists
 from .zoo import (
     ZooError, suzuki_group, psl2_8, psl2_local_model, field_automorphism,
     torus_normalizer, torus_rows, torus_polynomials,
@@ -81,15 +80,7 @@ class ActionOnSet:
                          if p[x] == x)
 
     def orbits(self):
-        out = []
-        seen = set()
-        for x in range(self.n):
-            if x in seen:
-                continue
-            orb = sorted({p[x] for p in self.perms})
-            seen.update(orb)
-            out.append(tuple(orb))
-        return out
+        return _orbits(self.n, self.perms)
 
 
 class MatchResult:
@@ -206,8 +197,7 @@ def extension_sweep(side, H, p, label):
     table = side.table
     entries = []
     for row in table.p_prime_rows(p):
-        w = invariant_extension_exists(table, side.realizer, side.k, row, H,
-                                       cache=side.cache)
+        w = invariant_extension_exists(side, row, H)
         entries.append({
             "side": label,
             "row": row,
@@ -433,21 +423,6 @@ def out_of_scope_report(family, f, p):
     }
 
 
-class Side(NamedTuple):
-    """A character table, the realizer of the order-k field automorphism
-    on its group, and the `find_extensions` cache of extension products
-    by stabilizer index (seeded with the whole C_k for a full target)."""
-    table: CharacterTable
-    realizer: tuple
-    k: int
-    cache: dict
-
-
-def _side(table, realizer, k) -> Side:
-    return Side(table, realizer, k,
-                {1: extension_product(table, realizer, k)})
-
-
 @cache
 def _field_action(family, f):
     """The global group, its field automorphism's realizer and order.
@@ -469,73 +444,68 @@ def _field_action(family, f):
 def global_side(family, f) -> Side:
     """The global group's side, shared by every prime of the target."""
     G, frob, k = _field_action(family, f)
-    return _side(dixon_schneider(G), frob, k)
+    return Side(dixon_schneider(G), frob, k, {})
 
 
 @cache
 def local_side(family, f, p) -> Side:
-    """The side of a Sylow normalizer stable under the field automorphism."""
+    """The side of a Sylow normalizer stable under the field automorphism;
+    for a local-only target, the model table under the trivial action."""
+    if target_mode(family, f, p) == "local-only":
+        table = local_model_table(family, f, p)
+        return Side(table, identity_perm(table.group.degree), 1, {})
     G, frob, k = _field_action(family, f)
     N, lreal = stable_sylow_setup(G, p, frob, k)
-    return _side(dixon_schneider(N), lreal, k)
+    return Side(dixon_schneider(N), lreal, k, {})
 
 
 def galois_group(gside: Side, lside: Side, p):
     """The Galois group H over the exponents of both extension products."""
-    return h_group(p, lcm(gside.cache[1][0].exponent,
-                          lside.cache[1][0].exponent))
+    return h_group(p, lcm(gside.exponent(), lside.exponent()))
+
+
+_NOTES = {
+    "full": "verification is at the simple-group level; "
+            "central covers are not modeled",
+    "local-only": "global group exceeds the enumeration cap; "
+                  "only the local model is verified",
+}
 
 
 def verify_target(family, f, p):
-    """Full or local-only verification report for one (target, prime)."""
+    """Full or local-only verification report for one (target, prime).
+
+    A local-only target has no global side: its local side is matched
+    against itself, and the global count, the bijection and part 1 of the
+    verdict are None.
+    """
     mode = target_mode(family, f, p)
     if mode is None:
         return out_of_scope_report(family, f, p)
-    if mode == "local-only":
-        return _verify_local_only(family, f, p)
-    g, l = global_side(family, f), local_side(family, f, p)
+    full = mode == "full"
+    if full:
+        g, l = global_side(family, f), local_side(family, f, p)
+    else:
+        g = l = local_side(family, f, p)
     H = galois_group(g, l, p)
     frag = condition_one(g, l, p, H)
-    exts = extension_sweep(g, H, p, "global")
+    exts = extension_sweep(g, H, p, "global") if full else []
     exts += extension_sweep(l, H, p, "local")
+    counts = frag["counts"]
+    if not full:
+        counts["global"] = None
+    part1 = frag["part1"] if full else None
     part2 = all(e["invariant"] for e in exts)
     return {
         "target": {"family": family, "f": f},
         "p": p,
         "mode": mode,
-        "status": "verified" if frag["part1"] and part2 else "failed",
-        "counts": frag["counts"],
+        "status": "verified" if part2 and part1 is not False else "failed",
+        "counts": counts,
         "orbits": frag["orbits"],
-        "bijection": frag["bijection"],
+        "bijection": frag["bijection"] if full else None,
         "extensions": exts,
         "lemma32": None,
-        "verdict": {"part1": frag["part1"], "part2": part2},
-        "notes": ["verification is at the simple-group level; "
-                  "central covers are not modeled"],
-    }
-
-
-def _verify_local_only(family, f, p):
-    ltable = local_model_table(family, f, p)
-    # no field action; with k = 1 no extension product is ever built
-    side = Side(ltable, identity_perm(ltable.group.degree), 1, {})
-    H = h_group(p, ltable.exponent)
-    lp = ltable.p_prime_rows(p)
-    Y = joint_row_action(side, H, lp)
-    orbit_summary = match_actions(Y, Y).orbit_summary
-    exts = extension_sweep(side, H, p, "local")
-    part2 = all(e["invariant"] for e in exts)
-    return {
-        "target": {"family": family, "f": f},
-        "p": p,
-        "mode": "local-only",
-        "status": "verified" if part2 else "failed",
-        "counts": {"global": None, "local": len(lp)},
-        "orbits": orbit_summary,
-        "bijection": None,
-        "extensions": exts,
-        "lemma32": None,
-        "verdict": {"part1": None, "part2": part2},
-        "notes": ["global group exceeds the enumeration cap; "
-                  "only the local model is verified"],
+        "verdict": {"part1": part1, "part2": part2},
+        "notes": [_NOTES[mode]],
     }

@@ -195,7 +195,7 @@ def _criterion_8_gallagher_and_real(family, f, p):
     g = global_side(family, f)
     table = g.table
     for row in range(len(table.rows)):
-        ext = find_extensions(table, g.realizer, g.k, row, cache=g.cache)
+        ext = find_extensions(g, row)
         assert len(ext.rows) == ext.a_psi_order
         # odd cyclic stabilizer quotient: a real row has exactly one
         # real extension

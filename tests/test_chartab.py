@@ -308,7 +308,7 @@ def test_galois_conjugate_classes_build_no_class_matrix(monkeypatch):
         return real(G, i)
 
     monkeypatch.setattr(groups._Classes, "class_matrix", counted)
-    for G, count in ((side.table.group, 4), (side.cache[1][0], 3)):
+    for G, count in ((side.table.group, 4), (side.product(1)[0], 3)):
         used.clear()
         dixon_schneider(G)
         assert len(used) == count, G.name
@@ -492,7 +492,7 @@ def test_lift_matches_per_class_oracle_on_extension_products():
             continue
         for side in (global_side(target["family"], target["f"]),
                      local_side(target["family"], target["f"], target["p"])):
-            big = side.cache[1][1]
+            big = side.product(1)[1]
             assert_matches_per_class_oracle(big.group, big)
 
 

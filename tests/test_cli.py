@@ -109,6 +109,57 @@ def test_cli_list_targets(tmp_path):
                for t in doc["targets"])
 
 
+def test_cli_list_targets_text(capsys):
+    # a dict key above its nested value, one "-" line per dict in a list,
+    # and scalars inline after their key
+    assert run(["list-targets", "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:6] == ["targets:", "  -", "    family: 2B2", "    f: 1",
+                         "    p: 5", "    mode: full"]
+    assert lines[-5:] == ["  -", "    family: 2G2", "    f: 1", "    p: 37",
+                          "    mode: local-only"]
+    assert len(lines) == 1 + 5 * 19
+
+
+def test_cli_lemma32_text(capsys):
+    # nested lists print as "-" lines, scalar items as "- value", and an
+    # empty list or dict inline after its key
+    assert run(["lemma32", "--f-min", "1", "--f-max", "1",
+                "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:18] == [
+        "f_min: 1",
+        "f_max: 1",
+        "ok: True",
+        "per_f:",
+        "  -",
+        "    f: 1",
+        "    q2: 8",
+        "    identities: True",
+        "    values:",
+        "      T1:",
+        "        value: 7",
+        "        factors:",
+        "          -",
+        "            - 7",
+        "            - 1",
+        "        rule: mod 8 in {1,7}",
+        "        ok: True",
+        "        violations: []",
+    ]
+    assert lines[-8:] == [
+        "        factors:",
+        "          -",
+        "            - 37",
+        "            - 1",
+        "        rule: mod 12 in {1,11} unless p = 3",
+        "        ok: True",
+        "        violations: []",
+        "    ok: True",
+    ]
+    assert len(lines) == 67
+
+
 def test_cli_local_model(tmp_path):
     out = tmp_path / "m.json"
     assert run(["local-model", "--family", "2B2", "--f", "1", "--p", "5",

@@ -2,15 +2,15 @@ import pytest
 
 from galmckay.cyclo import ONE
 from galmckay.groups import (
-    FiniteGroup, GroupError, automorphism_order, conjugate, perm_pow,
-    inverse, induced_class_permutation,
+    FiniteGroup, GroupError, automorphism_order, conjugate, identity_perm,
+    perm_pow, inverse, induced_class_permutation,
 )
 from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, dixon_schneider,
 )
 from galmckay.galois import h_group
 from galmckay.extend import (
-    ExtendError, automorphism_row_perms, find_extensions,
+    ExtendError, Side, automorphism_row_perms, find_extensions,
     invariant_extension_exists, joint_stabilizer,
 )
 from galmckay.zoo import field_automorphism, torus_normalizer
@@ -58,7 +58,7 @@ def test_moved_character_stays_put():
     t = dixon_schneider(c3)
     row = next(i for i, r in enumerate(t.rows)
                if any(v != ONE for v in r.values))
-    ext = find_extensions(t, a, 2, row)
+    ext = find_extensions(Side(t, a, 2, {}), row)
     assert ext.a_psi_order == 1
     assert ext.rows == (row,)
     assert ext.table is t
@@ -69,7 +69,7 @@ def test_trivial_character_two_extensions():
     t = dixon_schneider(c3)
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
-    ext = find_extensions(t, a, 2, triv)
+    ext = find_extensions(Side(t, a, 2, {}), triv)
     assert ext.a_psi_order == 2
     assert len(ext.rows) == 2
     assert ext.product.order == 6
@@ -80,7 +80,7 @@ def test_gallagher_counts_c7_c3():
     c7, a = c7_with_squaring()
     t = dixon_schneider(c7)
     for row in range(len(t.rows)):
-        ext = find_extensions(t, a, 3, row)
+        ext = find_extensions(Side(t, a, 3, {}), row)
         trivial = all(v == ONE for v in t.rows[row].values)
         assert len(ext.rows) == (3 if trivial else 1)
 
@@ -90,7 +90,7 @@ def test_restriction_is_exact():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(t, a, 3, sign)
+    ext = find_extensions(Side(t, a, 3, {}), sign)
     assert len(ext.rows) == 3
     for i in ext.rows:
         chi = ext.table.rows[i]
@@ -105,12 +105,12 @@ def test_unique_real_extension_odd_stabilizer():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(t, a, 3, sign)
+    ext = find_extensions(Side(t, a, 3, {}), sign)
     real = [i for i in ext.rows
             if all(v == v.galois(-1) for v in ext.table.rows[i].values)]
     assert len(real) == 1
     H = h_group(2, ext.table.exponent)
-    w = invariant_extension_exists(t, a, 3, sign, H)
+    w = invariant_extension_exists(Side(t, a, 3, {}), sign, H)
     assert w.invariant
     assert w.extension_row == real[0]
 
@@ -119,7 +119,7 @@ def test_joint_stabilizer_contains_identity():
     d, a = d14_with_c3()
     t = dixon_schneider(d)
     H = h_group(2, t.exponent * 3)
-    pairs = joint_stabilizer(t, a, 3, 0, H)
+    pairs = joint_stabilizer(Side(t, a, 3, {}), 0, H)
     assert any(j == 0 and s.b == 1 for j, s in pairs)
 
 
@@ -129,7 +129,7 @@ def test_linear_character_invariant_extension():
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
     H = h_group(5, 42)
-    w = invariant_extension_exists(t, a, 3, triv, H)
+    w = invariant_extension_exists(Side(t, a, 3, {}), triv, H)
     assert w.invariant
     ext = w.extension_set
     chi = ext.table.rows[w.extension_row]
@@ -142,16 +142,45 @@ def test_realizer_path():
     t = dixon_schneider(c3)
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
-    ext = find_extensions(t, (0, 2, 1), 2, triv)
+    ext = find_extensions(Side(t, (0, 2, 1), 2, {}), triv)
     assert ext.product.degree == 3
     assert ext.product.order == 6
     assert len(ext.rows) == 2
     # an order-2 realizer does not give an action of order dividing 3
     with pytest.raises(ExtendError):
-        find_extensions(t, (0, 2, 1), 3, triv)
+        find_extensions(Side(t, (0, 2, 1), 3, {}), triv)
     # not a permutation of the points of C3
     with pytest.raises(GroupError):
-        find_extensions(t, (1, 0, 2, 3), 2, triv)
+        find_extensions(Side(t, (1, 0, 2, 3), 2, {}), triv)
+
+
+def test_side_builds_each_product_once():
+    # the trivial row of C7 is the only one fixed by a, so every row that
+    # extends reads the one product C7 x| C3, the Frobenius group of order 21
+    c7, a = c7_with_squaring()
+    side = Side(dixon_schneider(c7), a, 3, {})
+    product = side.product(1)
+    assert product[0].order == 21
+    H = h_group(5, side.exponent())
+    for row in range(len(side.table.rows)):
+        invariant_extension_exists(side, row, H)
+    assert side.products == {1: product}
+    assert side.exponent() == 21
+    assert Side(side.table, identity_perm(7), 1, {}).exponent() == 7
+
+
+def test_gallagher_count_checked():
+    # a product table missing one extension of the trivial row of C7
+    c7, a = c7_with_squaring()
+    t = dixon_schneider(c7)
+    product, big, fusion = Side(t, a, 3, {}).product(1)
+    triv = next(i for i, r in enumerate(big.rows)
+                if all(v == ONE for v in r.values))
+    short = CharacterTable(product, big.rows[:triv] + big.rows[triv + 1:])
+    side = Side(t, a, 3, {1: (product, short, fusion)})
+    with pytest.raises(ExtendError, match="Gallagher count violated"):
+        find_extensions(side, next(i for i, r in enumerate(t.rows)
+                                   if all(v == ONE for v in r.values)))
 
 
 def value_wise_row_perms(table, r, k):
@@ -199,7 +228,7 @@ def test_row_perms_extension_product_table():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(t, a, 3, sign)
+    ext = find_extensions(Side(t, a, 3, {}), sign)
     assert ext.table is not t
     assert_row_perms_value_wise(ext.table, ext.realizer, 3)
 

@@ -10,7 +10,7 @@ from galmckay.chartab import CharacterTable, ClassFunction, dixon_schneider
 from galmckay.galois import (
     GaloisError, GaloisElement, h_group, act_on_table, clifford_label,
 )
-from galmckay.extend import extension_product, joint_stabilizer
+from galmckay.extend import Side, extension_product, joint_stabilizer
 from galmckay.zoo import torus_normalizer
 from oracles import (
     cyclic_group, full_galois_group, galois_image, power_compatibility_check,
@@ -221,7 +221,7 @@ def test_joint_stabilizer_brute_force():
             want += [(j, s) for s in H
                      if all(v.galois(s.b) == w
                             for v, w in zip(moved, psi.values))]
-        got = joint_stabilizer(t, r, k, row, H)
+        got = joint_stabilizer(Side(t, r, k, {}), row, H)
         assert got == want
         pairs += got
     # every row has (0, identity); some rows are fixed by a^j with j > 0

@@ -11,9 +11,9 @@ from galmckay.verify import (
     torus_polynomials, lemma_congruence_check,
     tables_equivalent, cross_model_check, verify_target, list_targets,
     target_mode, local_model_group, local_model_table, local_side,
-    Side,
 )
 from galmckay import extend, verify
+from galmckay.extend import Side
 from galmckay.groups import FiniteGroup, compose, identity_perm, perm_pow
 from galmckay.galois import h_group
 from oracles import (
@@ -42,6 +42,11 @@ def test_match_actions_rejects_different_groups():
     Y = ActionOnSet(["e", "a"], [(0, 1), (1, 0)], 2)
     with pytest.raises(VerifyError):
         match_actions(X, Y)
+
+
+def test_action_images_must_be_permutations():
+    with pytest.raises(VerifyError, match="not a permutation"):
+        ActionOnSet(["e"], [(0, 0)], 2)
 
 
 def test_match_actions_rejects_nonabelian():
@@ -303,6 +308,19 @@ def test_normalizer_table_shared_with_cross_check(monkeypatch):
     assert sum(G.order == 20 for G in built) == 2
 
 
+def test_local_only_side_is_the_model_under_the_trivial_action():
+    side = local_side("2G2", 1, 37)
+    table = local_model_table("2G2", 1, 37)
+    assert side == Side(table, identity_perm(table.group.degree), 1, {})
+    assert side.exponent() == table.exponent
+
+
+def test_cross_check_builds_no_extension_product():
+    local_side.cache_clear()
+    assert cross_model_check("2B2", 1, 5)
+    assert local_side("2B2", 1, 5).products == {}
+
+
 def test_local_only_target_builds_no_global_group(monkeypatch):
     def refuse(f):
         raise AssertionError("suzuki_group(%d) was built" % f)
@@ -329,4 +347,4 @@ def test_row_action_built_once_per_table(monkeypatch):
     assert verify_target("PSL2", 1, 7)["status"] == "verified"
     keys = Counter((id(G), r) for G, r in calls)
     assert calls and max(keys.values()) == 1
-    assert all(type(d) is int for d in verify.global_side("PSL2", 1).cache)
+    assert all(type(d) is int for d in verify.global_side("PSL2", 1).products)
