@@ -521,10 +521,9 @@ def _characters_mod_p0(G: FiniteGroup, p0: int, power_classes) -> list:
         s = sum(w[k] * w[inv_class[k]] * size_inv[k]
                 for k in range(ncl)) % p0
         deg_sq = (n * pow(s, -1, p0)) % p0
-        r = sqrt_mod(deg_sq, p0)
-        if r is None:
+        deg = sqrt_mod(deg_sq, p0)
+        if deg is None:
             raise ChartabError("degree is not a square mod p0")
-        deg = min(r, p0 - r)
         out.append((deg, [x * deg * y % p0 for x, y in zip(w, size_inv)]))
     return out
 

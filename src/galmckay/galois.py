@@ -17,7 +17,7 @@ from .groups import (
     _orbits, compose, inverse, induced_class_permutation,
     power_class_permutation,
 )
-from .ntheory import isprime
+from .ntheory import isprime, units_generated
 from .chartab import (
     CharacterTable, ClassFunction, ChartabError, dixon_schneider,
     induce, inner_product,
@@ -66,11 +66,7 @@ def h_group(p, m) -> tuple:
     m_pp = m
     while m_pp % p == 0:
         m_pp //= p
-    powers = set()
-    x = 1 % m_pp
-    while x not in powers:
-        powers.add(x)
-        x = (x * p) % m_pp
+    powers = units_generated({1 % m_pp}, p, m_pp)
     return tuple(GaloisElement(m, b) for b in range(m)
                  if gcd(b, m) == 1 and b % m_pp in powers)
 

@@ -11,7 +11,6 @@ torus order polynomials and the consistency check between computed
 Sylow normalizers and the constructed normalizer models.
 """
 
-from itertools import permutations, product as iproduct
 from math import lcm, prod
 from collections import Counter, deque
 from functools import cache
@@ -19,7 +18,7 @@ from functools import cache
 from . import GalMcKayError
 from .groups import (
     FiniteGroup, GroupError, _orbits, compose, perm_pow, identity_perm,
-    automorphism_order, check_realizer,
+    is_perm, automorphism_order, check_realizer,
 )
 from .chartab import CharacterTable, dixon_schneider
 from .galois import h_group, act_on_table
@@ -51,29 +50,15 @@ class ActionOnSet:
         self.n = n
         if len(self.labels) != len(self.perms):
             raise VerifyError("labels and permutations differ in length")
-        for p in self.perms:
-            if sorted(p) != list(range(n)):
-                raise VerifyError("action image is not a permutation")
+        if not all(is_perm(p, n) for p in self.perms):
+            raise VerifyError("action image is not a permutation")
 
     def is_abelian(self):
-        """Whether the perms generate an abelian group: a perm outside the
-        group the kept ones generate must commute with each of them, and is
-        then kept and that group closed under it."""
-        closure = {tuple(range(self.n))}
-        kept = []
-        for p in self.perms:
-            if p in closure:
-                continue
-            if any(compose(p, q) != compose(q, p) for q in kept):
-                return False
-            kept.append(p)
-            grown = list(closure)
-            for x in grown:
-                y = compose(x, p)
-                if y not in closure:
-                    closure.add(y)
-                    grown.append(y)
-        return True
+        """Whether the perms generate an abelian group: the kernel's table
+        generators generate it, so they must commute pairwise."""
+        gens = FiniteGroup(self.n, self.perms).table_generators
+        return all(compose(p, q) == compose(q, p)
+                   for i, p in enumerate(gens) for q in gens[:i])
 
     def stabilizer(self, x):
         return frozenset(l for l, p in zip(self.labels, self.perms)
@@ -261,44 +246,40 @@ def lemma_congruence_check(f_min, f_max):
 
 # -- cross-model consistency -----------------------------------------------
 
-def _column_keys(table: CharacterTable) -> list:
-    """(element order, class size, multiset of values) for each column."""
-    return [(c.element_order, c.size,
-             frozenset(Counter(r.values[j] for r in table.rows).items()))
-            for j, c in enumerate(table.classes)]
-
-
 def tables_equivalent(t1: CharacterTable, t2: CharacterTable) -> bool:
-    """Equality up to row and column permutation; a column only moves
-    within its block of equal _column_keys, which both permutations keep."""
-    if t1.group.order != t2.group.order:
+    """Equality up to row and column permutation.
+
+    t2's columns are matched in order, each to an unused t1 column of the
+    same element order and class size.  A partial match is kept only while
+    the two tables' multisets of partial rows agree; otherwise the search
+    backtracks.
+    """
+    n = len(t1.classes)
+    if t1.group.order != t2.group.order or len(t2.classes) != n:
         return False
-    k1, k2 = _column_keys(t1), _column_keys(t2)
-    if Counter(k1) != Counter(k2):
-        return False
-    blocks = {}
-    for j, key in enumerate(k1):
-        blocks.setdefault(key, ([], []))[0].append(j)
-    for j, key in enumerate(k2):
-        blocks[key][1].append(j)
-    rowset2 = {r.values for r in t2.rows}
-    choices = [permutations(cols1) for cols1, _ in blocks.values()]
-    for combo in iproduct(*choices):
-        colmap = [0] * len(k1)   # t2 column -> t1 column
-        for (_, cols2), arrangement in zip(blocks.values(), combo):
-            for j2, j1 in zip(cols2, arrangement):
-                colmap[j2] = j1
-        mapped = {tuple(r.values[colmap[j]] for j in range(len(k1)))
-                  for r in t1.rows}
-        if mapped == rowset2:
+    keys = [(c.element_order, c.size) for c in t1.classes]
+    cols1 = list(zip(*(r.values for r in t1.rows)))
+    cols2 = list(zip(*(r.values for r in t2.rows)))
+
+    def search(j2, rows1, rows2, used):
+        if j2 == n:
             return True
-    return False
+        key = (t2.classes[j2].element_order, t2.classes[j2].size)
+        for j1 in range(n):
+            if j1 in used or keys[j1] != key:
+                continue
+            ext1 = [r + (v,) for r, v in zip(rows1, cols1[j1])]
+            ext2 = [r + (v,) for r, v in zip(rows2, cols2[j2])]
+            if Counter(ext1) == Counter(ext2) and \
+                    search(j2 + 1, ext1, ext2, used | {j1}):
+                return True
+        return False
+
+    return search(0, [()] * len(t1.rows), [()] * len(t2.rows), frozenset())
 
 
 def cross_model_check(family, f, p) -> bool:
     """Computed Sylow normalizer table vs the constructed model table."""
-    if family != "2B2":
-        raise VerifyError("cross-model check is implemented for 2B2 only")
     mode = target_mode(family, f, p)
     if mode != "full":
         raise VerifyError("cross-model check needs a full target; "

@@ -112,15 +112,8 @@ class FiniteField:
 
     def generator(self):
         """Smallest multiplicative generator."""
-        for g in range(1, self.q):
-            seen = set()
-            x = 1
-            for _ in range(self.q - 1):
-                x = self.mul(x, g)
-                seen.add(x)
-            if len(seen) == self.q - 1:
-                return g
-        raise ZooError("no field generator found")  # pragma: no cover
+        return next(g for g in range(1, self.q)
+                    if perm_order(self._mul[g]) == self.q - 1)
 
 
 # -- Suzuki groups ---------------------------------------------------------

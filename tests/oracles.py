@@ -5,9 +5,10 @@ small standard group the tests build tables of.
 """
 
 import cmath
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import gcd
+from itertools import permutations, product as iproduct
+from math import factorial, gcd, prod
 from operator import mul
 
 from galmckay.chartab import (
@@ -218,3 +219,47 @@ def brute_force_match_exists(X, Y) -> bool:
                for x in range(X.n)):
             return True
     return False
+
+
+# -- table equivalence ---------------------------------------------------------
+
+def _column_keys(table: CharacterTable) -> list:
+    """(element order, class size, multiset of values) for each column."""
+    return [(c.element_order, c.size,
+             frozenset(Counter(r.values[j] for r in table.rows).items()))
+            for j, c in enumerate(table.classes)]
+
+
+def block_permutations_equivalent(t1: CharacterTable,
+                                  t2: CharacterTable) -> bool:
+    """The former verify.tables_equivalent: equality up to row and column
+    permutation, trying every arrangement of each block of columns with
+    equal _column_keys."""
+    if t1.group.order != t2.group.order:
+        return False
+    k1, k2 = _column_keys(t1), _column_keys(t2)
+    if Counter(k1) != Counter(k2):
+        return False
+    blocks = {}
+    for j, key in enumerate(k1):
+        blocks.setdefault(key, ([], []))[0].append(j)
+    for j, key in enumerate(k2):
+        blocks[key][1].append(j)
+    rowset2 = {r.values for r in t2.rows}
+    choices = [permutations(cols1) for cols1, _ in blocks.values()]
+    for combo in iproduct(*choices):
+        colmap = [0] * len(k1)   # t2 column -> t1 column
+        for (_, cols2), arrangement in zip(blocks.values(), combo):
+            for j2, j1 in zip(cols2, arrangement):
+                colmap[j2] = j1
+        mapped = {tuple(r.values[colmap[j]] for j in range(len(k1)))
+                  for r in t1.rows}
+        if mapped == rowset2:
+            return True
+    return False
+
+
+def block_arrangements(table) -> int:
+    """How many column arrangements block_permutations_equivalent may try
+    on a pair whose first table is table."""
+    return prod(factorial(n) for n in Counter(_column_keys(table)).values())

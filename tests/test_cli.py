@@ -245,3 +245,117 @@ def test_cli_group_over_budget_exits_one(monkeypatch, capsys):
     assert captured.err == (
         "error: group of order 504 on 9 points needs about %d bytes to "
         "enumerate (budget 1000)\n" % need)
+
+
+# sha256 of json.dumps([stdout, stderr, exit code]) of one cli.run call for
+# `local-model` and `cross-check` on every list-targets target, and of
+# `list-targets` and `lemma32 --f-min 1 --f-max 8`
+CLI_SHA256 = {
+    "cross-check 2B2 1 13":
+        "c6890f2b572de1c2c6850e2221194dab231d0e9a3f5df3501f80db8cae1d04b4",
+    "cross-check 2B2 1 5":
+        "3df22b35b5db33ef6635b10e5a4a4081e87a6e50f38777b93752a8f5d64fc5ca",
+    "cross-check 2B2 1 7":
+        "335a83471fc3f029565577b59e54ddfa74186a3c0f511402e742f3121164181c",
+    "cross-check 2B2 2 31":
+        "35d3f588898866ffe6a82b2505e4ea0ea54b7b43fc208407247683d57c274595",
+    "cross-check 2B2 2 41":
+        "8e49701ba4067fe8ac3f33be2c469d94f95b4c19c6e2287b98820878fae20eb0",
+    "cross-check 2B2 2 5":
+        "cee038a72807ec739c45bb154353c03baad6c615adff90765de0e89622fefee2",
+    "cross-check 2F4 1 109":
+        "d78e17c8ce01c9176da5c487cb443da9bed498094d7e2621eed90391f0f19afe",
+    "cross-check 2F4 1 13":
+        "4a0c9ab7c6593b58f2d33aa75c933ed81a780f76b74a87937eaa65eb2f6b5582",
+    "cross-check 2F4 1 19":
+        "3df01305d5bac590624c7d9f6a78ad1b087327b990609ae7efb4add197604cd6",
+    "cross-check 2F4 1 37":
+        "ae9cd0d37c55ad1122f9a759a7e4c3e6910f810e39ca23282c0b795a0054f623",
+    "cross-check 2F4 1 5":
+        "78e3d90ccb48a4c8b4afa506647def5e0f5c0804f11505768e253a3f3a70332e",
+    "cross-check 2F4 1 7":
+        "d6c3b6c91ce100fa5688d4a596fd9f2c3460dca2e04762471f3f26ae73aed15a",
+    "cross-check 2G2 1 13":
+        "5a6e339ed455e9e06f73415e74805811571d459ecf4f8988f38044ef45e7d229",
+    "cross-check 2G2 1 19":
+        "07170d151a120948231de3e55f6b81a4cb37d0e0a61c6a40e981ee001dabdd42",
+    "cross-check 2G2 1 37":
+        "c55f44a208c2b22faea3dbb385f2c5a9a4e4d048bf45621f5d42277676c32974",
+    "cross-check 2G2 1 7":
+        "0df0f5e8008fbae01d83c1db21c36113e849e53581cfed008032fa85a67dcc09",
+    "cross-check PSL2 1 2":
+        "ba4eed7641168833d87bc4275080b533d2490c2ae7184f0723b74a20f7966b4c",
+    "cross-check PSL2 1 3":
+        "d400b9fd40bb31cbb54f49c0d56dd69d23b3798683dc7b6f23f26e232d18c5bb",
+    "cross-check PSL2 1 7":
+        "2f1133d76de3f1e678f3035c85e74f25c0059a2f2a0e16c0e315ef593f9a9736",
+    "lemma32":
+        "bdbe18e82e3a9f37ba227de8b66c41b6d91a104450b42513c5b40729d83acd90",
+    "list-targets":
+        "62bbe7a67185638896e8663c21e45df644c28a33b89ea64dc15a9b22d89c5559",
+    "local-model 2B2 1 13":
+        "7143275b5c498be8152ed11cbeb7fb45785485254915b0f62289a70173b05a53",
+    "local-model 2B2 1 5":
+        "0a42ab62a15ce9cd3a048115297c0daadaba5bab2499b80b24c252c2830f4c6d",
+    "local-model 2B2 1 7":
+        "a84388aa818dd9a54b6036d7e2802669bea1f371427b279c7e804481e9167906",
+    "local-model 2B2 2 31":
+        "9dd4e3e5ff8a71e15de2afa28440afabeea54d50d08f71e59c1b5ad9db8776ce",
+    "local-model 2B2 2 41":
+        "ebbadda403427152dfb492234de4a14810be529ac28d5ae4372fcb658989122a",
+    "local-model 2B2 2 5":
+        "470a79fbb999ab5486a5cc321993e86cb974ff9b4ccd9b09b50d25744f6b35dc",
+    "local-model 2F4 1 109":
+        "941f3b085b15dcacadc2db4ae70a834c576ae3e703e72fe445fbb6ee25bbe8eb",
+    "local-model 2F4 1 13":
+        "2b5d106023b2ebeb99c25e1474c28a2fad4724d3fc0c565748b79efcfe18910b",
+    "local-model 2F4 1 19":
+        "fe16ae921d51b718baeb0d2ee80dd883129c2947d505c9820b41cc35053a2f90",
+    "local-model 2F4 1 37":
+        "0331b36843c17bbfd1c563b0bfa139ec8e74e632d97c8b4afec1b7b6dc86803c",
+    "local-model 2F4 1 5":
+        "4cb65259eeaa2dab9ffd2ae60736de9e5c36e7826b8d411507a465da8080503c",
+    "local-model 2F4 1 7":
+        "db1025d3bd01aecf7ebe99c439471cb9b6654b872b6e5b919942388ddf4f0285",
+    "local-model 2G2 1 13":
+        "d439ab172ac577e06df593c354c6ec2be455e53314fffc676d8d410c9d4c91a5",
+    "local-model 2G2 1 19":
+        "41e7f22a4271fd6b8fe58835732e8ead77dadc61e1d5ac5dc84309fca4692101",
+    "local-model 2G2 1 37":
+        "0aea0d2f6df481c08e26d4e21a8f93da1da99bc47cdc16aafcbafbc3ab0ea8c0",
+    "local-model 2G2 1 7":
+        "8cc48380e1b85a59b176e4b8c9f751a7cb52a83c74cc48ec83416527b79986cb",
+    "local-model PSL2 1 2":
+        "5487019cb2010afdc7d4e57072451739d626836ab429a9de80f495a8f3eed361",
+    "local-model PSL2 1 3":
+        "c1ea95bfa83a2883d326b1e38e820b4a42f9da15d8b1a9a079f4326305dd6e5b",
+    "local-model PSL2 1 7":
+        "a84388aa818dd9a54b6036d7e2802669bea1f371427b279c7e804481e9167906",
+}
+
+
+def _cli_argv(name):
+    command, *rest = name.split()
+    if command == "lemma32":
+        return ["lemma32", "--f-min", "1", "--f-max", "8"]
+    if not rest:
+        return [command]
+    family, f, p = rest
+    return [command, "--family", family, "--f", f, "--p", p]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA256))
+def test_cli_outputs_pinned(name, capsys):
+    code = run(_cli_argv(name))
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(json.dumps([out, err, code]).encode())
+    assert digest.hexdigest() == CLI_SHA256[name]
+
+
+def test_cli_outputs_pinned_for_every_target():
+    from galmckay.verify import list_targets
+
+    names = {"%s %s %d %d" % (command, t["family"], t["f"], t["p"])
+             for t in list_targets()
+             for command in ("local-model", "cross-check")}
+    assert set(CLI_SHA256) == names | {"list-targets", "lemma32"}

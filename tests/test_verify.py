@@ -1,5 +1,7 @@
+import hashlib
+import json
 import random
-from collections import Counter
+from collections import Counter, deque
 from functools import cache
 from types import SimpleNamespace
 
@@ -14,9 +16,13 @@ from galmckay.verify import (
 )
 from galmckay import extend, verify
 from galmckay.extend import Side
-from galmckay.groups import FiniteGroup, compose, identity_perm, perm_pow
+from galmckay.groups import (
+    FiniteGroup, check_realizer, compose, conjugate, identity_perm, perm_pow,
+)
 from galmckay.galois import h_group
+from galmckay.zoo import field_automorphism, suzuki_group
 from oracles import (
+    block_arrangements, block_permutations_equivalent,
     brute_force_match_exists, cyclic_group, full_galois_group, symmetric_group,
 )
 
@@ -54,6 +60,16 @@ def test_match_actions_rejects_nonabelian():
     X = ActionOnSet(list(range(6)), s3, 3)
     with pytest.raises(VerifyError):
         match_actions(X, X)
+
+
+def test_match_actions_reports_a_transport_conflict():
+    """Labels that do not form a group: labels 1 and 2 both act as c on X
+    but as c and c^2 on Y, so transport from point 0 sends 1 to 1 and 2."""
+    c = (1, 2, 0, 3)
+    X = ActionOnSet([0, 1, 2], [identity_perm(4), c, c], 4)
+    Y = ActionOnSet([0, 1, 2], [identity_perm(4), c, perm_pow(c, 2)], 4)
+    res = match_actions(X, Y)
+    assert (res.ok, res.reason) == (False, "transport produced a conflict")
 
 
 def test_match_agrees_with_brute_force():
@@ -174,11 +190,39 @@ def test_tables_equivalent_reflexive():
     assert tables_equivalent(t, t)
 
 
+def agrees_with_block_permutations(t1, t2):
+    """tables_equivalent(t1, t2), checked against the reference search
+    wherever that tries at most 7! column arrangements."""
+    verdict = tables_equivalent(t1, t2)
+    if block_arrangements(t1) <= 5040:
+        assert block_permutations_equivalent(t1, t2) == verdict
+    return verdict
+
+
 def test_tables_equivalent_distinguishes():
     c4 = dixon_schneider(cyclic_group(4))
     gens = [(1, 0, 2, 3), (0, 1, 3, 2)]
     v4 = dixon_schneider(FiniteGroup(4, gens, name="V4"))
-    assert not tables_equivalent(c4, v4)
+    assert not agrees_with_block_permutations(c4, v4)
+
+
+def test_tables_equivalent_d8_q8():
+    """D8 and Q8 have the same character values on classes of the same
+    sizes, but D8 has five involutions and Q8 one, so their tables differ
+    in the element order of two columns; without element orders they are
+    equal."""
+    d8 = FiniteGroup(4, [(1, 2, 3, 0), (0, 3, 2, 1)], name="D8")
+    q8 = FiniteGroup(8, [(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)],
+                     name="Q8")
+    tables = [dixon_schneider(G) for G in (d8, q8)]
+    assert [sorted(cl.element_order for cl in t.classes)
+            for t in tables] == [[1, 2, 2, 2, 4], [1, 2, 4, 4, 4]]
+    assert not agrees_with_block_permutations(*tables)
+    plain = [SimpleNamespace(
+        group=t.group, rows=t.rows,
+        classes=[SimpleNamespace(element_order=0, size=cl.size)
+                 for cl in t.classes]) for t in tables]
+    assert agrees_with_block_permutations(*plain)
 
 
 def _rearranged(table, row_order, col_order, swap=None):
@@ -193,6 +237,50 @@ def _rearranged(table, row_order, col_order, swap=None):
         rows=[SimpleNamespace(values=tuple(v)) for v in values])
 
 
+def _shuffled(table, seed):
+    rng = random.Random(seed)
+    rows = list(range(len(table.rows)))
+    cols = list(range(len(table.classes)))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return _rearranged(table, rows, cols)
+
+
+def _inequivalent_swap(table):
+    """A swap (i, j, c) that keeps every column's multiset of values but
+    leaves row i with a multiset of (column key, value) pairs no row of
+    table has, so that no row and column permutation undoes it."""
+    keys = [(cl.element_order, cl.size) for cl in table.classes]
+    signatures = {frozenset(Counter(zip(keys, r.values)).items())
+                  for r in table.rows}
+    n = len(keys)
+    for c in range(1, n):
+        for i in range(len(table.rows)):
+            for j in range(len(table.rows)):
+                vi, vj = table.rows[i].values, table.rows[j].values
+                if vi[c] == vj[c]:
+                    continue
+                row = vi[:c] + (vj[c],) + vi[c + 1:]
+                if frozenset(Counter(zip(keys, row)).items()) \
+                        not in signatures:
+                    return i, j, c
+    raise AssertionError("no inequivalent swap")
+
+
+def counted_comparisons(monkeypatch):
+    """Multiset comparisons of partial rows made by tables_equivalent from
+    now on, one entry each."""
+    made = []
+
+    class Counting(Counter):
+        def __eq__(self, other):
+            made.append(1)
+            return super().__eq__(other)
+
+    monkeypatch.setattr(verify, "Counter", Counting)
+    return made
+
+
 @pytest.mark.parametrize("group", [symmetric_group(4), cyclic_group(5)],
                          ids=["S4", "C5"])
 def test_tables_equivalent_permutations_and_swaps(group):
@@ -200,22 +288,85 @@ def test_tables_equivalent_permutations_and_swaps(group):
     n = len(t.classes)
     rows = list(reversed(range(n)))
     cols = [0] + list(range(2, n)) + [1]
-    assert tables_equivalent(t, _rearranged(t, rows, cols))
-    assert tables_equivalent(_rearranged(t, rows, cols), t)
+    assert agrees_with_block_permutations(t, _rearranged(t, rows, cols))
+    assert agrees_with_block_permutations(_rearranged(t, rows, cols), t)
     # swapping two values inside one column keeps every column's multiset
     i, j, c = next((i, j, c) for c in range(1, n)
                    for i in range(n) for j in range(i + 1, n)
                    if t.rows[i].values[c] != t.rows[j].values[c])
-    assert not tables_equivalent(
+    assert not agrees_with_block_permutations(
         t, _rearranged(t, range(n), range(n), swap=(i, j, c)))
+
+
+TARGETS = [(t["family"], t["f"], t["p"]) for t in list_targets()]
+
+
+def target_id(target):
+    return "%s-%d-%d" % target
+
+
+@pytest.mark.parametrize("target", TARGETS, ids=target_id)
+def test_model_tables_match_their_shuffles(target, monkeypatch):
+    """Every model table matches a row-and-column shuffle of itself with
+    at most n^2 comparisons of partial rows, and rejects a swap inside one
+    column; the reference search agrees wherever it is affordable."""
+    t = local_model_table(*target)
+    n = len(t.classes)
+    made = counted_comparisons(monkeypatch)
+    for seed in range(3):
+        made.clear()
+        assert agrees_with_block_permutations(t, _shuffled(t, seed))
+        assert len(made) <= n * n, (seed, len(made))
+    swapped = _rearranged(t, range(n), range(n),
+                          swap=_inequivalent_swap(t))
+    assert not agrees_with_block_permutations(t, swapped)
+    assert not agrees_with_block_permutations(swapped, t)
+    # a column repeated in place of another one of the same element order
+    # and class size: each column of t matches, but not two at once
+    keys = [(cl.element_order, cl.size) for cl in t.classes]
+    a, b = next((a, b) for b in range(n) for a in range(b)
+                if keys[a] == keys[b])
+    cols = list(range(n))
+    cols[b] = a
+    assert not agrees_with_block_permutations(
+        t, _rearranged(t, range(n), cols))
+
+
+def test_d62_model_matches_its_shuffles(monkeypatch):
+    """2B2 f = 2 p = 31 is D62: 15 of its 17 columns share their element
+    order, class size and multiset of values, too many arrangements for
+    the reference search."""
+    t = local_model_table("2B2", 2, 31)
+    assert (t.group.order, len(t.classes)) == (62, 17)
+    assert block_arrangements(t) > 10 ** 12
+    made = counted_comparisons(monkeypatch)
+    assert tables_equivalent(t, t)
+    for seed in range(10):
+        made.clear()
+        assert tables_equivalent(t, _shuffled(t, seed))
+        assert len(made) <= 17 * 17
+
+
+@pytest.mark.parametrize("target", [t for t in TARGETS
+                                    if target_mode(*t) == "full"],
+                         ids=target_id)
+def test_computed_normalizer_tables_match_their_models(target):
+    family, f, p = target
+    assert agrees_with_block_permutations(local_side(family, f, p).table,
+                                          local_model_table(family, f, p))
 
 
 def test_cross_model_2b2_p5():
     assert cross_model_check("2B2", 1, 5)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_cross_model_psl2(p):
+    assert cross_model_check("PSL2", 1, p)
+
+
 def test_cross_model_rejects_other_families():
-    with pytest.raises(VerifyError):
+    with pytest.raises(VerifyError, match="local-only"):
         cross_model_check("2G2", 1, 7)
 
 
@@ -229,6 +380,84 @@ def test_cross_model_rejects_non_full_targets(monkeypatch):
         cross_model_check("2B2", 2, 31)
     with pytest.raises(VerifyError, match="out of scope"):
         cross_model_check("2B2", 1, 11)
+
+
+# -- the transporter of stable_sylow_setup ----------------------------------
+
+def breadth_first_transporter(G, A, B):
+    """The first element, in breadth-first order of words in G's
+    generators, that conjugates the elements of A onto those of B."""
+    target = frozenset(B)
+    ident = identity_perm(G.degree)
+    seen = {ident}
+    queue = deque([ident])
+    while queue:
+        w = queue.popleft()
+        if frozenset(conjugate(x, w) for x in A) == target:
+            return w
+        for g in G.generators:
+            wg = compose(w, g)
+            if wg not in seen:
+                seen.add(wg)
+                queue.append(wg)
+    raise AssertionError("not conjugate")
+
+
+def sylow_indices(G, p):
+    return frozenset(map(G.index_of, G.sylow_subgroup(p).elements))
+
+
+def test_transporter_moves_the_field_automorphisms_sylow_13_back():
+    """On Sz(8), only the Sylow 13-subgroup is moved by the field
+    automorphism; the transporter carries its image back."""
+    G = suzuki_group(1)
+    r = check_realizer(G, field_automorphism(G))
+    moved = {p: G.conjugate_indices(sylow_indices(G, p), r)
+             for p in (5, 7, 13)}
+    assert [moved[p] == sylow_indices(G, p) for p in (5, 7, 13)] == \
+        [True, True, False]
+    A, B = moved[13], sylow_indices(G, 13)
+    g = verify._transporter(G, A, B)
+    assert G.conjugate_indices(A, g) == B
+    elements = G.elements
+    assert g == breadth_first_transporter(
+        G, [elements[i] for i in A], [elements[i] for i in B])
+
+
+def test_transporter_of_equal_sets_is_the_identity():
+    G = suzuki_group(1)
+    A = sylow_indices(G, 5)
+    assert verify._transporter(G, A, A) == identity_perm(G.degree)
+
+
+def test_transporter_refuses_non_conjugate_subgroups():
+    G = suzuki_group(1)
+    with pytest.raises(VerifyError, match="subgroups are not conjugate"):
+        verify._transporter(G, sylow_indices(G, 5), sylow_indices(G, 13))
+
+
+# sha256 of the json list of each full target's stable_sylow_setup realizer
+REALIZER_SHA256 = {
+    ("2B2", 5):
+        "3cc99c6fc0f6b2e01c648afd384e90b4866f7cf2d1d0deb3faf811f512017c91",
+    ("2B2", 7):
+        "3cc99c6fc0f6b2e01c648afd384e90b4866f7cf2d1d0deb3faf811f512017c91",
+    ("2B2", 13):
+        "e6a026772de97d46ddc3381420b7ede72182f91403df2d8664164dbf5157b961",
+    ("PSL2", 2):
+        "6797ce658968dcaf6d73023c18a395d4f250d79c5289e42880b377346e8c42a4",
+    ("PSL2", 3):
+        "6797ce658968dcaf6d73023c18a395d4f250d79c5289e42880b377346e8c42a4",
+    ("PSL2", 7):
+        "6797ce658968dcaf6d73023c18a395d4f250d79c5289e42880b377346e8c42a4",
+}
+
+
+def test_stable_sylow_realizers_pinned():
+    for (family, p), digest in REALIZER_SHA256.items():
+        realizer = json.dumps(list(local_side(family, 1, p).realizer))
+        assert hashlib.sha256(realizer.encode()).hexdigest() == digest, \
+            (family, p)
 
 
 def test_out_of_scope_report():

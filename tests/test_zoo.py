@@ -255,3 +255,15 @@ def test_torus_models_pinned(family, f, digest):
         for label, (orders, tag, b) in torus_rows(family, f).items()
         for s in [b()]])
     assert hashlib.sha256(models.encode()).hexdigest() == digest
+
+
+def test_field_generators_are_the_least():
+    """The least element of multiplicative order q - 1 in each field on
+    file, checked by listing the powers of every smaller element."""
+    want = {(2, 2): 2, (2, 3): 2, (2, 5): 2, (3, 2): 4}
+    for (p, k), g in want.items():
+        F = FiniteField(p, k)
+        orders = [len({F.pow(a, e) for e in range(F.q - 1)})
+                  for a in range(1, g + 1)]
+        assert orders[-1] == F.q - 1 and max(orders[:-1]) < F.q - 1
+        assert F.generator() == g
