@@ -37,9 +37,11 @@ alone.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from math import gcd, lcm
-from operator import itemgetter
+from itertools import repeat
+from operator import getitem, itemgetter
 
 from . import GalMcKayError
 
@@ -53,8 +55,8 @@ def enumeration_bytes(order: int, base_length: int, generators: int) -> int:
     bytes), its dict entry and the element's number (about 80), the tree
     (16), the R table and the conjugation table of each generator (16 per
     generator), and about 40 for class data and transient tables.
-    tracemalloc peaks per element: 249 for Sz(8) (degree 65, a base of 3
-    points, 4 generators; estimate 264) and 250 for S8 (degree 8, a base
+    tracemalloc peaks per element: 222 for Sz(8) (degree 65, a base of 3
+    points, 4 generators; estimate 264) and 216 for S8 (degree 8, a base
     of 7 points, 2 generators; estimate 264)."""
     return order * (8 * base_length + 16 * generators + 176)
 
@@ -221,13 +223,16 @@ def _add_strong(chain, h, j, start):
 # -- conjugacy classes ------------------------------------------------------
 
 class ConjClass:
+    """A class: its representative (a permutation), size, element order
+    and indices, an int32 array of its element numbers in ascending
+    order."""
     __slots__ = ("rep", "size", "element_order", "indices")
 
     def __init__(self, rep, size, element_order, indices):
         self.rep = rep
         self.size = size
         self.element_order = element_order
-        self.indices = indices  # tuple of element indices, sorted
+        self.indices = indices
 
     def __repr__(self):
         return "ConjClass(order=%d, size=%d)" % (self.element_order, self.size)
@@ -266,9 +271,9 @@ def _ordered_classes(orbits, element, n) -> tuple:
         keyed.append((perm_order(rep), len(orbit), orbit[0], rep, orbit))
     keyed.sort(key=itemgetter(0, 1, 2))
     classes = []
-    class_of = [-1] * n
+    class_of = array("i", [-1]) * n
     for cid, (eo, size, _, rep, orbit) in enumerate(keyed):
-        classes.append(ConjClass(rep, size, eo, tuple(orbit)))
+        classes.append(ConjClass(rep, size, eo, array("i", orbit)))
         for i in orbit:
             class_of[i] = cid
     return classes, class_of
@@ -334,12 +339,14 @@ class _Classes:
         z_k of class k: the number of u in the inverse class C_i^-1 with
         u z_k in C_j."""
         classes = self.conjugacy_classes
-        inverses = classes[self.power_classes(i)[-1]].indices
+        # read once: reading an int32 array allocates an int per entry
+        inverses = list(classes[self.power_classes(i)[-1]].indices)
         M = [[0] * len(classes) for _ in classes]
         for k, cl in enumerate(classes):
             products = self.times(inverses, cl.indices[0])
-            for j, count in Counter(
-                    map(self._class_of.__getitem__, products)).items():
+            # getitem, not array.__getitem__, a slot wrapper that is slower
+            for j, count in Counter(map(
+                    getitem, repeat(self._class_of), products)).items():
                 M[j][k] = count
         return M
 
@@ -460,7 +467,8 @@ class FiniteGroup(_Classes):
         keys = [base]   # the base key of the identity
         index = {base: 0}
         right = [[] for _ in gens]
-        parent, gen = [], []
+        # int32 is enough: ENUMERATION_BUDGET keeps k*|G| far below 2**31
+        parent, gen = array("i"), array("i")
         steps = [(s, g, table.append)
                  for s, (g, table) in enumerate(zip(gens, right))]
         for i, key in enumerate(keys):
@@ -787,6 +795,6 @@ class SemidirectProduct(_Classes):
                 (shift,) = G.times([ginv], self._shift(gi, j))
                 maps.append(G.times(C, shift))
             for orbit in _orbits(n, maps):
-                orbits.append([j * n + i for i in orbit])
+                orbits.append(array("i", map((j * n).__add__, orbit)))
         self._classes, self._class_of = _ordered_classes(
             orbits, self._element, self.order)

@@ -129,6 +129,9 @@ def match_actions(X: ActionOnSet, Y: ActionOnSet) -> MatchResult:
                     return MatchResult(False, (), summary,
                                        "transport produced a conflict")
                 bij[ax] = ay
+    if len(bij) != X.n:
+        return MatchResult(False, (), summary,
+                           "transport did not reach every point")
     for px, py in zip(X.perms, Y.perms):
         for x in range(X.n):
             if bij[px[x]] != py[bij[x]]:

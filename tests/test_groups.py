@@ -441,23 +441,35 @@ def test_table_generators_keep_classes(tag, every):
 
 def test_sz8_kernel_memory_within_estimate():
     """The tracemalloc peak of enumerating Sz(8), its classes and the 4
-    class matrices its table needs stays within enumeration_bytes."""
+    class matrices its table needs stays within enumeration_bytes.  The
+    write-once per-element integers are int32 arrays, so that what is
+    still held after the classes of Sz(8) and of Sz(8) x| C3 stays under
+    7.5 MiB; as lists and tuples they would hold 10.2 MiB."""
     import tracemalloc
 
     from galmckay.groups import enumeration_bytes
-    from galmckay.zoo import suzuki_group
+    from galmckay.zoo import field_automorphism, suzuki_group
 
     G = suzuki_group(1)
     assert (G.order, len(G.base), len(G.generators)) == (29120, 3, 4)
+    frob = field_automorphism(G)
     tracemalloc.start()
     try:
         G.conjugacy_classes
         for i in (1, 2, 8, 5):   # the classes dixon_schneider uses
             G.class_matrix(i)
         _, peak = tracemalloc.get_traced_memory()
+        E = semidirect_product(G, frob, 3)
+        E.conjugacy_classes
+        held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= enumeration_bytes(29120, 3, 4)
+    assert held <= 7.5 * 2 ** 20
+    for a in (G._parent, G._gen, G._class_of, E._class_of):
+        assert a.typecode == "i"
+    for H in (G, E):
+        assert all(cl.indices.typecode == "i" for cl in H.conjugacy_classes)
 
 
 def test_induced_class_permutation_brute_force():
@@ -550,7 +562,7 @@ def test_base_image_kernel_matches_reference():
     for G in oracle_groups():
         elements, classes, class_of, index = reference_kernel(G)
         assert G.elements == elements, G.name
-        assert [(cl.rep, cl.size, cl.element_order, cl.indices)
+        assert [(cl.rep, cl.size, cl.element_order, tuple(cl.indices))
                 for cl in G.conjugacy_classes] == classes, G.name
         for i, x in enumerate(elements):
             assert G.index_of(x) == i

@@ -72,6 +72,15 @@ def test_match_actions_reports_a_transport_conflict():
     assert (res.ok, res.reason) == (False, "transport produced a conflict")
 
 
+def test_match_actions_reports_an_unreached_point():
+    """Labels not closed under composition: the identity and a 3-cycle
+    move point 0 only to 0 and 1, so transport never defines point 2."""
+    X = ActionOnSet([0, 1], [(0, 1, 2), (1, 2, 0)], 3)
+    res = match_actions(X, X)
+    assert (res.ok, res.bijection, res.reason) == (
+        False, (), "transport did not reach every point")
+
+
 def test_match_agrees_with_brute_force():
     # several C4-actions on 4 points, pairwise compared against the
     # exhaustive search
