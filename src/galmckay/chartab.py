@@ -318,13 +318,8 @@ class CharacterTable:
                                     for v in r.values) for r in self.rows)
         self._row_index = {r: i for i, r in enumerate(self._row_ids)}
         # set by validate, which proves sigma_b(chi(g)) = chi(g^b);
-        # galois.act_on_table relies on it for its row permutations by
-        # residue b mod the exponent
+        # galois.act_on_table relies on it for its row permutations
         self.validated = False
-        self.galois_perms = {}
-        # extend.automorphism_row_perms: row permutations of a^j, j < k,
-        # by (realizer, k)
-        self.automorphism_perms = {}
 
     def row_index(self, cf: ClassFunction) -> int:
         i = self._row_index.get(tuple(map(self._value_ids.get, cf.values)))

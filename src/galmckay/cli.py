@@ -3,11 +3,14 @@
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import GalMcKayError
 from .chartab import CharacterTable, dixon_schneider
 from .ntheory import factorint
-from .zoo import suzuki_group, psl2_8, agl18_normalizer, small_group
+from .zoo import (
+    _SMALL_GROUPS, suzuki_group, psl2_8, agl18_normalizer, small_group,
+)
 from .verify import (
     verify_target, lemma_congruence_check, cross_model_check,
     list_targets, local_model_table, target_mode,
@@ -15,15 +18,10 @@ from .verify import (
 
 
 _GROUP_BUILDERS = {
-    "sz8": lambda: suzuki_group(1),
+    "sz8": partial(suzuki_group, 1),
     "psl2_8": psl2_8,
     "agl18_normalizer": agl18_normalizer,
-    "su3_2": lambda: small_group("su3_2"),
-    "su3_2_ext": lambda: small_group("su3_2_ext"),
-    "su3_3": lambda: small_group("su3_3"),
-    "g2_2": lambda: small_group("g2_2"),
-    "sl3_4": lambda: small_group("sl3_4"),
-    "psl3_4": lambda: small_group("psl3_4"),
+    **{tag: partial(small_group, tag) for tag in _SMALL_GROUPS},
 }
 
 

@@ -7,11 +7,11 @@ by brute restriction matching and searches for one fixed by every pair
 (a^j, sigma) in the joint stabilizer of psi, where sigma runs over a
 group of Galois automorphisms.  The automorphism a is given by a realizer
 permutation r on the points of M, acting by x -> r^-1 x r.  A `Side`
-holds M's table, r and k, and builds each extension product M x| <a^d>
-it is asked for once.
+holds M's table, r and k, owns the row action of C_k x Gal on the table,
+and builds each extension product M x| <a^d> it is asked for once.
 """
 
-from typing import NamedTuple
+from functools import cached_property
 
 from . import GalMcKayError
 from .groups import (
@@ -30,13 +30,9 @@ def automorphism_row_perms(table: CharacterTable, realizer, k: int):
     """Row permutations of a^j for j = 0..k-1, a of order dividing k.
 
     perms[j][i] is the index of the row chi_i composed with a^j.  They are
-    the powers of the row permutation of a, cached on the table per
-    (realizer, k); a table not closed under a raises ChartabError.
+    the powers of the row permutation of a; a table not closed under a
+    raises ChartabError.
     """
-    key = (tuple(realizer), k)
-    perms = table.automorphism_perms.get(key)
-    if perms is not None:
-        return perms
     M = table.group
     r = check_realizer(M, realizer)
     if k % automorphism_order(M, r):
@@ -46,51 +42,64 @@ def automorphism_row_perms(table: CharacterTable, realizer, k: int):
         base = table.row_perm(induced_class_permutation(M, r))
         while len(perms) < k:
             perms.append(compose(perms[-1], base))
-    perms = table.automorphism_perms[key] = tuple(perms)
-    return perms
+    return tuple(perms)
 
 
-def extension_product(table: CharacterTable, realizer, q: int):
-    """(M x| <r>, its character table, class fusion of M) for r of order q."""
-    product = semidirect_product(table.group, realizer, q)
-    big = dixon_schneider(product)
-    fusion = tuple(product.class_of_element(cl.rep) for cl in table.classes)
-    return product, big, fusion
+class Side:
+    """A character table with the row action of C_k x Gal on it: a is an
+    automorphism of order dividing k on the table's group, realized by
+    conjugation with realizer.  The side builds the row permutations of
+    a^j once, sigma_b's once per residue b mod the exponent, and each
+    extension product M x| <a^d> it is asked for once, by stabilizer
+    index d."""
 
+    def __init__(self, table: CharacterTable, realizer, k: int):
+        self.table = table
+        self.realizer = realizer
+        self.k = k
+        self.products = {}
+        self._galois_perms = {}
 
-class Side(NamedTuple):
-    """A character table, the realizer of an automorphism a of order
-    dividing k on its group, and the extension products M x| <a^d> built
-    so far, by stabilizer index d."""
-    table: CharacterTable
-    realizer: tuple
-    k: int
-    products: dict
+    @cached_property
+    def automorphism_perms(self):
+        """automorphism_row_perms of the table under a."""
+        return automorphism_row_perms(self.table, self.realizer, self.k)
+
+    def galois_perm(self, sigma):
+        """act_on_table(self.table, sigma), built once per residue."""
+        e = self.table.exponent
+        b = sigma.b % e
+        if sigma.m % e or b not in self._galois_perms:
+            self._galois_perms[b] = act_on_table(self.table, sigma)
+        return self._galois_perms[b]
 
     def product(self, d: int):
-        """extension_product for M x| <a^d>, built once per side."""
+        """(side of M x| <a^d> under the same a, class fusion of M), built
+        once per side."""
         found = self.products.get(d)
         if found is None:
-            found = self.products[d] = extension_product(
-                self.table, perm_pow(self.realizer, d), self.k // d)
+            G = semidirect_product(self.table.group,
+                                   perm_pow(self.realizer, d), self.k // d)
+            fusion = tuple(G.class_of_element(cl.rep)
+                           for cl in self.table.classes)
+            found = self.products[d] = (
+                Side(dixon_schneider(G), self.realizer, self.k), fusion)
         return found
 
     def exponent(self) -> int:
         """Exponent of M x| <a> for k > 1, of the table for k = 1."""
-        return (self.product(1)[0].exponent if self.k > 1
+        return (self.product(1)[0].table.exponent if self.k > 1
                 else self.table.exponent)
 
 
 class ExtensionSet:
-    """All extensions of one character to M x| A_psi."""
+    """All extensions of one character to M x| A_psi: rows of the table
+    of side, with fusion the class fusion of M into its group."""
 
-    def __init__(self, realizer, k, d, product, table, fusion, rows):
-        self.realizer = realizer
-        self.k = k
+    def __init__(self, side, d, fusion, rows):
+        self.side = side
         self.d = d
-        self.a_psi_order = k // d
-        self.product = product
-        self.table = table
+        self.a_psi_order = side.k // d
         self.fusion = tuple(fusion)
         self.rows = tuple(rows)
 
@@ -113,31 +122,29 @@ def find_extensions(side: Side, row: int) -> ExtensionSet:
     """
     table, k = side.table, side.k
     psi = table.rows[row]
-    perms = automorphism_row_perms(table, side.realizer, k)
+    perms = side.automorphism_perms
     d = next(j for j in range(1, k + 1)
              if k % j == 0 and perms[j % k][row] == row)
     q = k // d
     if q == 1:
-        return ExtensionSet(side.realizer, k, d, table.group, table,
-                            range(len(table.classes)), (row,))
-    product, big, fusion = side.product(d)
-    rows = [i for i, chi in enumerate(big.rows)
+        return ExtensionSet(side, d, range(len(table.classes)), (row,))
+    big, fusion = side.product(d)
+    rows = [i for i, chi in enumerate(big.table.rows)
             if all(chi.values[fusion[c]] == psi.values[c]
                    for c in range(len(table.classes)))]
     if len(rows) != q:
         raise ExtendError("Gallagher count violated: %d extensions, "
                           "expected %d" % (len(rows), q))
-    return ExtensionSet(side.realizer, k, d, product, big, fusion, rows)
+    return ExtensionSet(big, d, fusion, rows)
 
 
 def joint_stabilizer(side: Side, row: int, H) -> list:
     """Pairs (j, sigma) with psi composed with a^j then sigma equal to psi."""
-    table = side.table
-    perms = automorphism_row_perms(table, side.realizer, side.k)
+    perms = side.automorphism_perms
     pairs = []
     for j in range(side.k):
         pairs += [(j, sigma) for sigma in H
-                  if act_on_table(table, sigma)[perms[j][row]] == row]
+                  if side.galois_perm(sigma)[perms[j][row]] == row]
     return pairs
 
 
@@ -149,12 +156,13 @@ def invariant_extension_exists(side: Side, row: int, H):
     """
     ext = find_extensions(side, row)
     pairs = joint_stabilizer(side, row, H)
-    gammas = automorphism_row_perms(ext.table, ext.realizer, side.k)
+    eside = ext.side
+    gammas = eside.automorphism_perms
     reports = []
     for i in ext.rows:
         report = []
         for j, sigma in pairs:
-            image = act_on_table(ext.table, sigma)[gammas[j][i]]
+            image = eside.galois_perm(sigma)[gammas[j][i]]
             report.append((j, sigma.b, image == i))
         reports.append(report)
         if all(ok for _, _, ok in report):

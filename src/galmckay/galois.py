@@ -83,22 +83,14 @@ def act_on_table(table: CharacterTable, sigma: GaloisElement):
     Returns a tuple perm with perm[i] = index of the image of row i.
     CharacterTable.validate proves sigma_b(chi(g)) = chi(g^b) for every
     unit b mod the exponent, so this is the row permutation of the
-    power-map class permutation, cached on the table per residue b mod the
-    exponent.  A table that has not passed validate is validated first,
-    and GaloisError is raised if that fails.
+    power-map class permutation; a table that has not passed validate
+    raises GaloisError.  extend.Side keeps these per residue.
     """
     _check_modulus(table, sigma)
-    b = sigma.b % table.exponent
-    perm = table.galois_perms.get(b)
-    if perm is None:
-        if not table.validated:
-            try:
-                table.validate()
-            except ChartabError as exc:
-                raise GaloisError("table fails validation: %s" % exc) from exc
-        perm = table.row_perm(power_class_permutation(table.group, b))
-        table.galois_perms[b] = perm
-    return perm
+    if not table.validated:
+        raise GaloisError("table has not passed validate")
+    return table.row_perm(power_class_permutation(table.group,
+                                                  sigma.b % table.exponent))
 
 
 class McKayLabel:

@@ -17,15 +17,15 @@ from functools import cache
 
 from . import GalMcKayError
 from .groups import (
-    FiniteGroup, GroupError, _orbits, compose, perm_pow, identity_perm,
+    FiniteGroup, _orbits, compose, perm_pow, identity_perm,
     is_perm, automorphism_order, check_realizer,
 )
 from .chartab import CharacterTable, dixon_schneider
-from .galois import h_group, act_on_table
+from .galois import h_group
 from .ntheory import factorint
-from .extend import Side, automorphism_row_perms, invariant_extension_exists
+from .extend import Side, invariant_extension_exists
 from .zoo import (
-    ZooError, suzuki_group, psl2_8, psl2_local_model, field_automorphism,
+    suzuki_group, psl2_8, psl2_local_model, field_automorphism,
     torus_normalizer, torus_rows, torus_polynomials,
 )
 
@@ -145,16 +145,15 @@ def match_actions(X: ActionOnSet, Y: ActionOnSet) -> MatchResult:
 
 def joint_row_action(side, H, rows):
     """ActionOnSet of C_k x H on a subset of one side's row indices."""
-    table = side.table
-    gperms = automorphism_row_perms(table, side.realizer, side.k)
-    sperms = {s.b: act_on_table(table, s) for s in H}
+    gperms = side.automorphism_perms
     pos = {r: i for i, r in enumerate(rows)}
     labels = []
     perms = []
     for j in range(side.k):
         for s in H:
             labels.append((j, s.b))
-            full = [sperms[s.b][gperms[j][r]] for r in rows]
+            sperm = side.galois_perm(s)
+            full = [sperm[gperms[j][r]] for r in rows]
             try:
                 perms.append(tuple(pos[r] for r in full))
             except KeyError:
@@ -168,7 +167,8 @@ def condition_one(gside, lside, p, H):
     gp = gside.table.p_prime_rows(p)
     lp = lside.table.p_prime_rows(p)
     X = joint_row_action(gside, H, gp)
-    Y = joint_row_action(lside, H, lp)
+    # a side matched with itself builds its joint action once
+    Y = X if lside is gside else joint_row_action(lside, H, lp)
     res = match_actions(X, Y)
     return {
         "counts": {"global": len(gp), "local": len(lp)},
@@ -346,13 +346,9 @@ _FULL_TARGETS = {
 
 def _local_only_primes(family, f):
     """Odd non-defining primes attached unambiguously to one torus row."""
-    try:
-        rows = torus_rows(family, f)
-    except (ZooError, GroupError):
-        return ()
     defining = 3 if family == "2G2" else 2
     hits = {}
-    for label, (orders, tag, build) in rows.items():
+    for label, (orders, tag, build) in torus_rows(family, f).items():
         for prime in factorint(prod(orders)):
             hits.setdefault(prime, set()).add(label)
     return tuple(sorted(p for p, labs in hits.items()
@@ -362,24 +358,25 @@ def _local_only_primes(family, f):
 _LOCAL_ONLY = (("2B2", 2), ("2G2", 1), ("2F4", 1))
 
 
+@cache
+def _target_grid():
+    """(family, f, p) -> "full" or "local-only", in list-targets order."""
+    grid = {(family, f, p): "full"
+            for (family, f), primes in sorted(_FULL_TARGETS.items())
+            for p in primes}
+    for family, f in sorted(_LOCAL_ONLY):
+        for p in _local_only_primes(family, f):
+            grid.setdefault((family, f, p), "local-only")
+    return grid
+
+
 def target_mode(family, f, p):
-    if (family, f) in _FULL_TARGETS and p in _FULL_TARGETS[(family, f)]:
-        return "full"
-    if (family, f) in _LOCAL_ONLY and p in _local_only_primes(family, f):
-        return "local-only"
-    return None
+    return _target_grid().get((family, f, p))
 
 
 def list_targets():
-    out = []
-    for (family, f), primes in sorted(_FULL_TARGETS.items()):
-        for p in primes:
-            out.append({"family": family, "f": f, "p": p, "mode": "full"})
-    for (family, f) in sorted(_LOCAL_ONLY):
-        for p in _local_only_primes(family, f):
-            out.append({"family": family, "f": f, "p": p,
-                        "mode": "local-only"})
-    return out
+    return [{"family": family, "f": f, "p": p, "mode": mode}
+            for (family, f, p), mode in _target_grid().items()]
 
 
 def local_model_group(family, f, p) -> FiniteGroup:
@@ -428,7 +425,7 @@ def _field_action(family, f):
 def global_side(family, f) -> Side:
     """The global group's side, shared by every prime of the target."""
     G, frob, k = _field_action(family, f)
-    return Side(dixon_schneider(G), frob, k, {})
+    return Side(dixon_schneider(G), frob, k)
 
 
 @cache
@@ -437,10 +434,10 @@ def local_side(family, f, p) -> Side:
     for a local-only target, the model table under the trivial action."""
     if target_mode(family, f, p) == "local-only":
         table = local_model_table(family, f, p)
-        return Side(table, identity_perm(table.group.degree), 1, {})
+        return Side(table, identity_perm(table.group.degree), 1)
     G, frob, k = _field_action(family, f)
     N, lreal = stable_sylow_setup(G, p, frob, k)
-    return Side(dixon_schneider(N), lreal, k, {})
+    return Side(dixon_schneider(N), lreal, k)
 
 
 def galois_group(gside: Side, lside: Side, p):

@@ -201,7 +201,7 @@ def _criterion_8_gallagher_and_real(family, f, p):
         # real extension
         if _is_real_row(table.rows[row]) and ext.a_psi_order % 2 == 1:
             real = [i for i in ext.rows
-                    if _is_real_row(ext.table.rows[i])]
+                    if _is_real_row(ext.side.table.rows[i])]
             assert len(real) == 1
 
 

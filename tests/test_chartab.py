@@ -308,7 +308,7 @@ def test_galois_conjugate_classes_build_no_class_matrix(monkeypatch):
         return real(G, i)
 
     monkeypatch.setattr(groups._Classes, "class_matrix", counted)
-    for G, count in ((side.table.group, 4), (side.product(1)[0], 3)):
+    for G, count in ((side.table.group, 4), (side.product(1)[0].table.group, 3)):
         used.clear()
         dixon_schneider(G)
         assert len(used) == count, G.name
@@ -427,11 +427,11 @@ def test_validate_agrees_with_the_all_pairs_oracle_on_perturbed_tables():
     values per table: validate accepts exactly the tables that the
     all-pairs oracle accepts and that are Galois-compatible, so it rejects
     every table the oracle rejects."""
-    from galmckay.extend import extension_product
+    from galmckay.extend import Side
 
     c13, a = c13_times_8()
-    _, d14_3, _ = extension_product(dixon_schneider(dihedral(7)),
-                                    tuple(2 * i % 7 for i in range(7)), 3)
+    d14_3 = Side(dixon_schneider(dihedral(7)),
+                 tuple(2 * i % 7 for i in range(7)), 3).product(1)[0].table
     tables = [dixon_schneider(G) for G in (
         dihedral(7), cyclic_group(5), cyclic_group(12), symmetric_group(4),
         quaternion8(), semidirect_product(c13, a, 4))] + [d14_3]
@@ -492,7 +492,7 @@ def test_lift_matches_per_class_oracle_on_extension_products():
             continue
         for side in (global_side(target["family"], target["f"]),
                      local_side(target["family"], target["f"], target["p"])):
-            big = side.product(1)[1]
+            big = side.product(1)[0].table
             assert_matches_per_class_oracle(big.group, big)
 
 

@@ -8,13 +8,14 @@ from galmckay.groups import (
 from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, dixon_schneider,
 )
-from galmckay.galois import h_group
+from galmckay import extend
+from galmckay.galois import GaloisElement, GaloisError, h_group
 from galmckay.extend import (
     ExtendError, Side, automorphism_row_perms, find_extensions,
     invariant_extension_exists, joint_stabilizer,
 )
 from galmckay.zoo import field_automorphism, torus_normalizer
-from oracles import cyclic_group
+from oracles import cyclic_group, full_galois_group
 
 
 def dihedral(n):
@@ -58,10 +59,11 @@ def test_moved_character_stays_put():
     t = dixon_schneider(c3)
     row = next(i for i, r in enumerate(t.rows)
                if any(v != ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 2, {}), row)
+    side = Side(t, a, 2)
+    ext = find_extensions(side, row)
     assert ext.a_psi_order == 1
     assert ext.rows == (row,)
-    assert ext.table is t
+    assert ext.side is side
 
 
 def test_trivial_character_two_extensions():
@@ -69,18 +71,18 @@ def test_trivial_character_two_extensions():
     t = dixon_schneider(c3)
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 2, {}), triv)
+    ext = find_extensions(Side(t, a, 2), triv)
     assert ext.a_psi_order == 2
     assert len(ext.rows) == 2
-    assert ext.product.order == 6
-    assert all(ext.table.rows[i].degree_int() == 1 for i in ext.rows)
+    assert ext.side.table.group.order == 6
+    assert all(ext.side.table.rows[i].degree_int() == 1 for i in ext.rows)
 
 
 def test_gallagher_counts_c7_c3():
     c7, a = c7_with_squaring()
     t = dixon_schneider(c7)
     for row in range(len(t.rows)):
-        ext = find_extensions(Side(t, a, 3, {}), row)
+        ext = find_extensions(Side(t, a, 3), row)
         trivial = all(v == ONE for v in t.rows[row].values)
         assert len(ext.rows) == (3 if trivial else 1)
 
@@ -90,10 +92,10 @@ def test_restriction_is_exact():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 3, {}), sign)
+    ext = find_extensions(Side(t, a, 3), sign)
     assert len(ext.rows) == 3
     for i in ext.rows:
-        chi = ext.table.rows[i]
+        chi = ext.side.table.rows[i]
         for c in range(len(t.classes)):
             assert chi.values[ext.fusion[c]] == t.rows[sign].values[c]
 
@@ -105,12 +107,13 @@ def test_unique_real_extension_odd_stabilizer():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 3, {}), sign)
+    ext = find_extensions(Side(t, a, 3), sign)
     real = [i for i in ext.rows
-            if all(v == v.galois(-1) for v in ext.table.rows[i].values)]
+            if all(v == v.galois(-1)
+                   for v in ext.side.table.rows[i].values)]
     assert len(real) == 1
-    H = h_group(2, ext.table.exponent)
-    w = invariant_extension_exists(Side(t, a, 3, {}), sign, H)
+    H = h_group(2, ext.side.table.exponent)
+    w = invariant_extension_exists(Side(t, a, 3), sign, H)
     assert w.invariant
     assert w.extension_row == real[0]
 
@@ -119,7 +122,7 @@ def test_joint_stabilizer_contains_identity():
     d, a = d14_with_c3()
     t = dixon_schneider(d)
     H = h_group(2, t.exponent * 3)
-    pairs = joint_stabilizer(Side(t, a, 3, {}), 0, H)
+    pairs = joint_stabilizer(Side(t, a, 3), 0, H)
     assert any(j == 0 and s.b == 1 for j, s in pairs)
 
 
@@ -129,11 +132,12 @@ def test_linear_character_invariant_extension():
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
     H = h_group(5, 42)
-    w = invariant_extension_exists(Side(t, a, 3, {}), triv, H)
+    w = invariant_extension_exists(Side(t, a, 3), triv, H)
     assert w.invariant
     ext = w.extension_set
-    chi = ext.table.rows[w.extension_row]
-    c = ext.product.class_of_element(perm_pow(ext.realizer, ext.d))
+    chi = ext.side.table.rows[w.extension_row]
+    c = ext.side.table.group.class_of_element(
+        perm_pow(ext.side.realizer, ext.d))
     assert chi.values[c] == ONE
 
 
@@ -142,42 +146,61 @@ def test_realizer_path():
     t = dixon_schneider(c3)
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
-    ext = find_extensions(Side(t, (0, 2, 1), 2, {}), triv)
-    assert ext.product.degree == 3
-    assert ext.product.order == 6
+    ext = find_extensions(Side(t, (0, 2, 1), 2), triv)
+    assert ext.side.table.group.degree == 3
+    assert ext.side.table.group.order == 6
     assert len(ext.rows) == 2
     # an order-2 realizer does not give an action of order dividing 3
     with pytest.raises(ExtendError):
-        find_extensions(Side(t, (0, 2, 1), 3, {}), triv)
+        find_extensions(Side(t, (0, 2, 1), 3), triv)
     # not a permutation of the points of C3
     with pytest.raises(GroupError):
-        find_extensions(Side(t, (1, 0, 2, 3), 2, {}), triv)
+        find_extensions(Side(t, (1, 0, 2, 3), 2), triv)
 
 
 def test_side_builds_each_product_once():
     # the trivial row of C7 is the only one fixed by a, so every row that
     # extends reads the one product C7 x| C3, the Frobenius group of order 21
     c7, a = c7_with_squaring()
-    side = Side(dixon_schneider(c7), a, 3, {})
+    side = Side(dixon_schneider(c7), a, 3)
     product = side.product(1)
-    assert product[0].order == 21
+    assert product[0].table.group.order == 21
     H = h_group(5, side.exponent())
     for row in range(len(side.table.rows)):
         invariant_extension_exists(side, row, H)
     assert side.products == {1: product}
     assert side.exponent() == 21
-    assert Side(side.table, identity_perm(7), 1, {}).exponent() == 7
+    assert Side(side.table, identity_perm(7), 1).exponent() == 7
+
+
+def test_side_galois_perms_once_per_residue(monkeypatch):
+    # the 12 units mod 42 act on the table of C7 through their 6 residues
+    # mod 7; a modulus the exponent does not divide is refused every time
+    c7, a = c7_with_squaring()
+    side = Side(dixon_schneider(c7), a, 3)
+    calls = []
+    real = extend.act_on_table
+    monkeypatch.setattr(extend, "act_on_table",
+                        lambda t, s: calls.append(s.b) or real(t, s))
+    H = full_galois_group(42)
+    perms = [side.galois_perm(s) for s in H]
+    assert len(H) == 12 and len(calls) == len({s.b % 7 for s in H}) == 6
+    assert perms == [real(side.table, s) for s in H]
+    with pytest.raises(GaloisError, match="not divisible"):
+        side.galois_perm(GaloisElement(5, 1))
 
 
 def test_gallagher_count_checked():
     # a product table missing one extension of the trivial row of C7
     c7, a = c7_with_squaring()
     t = dixon_schneider(c7)
-    product, big, fusion = Side(t, a, 3, {}).product(1)
-    triv = next(i for i, r in enumerate(big.rows)
+    side = Side(t, a, 3)
+    big, fusion = side.product(1)
+    rows = big.table.rows
+    triv = next(i for i, r in enumerate(rows)
                 if all(v == ONE for v in r.values))
-    short = CharacterTable(product, big.rows[:triv] + big.rows[triv + 1:])
-    side = Side(t, a, 3, {1: (product, short, fusion)})
+    short = CharacterTable(big.table.group, rows[:triv] + rows[triv + 1:])
+    side.products[1] = (Side(short, a, 3), fusion)
     with pytest.raises(ExtendError, match="Gallagher count violated"):
         find_extensions(side, next(i for i, r in enumerate(t.rows)
                                    if all(v == ONE for v in r.values)))
@@ -196,9 +219,10 @@ def value_wise_row_perms(table, r, k):
 
 
 def assert_row_perms_value_wise(table, r, k):
-    perms = automorphism_row_perms(table, r, k)
+    side = Side(table, r, k)
+    perms = side.automorphism_perms
     assert perms == value_wise_row_perms(table, r, k)
-    assert automorphism_row_perms(table, r, k) is perms
+    assert side.automorphism_perms is perms
     return perms
 
 
@@ -228,9 +252,9 @@ def test_row_perms_extension_product_table():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 3, {}), sign)
-    assert ext.table is not t
-    assert_row_perms_value_wise(ext.table, ext.realizer, 3)
+    ext = find_extensions(Side(t, a, 3), sign)
+    assert ext.side.table is not t
+    assert_row_perms_value_wise(ext.side.table, ext.side.realizer, 3)
 
 
 def test_row_perms_checks():

@@ -6,11 +6,13 @@ from galmckay.cyclo import ONE, Cyclotomic
 from galmckay.groups import (
     FiniteGroup, induced_class_permutation, perm_pow,
 )
-from galmckay.chartab import CharacterTable, ClassFunction, dixon_schneider
+from galmckay.chartab import (
+    CharacterTable, ChartabError, ClassFunction, dixon_schneider,
+)
 from galmckay.galois import (
     GaloisError, GaloisElement, h_group, act_on_table, clifford_label,
 )
-from galmckay.extend import Side, extension_product, joint_stabilizer
+from galmckay.extend import Side, joint_stabilizer
 from galmckay.zoo import torus_normalizer
 from oracles import (
     cyclic_group, full_galois_group, galois_image, power_compatibility_check,
@@ -122,8 +124,8 @@ def test_power_compatibility_detects_corruption():
 def test_act_on_table_matches_value_wise_action(psl28_table):
     d14 = FiniteGroup(7, [tuple((i + 1) % 7 for i in range(7)),
                           times_mod(-1, 7)], name="D14")
-    _, ext_table, _ = extension_product(dixon_schneider(d14),
-                                        times_mod(2, 7), 3)
+    ext_table = Side(dixon_schneider(d14), times_mod(2, 7),
+                     3).product(1)[0].table
     tables = [dixon_schneider(symmetric_group(4)),
               dixon_schneider(cyclic_group(12)), psl28_table, ext_table,
               dixon_schneider(torus_normalizer("2B2", 1, 13).group)]
@@ -147,31 +149,35 @@ def test_act_on_table_detects_corruption():
     vals = list(bad[i].values)
     vals[1], vals[2] = vals[2], vals[1]
     bad[i] = ClassFunction(G, vals)
-    with pytest.raises(GaloisError):
-        act_on_table(CharacterTable(G, bad), GaloisElement(t.exponent, 2))
+    corrupt = CharacterTable(G, bad)
+    with pytest.raises(ChartabError, match="disagrees with the power map"):
+        corrupt.validate()
+    with pytest.raises(GaloisError, match="has not passed validate"):
+        act_on_table(corrupt, GaloisElement(t.exponent, 2))
 
 
 def test_act_on_table_checks_values_not_only_power_maps():
     # The rows (1,1,1), (1,2,3), (1,3,2) of C3 are closed under the power
     # map g -> g^2, which swaps the two nontrivial classes, but sigma_2
-    # fixes their rational values, so the two actions disagree.  The table
-    # has not passed validate, so act_on_table validates it first, for
-    # every residue, the identity's included.
+    # fixes their rational values, so the two actions disagree.  validate
+    # rejects the table, and act_on_table refuses it for every residue,
+    # the identity's included.
     G = cyclic_group(3)
     fake = CharacterTable(G, [ClassFunction(G, v) for v in
                               ((1, 1, 1), (1, 2, 3), (1, 3, 2))])
+    with pytest.raises(ChartabError, match="disagrees with the power map"):
+        fake.validate()
     for b in (2, 2, 1):
-        with pytest.raises(GaloisError,
-                           match="disagrees with the power map"):
+        with pytest.raises(GaloisError, match="has not passed validate"):
             act_on_table(fake, GaloisElement(3, b))
-    assert fake.galois_perms == {} and not fake.validated
+    assert not fake.validated
 
 
 def test_act_on_table_value_wise_passes(monkeypatch):
     """After dixon_schneider, act_on_table applies no Galois automorphism
     to any value: validate has proved sigma_b(chi(g)) = chi(g^b).  A table
-    built from the same rows but not validated is validated on first use,
-    and a corrupted one raises GaloisError."""
+    built from the same rows is refused until it passes validate, and a
+    corrupted one fails validate and stays refused."""
     calls = []
     original = Cyclotomic.galois
 
@@ -194,15 +200,18 @@ def test_act_on_table_value_wise_passes(monkeypatch):
     assert perms == [value_wise_perm(t, s.b) for s in units]
 
     fresh = CharacterTable(G, t.rows)
-    assert not fresh.validated
+    with pytest.raises(GaloisError, match="has not passed validate"):
+        act_on_table(fresh, units[0])
+    assert fresh.validate()
     assert [act_on_table(fresh, s) for s in units] == perms
-    assert fresh.validated
     # chi_1 with its values at two classes swapped
     vals = list(t.rows[1].values)
     vals[1], vals[2] = vals[2], vals[1]
     bad = CharacterTable(G, t.rows[:1] + (ClassFunction(G, vals),)
                          + t.rows[2:])
-    with pytest.raises(GaloisError, match="disagrees with the power map"):
+    with pytest.raises(ChartabError, match="disagrees with the power map"):
+        bad.validate()
+    with pytest.raises(GaloisError, match="has not passed validate"):
         act_on_table(bad, units[0])
 
 
@@ -221,7 +230,7 @@ def test_joint_stabilizer_brute_force():
             want += [(j, s) for s in H
                      if all(v.galois(s.b) == w
                             for v, w in zip(moved, psi.values))]
-        got = joint_stabilizer(Side(t, r, k, {}), row, H)
+        got = joint_stabilizer(Side(t, r, k), row, H)
         assert got == want
         pairs += got
     # every row has (0, identity); some rows are fixed by a^j with j > 0

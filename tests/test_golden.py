@@ -1,10 +1,11 @@
 """`galmckay verify` reports against the golden copies in bench/golden/.
 
-The targets are the fast local-only ones, whose verdicts rest on the
-Galois action on torus-normalizer tables, the full targets of PSL(2,8)
-and Sz(8), whose verdicts rest on the global and local tables and their
-extension products, and the Clifford labels of the 2F4 p=7 torus
-normalizer.  The comparison rule is the benchmark's: every
+Every golden file is checked: the `verify` report of each of the 19
+targets in `list-targets` (the local-only ones rest on the Galois action
+on torus-normalizer tables, the full targets of PSL(2,8) and Sz(8) on the
+global and local tables and their extension products), and the Clifford
+labels of the 2F4 p=5 and p=7 torus normalizers.  The comparison rule is
+the benchmark's: every
 key and value of the golden report must be present and equal; keys the
 report adds are allowed.
 """
@@ -16,6 +17,7 @@ import pytest
 
 from galmckay import cli
 from galmckay.galois import clifford_label
+from galmckay.verify import list_targets
 from galmckay.zoo import torus_normalizer
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
@@ -52,11 +54,23 @@ def test_golden_rule():
     assert golden_mismatches(golden, {"a": [1]}) == ["$.a", "$.c missing"]
 
 
-@pytest.mark.parametrize("family,f,p", [
-    ("2G2", 1, 37), ("2B2", 2, 31), ("2B2", 2, 41), ("2F4", 1, 109),
-    ("2F4", 1, 19), ("PSL2", 1, 2), ("PSL2", 1, 3), ("PSL2", 1, 7),
-    ("2B2", 1, 5), ("2B2", 1, 7), ("2B2", 1, 13),
-])
+VERIFY_GOLDENS = sorted(GOLDEN.glob("verify_*.json"))
+CLIFFORD_GOLDENS = sorted(GOLDEN.glob("clifford_*.json"))
+
+
+def target_of(path):
+    """(family, f, p) from a golden file name such as verify_2B2_1_13."""
+    family, f, p = path.stem.split("_")[1:]
+    return family, int(f), int(p)
+
+
+def test_every_target_has_a_verify_golden():
+    targets = [(t["family"], t["f"], t["p"]) for t in list_targets()]
+    assert sorted(map(target_of, VERIFY_GOLDENS)) == sorted(targets)
+    assert len(targets) == 19 and len(CLIFFORD_GOLDENS) == 2
+
+
+@pytest.mark.parametrize("family,f,p", map(target_of, VERIFY_GOLDENS))
 def test_verify_matches_golden(family, f, p, capsys):
     with open(GOLDEN / ("verify_%s_%d_%d.json" % (family, f, p))) as fh:
         golden = json.load(fh)
@@ -69,15 +83,17 @@ def test_verify_matches_golden(family, f, p, capsys):
 
 
 def test_clifford_labels_match_golden():
-    with open(GOLDEN / "clifford_2F4_1_7.json") as fh:
-        golden = json.load(fh)
-    labels = clifford_label(torus_normalizer("2F4", 1, 7))
-    doc = {str(row): {"s_row": lab.s_row,
-                      "s_values": [v.serialize() for v in lab.s_values],
-                      "orbit": list(lab.orbit),
-                      "stabilizer_order": lab.stabilizer_order,
-                      "eta_index": lab.eta_index,
-                      "eta_degree": lab.eta_degree}
-           for row, lab in labels.items()}
-    assert golden_mismatches(golden, json.loads(json.dumps(doc))) == []
-    assert sorted(doc) == sorted(golden)
+    for path in CLIFFORD_GOLDENS:
+        with open(path) as fh:
+            golden = json.load(fh)
+        labels = clifford_label(torus_normalizer(*target_of(path)))
+        doc = {str(row): {"s_row": lab.s_row,
+                          "s_values": [v.serialize() for v in lab.s_values],
+                          "orbit": list(lab.orbit),
+                          "stabilizer_order": lab.stabilizer_order,
+                          "eta_index": lab.eta_index,
+                          "eta_degree": lab.eta_degree}
+               for row, lab in labels.items()}
+        assert golden_mismatches(golden, json.loads(json.dumps(doc))) == [], \
+            path.name
+        assert sorted(doc) == sorted(golden), path.name

@@ -221,7 +221,7 @@ def product_cases():
               for t in list_targets() if t["mode"] == "full"]
     sides.append(global_side("2B2", 1))
     for s in sides:
-        yield s.table.group, s.realizer, s.k, s.product(1)[0]
+        yield s.table.group, s.realizer, s.k, s.product(1)[0].table.group
 
 
 def product_elements(G, r, k):

@@ -133,6 +133,20 @@ def test_condition_one_fails_under_the_full_galois_group():
         assert (res["part1"], res["reason"]) == (part1, reason), p
 
 
+def test_condition_one_holds_for_sz8_under_the_full_galois_group():
+    """No such negative control exists for Sz(8): with all of
+    Gal(Q(zeta_5460)/Q), 1,152 elements, in place of H, part 1 still holds
+    at p = 5, 7 and 13."""
+    g = verify.global_side("2B2", 1)
+    for p in (5, 7, 13):
+        l = local_side("2B2", 1, p)
+        m = verify.galois_group(g, l, p)[0].m
+        H = full_galois_group(m)
+        assert (m, len(H)) == (5460, 1152)
+        res = condition_one(g, l, p, H)
+        assert (res["part1"], res["reason"]) == (True, None), p
+
+
 def test_is_abelian_checks_every_generator():
     """A perm that commutes with no other one is found when it comes last,
     after perms that lie in the group already closed."""
@@ -159,7 +173,7 @@ def test_is_abelian_matches_pairwise_commutation():
 def test_joint_row_action_stability(psl28_table):
     H = h_group(7, psl28_table.exponent)
     rows = psl28_table.p_prime_rows(7)
-    side = Side(psl28_table, identity_perm(psl28_table.group.degree), 1, {})
+    side = Side(psl28_table, identity_perm(psl28_table.group.degree), 1)
     X = joint_row_action(side, H, rows)
     assert X.is_abelian()
     assert X.n == len(rows)
@@ -549,7 +563,8 @@ def test_normalizer_table_shared_with_cross_check(monkeypatch):
 def test_local_only_side_is_the_model_under_the_trivial_action():
     side = local_side("2G2", 1, 37)
     table = local_model_table("2G2", 1, 37)
-    assert side == Side(table, identity_perm(table.group.degree), 1, {})
+    assert (side.table, side.realizer, side.k) == (
+        table, identity_perm(table.group.degree), 1)
     assert side.exponent() == table.exponent
 
 
