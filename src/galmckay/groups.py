@@ -9,14 +9,19 @@ Group Algorithms, 2003, ch. 4); membership sifts through it.
 
 An element of G is determined by the images of the base points, its base
 key.  An enumerated group stores no permutations.  It numbers its
-elements e_0 = 1, e_1, ... in breadth-first order over the generators
-and keeps three things:
-- the base key of each element, mapped to its number;
+elements e_0 = 1, e_1, ... in breadth-first order over the generators;
+the breadth-first search tells elements apart by their base keys, and
+the map from keys to numbers lives only while it runs.  The group then
+keeps three things:
 - the right-multiplication table R_s[i] = number of e_i s of each
   generator s;
-- the breadth-first tree, e_i = e_parent(i) s for one generator s.
+- the breadth-first tree, e_i = e_parent(i) s for one generator s;
+- the tree word of each transversal element of the stabilizer chain.
 Every other answer is an integer table derived from these.  Right
 multiplication by an element applies the R tables along its tree word.
+The number of a permutation p comes from one sift, which also decides
+membership: it gives p = u_(L-1) ... u_0 over transversal elements, and
+the R tables applied along their words number the product.
 A walk down the tree gives the left table L_h[i] = number of h e_i, and
 the conjugation table of g is C_g = R_g after L_(g^-1).  For a realizer
 g outside G, C_g is a tree walk over the R tables of the conjugated
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from functools import cache
 from math import gcd, lcm
 from itertools import repeat
 from operator import getitem, itemgetter
@@ -50,11 +56,13 @@ ENUMERATION_BUDGET = 1 << 30
 
 
 def enumeration_bytes(order: int, base_length: int, generators: int) -> int:
-    """Estimated memory of enumerating a group, its classes and class
+    """Estimated peak memory of enumerating a group, its classes and class
     matrices.  Per element: the base key (a tuple of 40 + 8 * base_length
     bytes), its dict entry and the element's number (about 80), the tree
     (16), the R table and the conjugation table of each generator (16 per
-    generator), and about 40 for class data and transient tables.
+    generator), and about 40 for class data and transient tables.  The
+    base keys and their map live only while the enumeration runs, so the
+    estimate bounds its peak, not what the group holds afterwards.
     tracemalloc peaks per element: 222 for Sz(8) (degree 65, a base of 3
     points, 4 generators; estimate 264) and 216 for S8 (degree 8, a base
     of 7 points, 2 generators; estimate 264)."""
@@ -126,8 +134,14 @@ def perm_pow(p: tuple, k: int) -> tuple:
     return acc
 
 
+@cache
+def _points(degree: int) -> frozenset:
+    return frozenset(range(degree))
+
+
 def is_perm(p, degree) -> bool:
-    return len(p) == degree and sorted(p) == list(range(degree))
+    """p lists each of the points 0, ..., degree - 1 once."""
+    return len(p) == degree and _points(degree) == set(p)
 
 
 # -- stabilizer chains -----------------------------------------------------
@@ -375,12 +389,12 @@ class FiniteGroup(_Classes):
         self._base = None
         self._chain = None
         self._table_generators = None
-        # enumeration: base key -> number, R tables, tree (from e_1 on)
-        self._key = None
-        self._index = None
+        # enumeration: R tables (None until enumerated), tree (from e_1
+        # on), tree words of the transversal elements by level and point
         self._right = None
         self._parent = None
         self._gen = None
+        self._transversal = None
         self._conj = {}   # conjugation tables by conjugating permutation
         self._classes = None
         self._class_of = None
@@ -436,26 +450,42 @@ class FiniteGroup(_Classes):
         return i
 
     def _number(self, p: tuple):
-        """Number of the permutation p, named by its base key, or None if p
-        is not in the group: a base key can name an element of the group
-        and a permutation outside it, so p must also sift through."""
-        self._enumerate()
-        i = self._index.get(self._key(p))
-        if i is None or _sift(self._chain, p)[0] != self._identity:
+        """Number of the permutation p, or None if p is not in the group.
+        The sift gives p = u_(L-1) ... u_0, and the R tables applied along
+        the tree words of u_(L-1), ..., u_0 from the identity number it."""
+        points = self._sift_points(p)
+        if points is None:
             return None
+        self._enumerate()
+        right, i = self._right, 0
+        for words, x in zip(reversed(self._transversal), reversed(points)):
+            for s in words[x]:
+                i = right[s][i]
         return i
+
+    def _sift_points(self, p: tuple):
+        """[x_0, ..., x_(L-1)] with p = u_(L-1) ... u_0 for the transversal
+        element u_i of level i that maps its base point to x_i, or None if
+        p does not sift through the chain, that is if p is not in the
+        group."""
+        points = []
+        for b, _, orbit, _ in self._stabilizer_chain():
+            x = p[b]
+            t = orbit.get(x)
+            if t is None:
+                return None
+            points.append(x)
+            p = compose(p, t[1])
+        return points if p == self._identity else None
 
     def __contains__(self, p) -> bool:
         p = tuple(p)
-        if not is_perm(p, self.degree):
-            return False
-        residue, _ = _sift(self._stabilizer_chain(), p)
-        return residue == self._identity
+        return is_perm(p, self.degree) and self._sift_points(p) is not None
 
     # -- enumeration ------------------------------------------------------
 
     def _enumerate(self):
-        if self._index is not None:
+        if self._right is not None:
             return
         base, gens = self.base, self.generators
         need = enumeration_bytes(self.order, len(base), len(gens))
@@ -484,9 +514,14 @@ class FiniteGroup(_Classes):
                     gen.append(s)
                 record(j)
         assert len(keys) == self.order
-        self._key = itemgetter(*base)
-        self._index, self._right = index, right
         self._parent, self._gen = parent, gen
+        # the key map ends here: later lookups sift to transversal elements
+        key = itemgetter(*base)
+        self._transversal = [
+            {x: tuple(self._word(index[key(u)]))
+             for x, (u, _, _) in orbit.items()}
+            for _, _, orbit, _ in self._chain]
+        self._right = right
 
     def _word(self, i: int) -> list:
         """Generator numbers s_1, ..., s_d with e_i = s_1 ... s_d."""
@@ -548,11 +583,11 @@ class FiniteGroup(_Classes):
         g = tuple(g)
         table = self._conj.get(g)
         if table is None:
-            self._enumerate()
-            if g in self:
+            i = self._number(g)
+            if i is not None:
                 # R_g after the left table of g^-1
                 left = self._tree_walk(self.index_of(inverse(g)), self._right)
-                table = self.times(left, self.index_of(g))
+                table = self.times(left, i)
             else:
                 # g^-1 e_i g is the product of the conjugated generators
                 # along the word of e_i
@@ -720,8 +755,9 @@ class SemidirectProduct(_Classes):
     r^-1 (m r^j) r = (r^-1 m r) r^j.  So the classes in coset j are orbits
     of the maps m -> g^-1 m h, read as C_g followed by right
     multiplication by g^-1 h, and of the conjugation table of r, which G
-    keeps for every caller.  In coset 0 they are the r-orbits of G's
-    classes.  Classes are ordered as FiniteGroup orders them.
+    keeps for every caller; r's table is needed only when gcd(j, k) > 1
+    (see _coset_maps).  In coset 0 they are the r-orbits of G's classes.
+    Classes are ordered as FiniteGroup orders them.
     """
 
     def __init__(self, G: FiniteGroup, r: tuple, k: int):
@@ -777,24 +813,33 @@ class SemidirectProduct(_Classes):
         products = self._G.times(map((-a * n).__add__, S), self._shift(z, a))
         return list(map(((a + b) % self._k * n).__add__, products))
 
+    def _coset_maps(self, j: int) -> list:
+        """Maps on G's numbers whose orbits, moved to the coset G r^j, are
+        the classes there: m -> g^-1 m h = (g^-1 m g)(g^-1 h) for
+        h = r^j g r^-j and each table generator g, and the conjugation
+        table of r.  When gcd(j, k) = 1 any x in the coset generates H
+        modulo G, so H = G<x>, the class of x is its G-orbit and r's
+        table is left out."""
+        G = self._G
+        maps = [] if gcd(j, self._k) == 1 else [G.conjugation_table(self._r)]
+        for g in G.table_generators:
+            (shift,) = G.times([G.index_of(inverse(g))],
+                               self._shift(G.index_of(g), j))
+            maps.append(G.times(G.conjugation_table(g), shift))
+        return maps
+
     def _compute_classes(self):
         if self._classes is not None:
             return
-        G, r, k, n = self._G, self._r, self._k, self._G.order
-        # coset 0: unions of the G-classes in one orbit of r
-        cperm = induced_class_permutation(G, r)
-        orbits = [sorted(i for c in orbit
-                         for i in G.conjugacy_classes[c].indices)
+        G, n = self._G, self._G.order
+        # coset 0: unions of the G-classes in one orbit of r, each sorted
+        # into an int32 array at once
+        cperm = induced_class_permutation(G, self._r)
+        orbits = [array("i", sorted(i for c in orbit
+                                    for i in G.conjugacy_classes[c].indices))
                   for orbit in _orbits(len(cperm), [cperm])]
-        # coset j >= 1: g^-1 m h = (g^-1 m g)(g^-1 h) for h = r^j g r^-j
-        gens = [(G.conjugation_table(g), G.index_of(g),
-                 G.index_of(inverse(g))) for g in G.table_generators]
-        for j in range(1, k):
-            maps = [G.conjugation_table(r)]
-            for C, gi, ginv in gens:
-                (shift,) = G.times([ginv], self._shift(gi, j))
-                maps.append(G.times(C, shift))
-            for orbit in _orbits(n, maps):
+        for j in range(1, self._k):
+            for orbit in _orbits(n, self._coset_maps(j)):
                 orbits.append(array("i", map((j * n).__add__, orbit)))
         self._classes, self._class_of = _ordered_classes(
             orbits, self._element, self.order)

@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import factorial, gcd, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, _characters_mod_p0,
@@ -180,6 +180,22 @@ def semidirect_product_by_enumeration(G: FiniteGroup, r, k: int) -> FiniteGroup:
         raise GroupError("realizer lies in the group or has extra order "
                          "(got %d, want %d)" % (H.order, k * G.order))
     return H
+
+
+def base_key_lookup(G: FiniteGroup):
+    """number(p): the number of the permutation p in G, or None if p is not
+    in G, read from a map of the base key of each element to its number:
+    the lookup the group kernel kept before it numbered elements by
+    sifting.  A base key can name a member and a permutation outside G,
+    so the member it names is compared with p."""
+    key = itemgetter(*G.base)
+    elements = G.elements
+    index = {key(x): i for i, x in enumerate(elements)}
+
+    def number(p):
+        i = index.get(key(p))
+        return i if i is not None and elements[i] == p else None
+    return number
 
 
 # -- Galois action -------------------------------------------------------------

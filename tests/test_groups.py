@@ -1,13 +1,15 @@
 import random
+from functools import cache
 
 import pytest
 
+from galmckay.cli import _GROUP_BUILDERS
 from galmckay.groups import (
     FiniteGroup, GroupError, compose, inverse, conjugate, perm_order,
     perm_pow, identity_perm, semidirect_product, check_realizer,
     automorphism_order, induced_class_permutation,
 )
-from oracles import cyclic_group, symmetric_group
+from oracles import base_key_lookup, cyclic_group, symmetric_group
 
 
 def test_perm_helpers():
@@ -316,7 +318,7 @@ def test_verify_enumerates_no_group_above_sz8(monkeypatch):
     enumerate_group = FiniteGroup._enumerate
 
     def spy(G):
-        if G._index is None:
+        if G._right is None:
             orders.append(G.order)
         enumerate_group(G)
 
@@ -351,19 +353,23 @@ def test_verify_rebuilds_few_sz8_elements(monkeypatch):
     assert 0 < len(rebuilt) < 100
 
 
+@cache
+def chartab_group(tag):
+    """The group of chartab --group tag, built once for this module."""
+    return _GROUP_BUILDERS[tag]()
+
+
 def table_cases():
     """(G, realizer or None) for the base groups of product_cases and the
     chartab groups below 10,000 elements, each group once."""
-    from galmckay.cli import _GROUP_BUILDERS
-
     seen = set()
     for G, r, k, _ in product_cases():
         if id(G) not in seen:
             seen.add(id(G))
             yield G, (r if k > 1 else None)
-    for name, build in sorted(_GROUP_BUILDERS.items()):
-        G = build()
-        if G.order < 10 ** 4 and name != "sz8":
+    for tag in sorted(_GROUP_BUILDERS):
+        G = chartab_group(tag)
+        if G.order < 10 ** 4 and tag != "sz8":
             yield G, None
 
 
@@ -441,10 +447,10 @@ def test_table_generators_keep_classes(tag, every):
 
 def test_sz8_kernel_memory_within_estimate():
     """The tracemalloc peak of enumerating Sz(8), its classes and the 4
-    class matrices its table needs stays within enumeration_bytes.  The
-    write-once per-element integers are int32 arrays, so that what is
-    still held after the classes of Sz(8) and of Sz(8) x| C3 stays under
-    7.5 MiB; as lists and tuples they would hold 10.2 MiB."""
+    class matrices its table needs stays within enumeration_bytes.  What
+    is still held after the classes of Sz(8) and of Sz(8) x| C3 stays
+    under 5 MiB: the base-key map does not outlive the enumeration, and
+    the write-once per-element integers are int32 arrays."""
     import tracemalloc
 
     from galmckay.groups import enumeration_bytes
@@ -465,7 +471,12 @@ def test_sz8_kernel_memory_within_estimate():
     finally:
         tracemalloc.stop()
     assert peak <= enumeration_bytes(29120, 3, 4)
-    assert held <= 7.5 * 2 ** 20
+    assert held <= 5 * 2 ** 20
+    for H in (G, E):
+        assert not any(isinstance(v, dict) and len(v) >= G.order
+                       for v in vars(H).values()), H.name
+    # one tree word per transversal element: 65 + 64 + 7
+    assert sum(map(len, G._transversal)) == 136
     for a in (G._parent, G._gen, G._class_of, E._class_of):
         assert a.typecode == "i"
     for H in (G, E):
@@ -603,7 +614,7 @@ def test_stabilizer_chain_matches_sympy():
             others.append(tuple((2 * x + 1) % 5 for x in range(5)))
         for x in others:
             assert (x in G) == S.contains(Permutation(list(x))), (G.name, x)
-        assert G._index is None, G.name   # nothing enumerated so far
+        assert G._right is None, G.name   # nothing enumerated so far
         if G.order < 10 ** 6:
             keys = {itemgetter(*G.base)(x) for x in G.elements}
             assert len(keys) == G.order, G.name
@@ -625,6 +636,106 @@ def test_normalizer_matches_brute_force():
     with pytest.raises(GroupError):
         # the normalizer is computed for subgroups only
         cyclic_group(5).normalizer(FiniteGroup(5, [(1, 0, 2, 3, 4)]))
+
+
+# -- chain numbering against the base-key lookup ------------------------------
+
+def key_twin(H, base, x):
+    """A permutation outside H with the images of base under x: x after a
+    transposition of two points outside base that is not in H; None if
+    there is no such transposition."""
+    rest = [a for a in range(H.degree) if a not in base]
+    for a, b in zip(rest, rest[1:]):
+        swap = list(range(H.degree))
+        swap[a], swap[b] = b, a
+        if tuple(swap) not in H:
+            return compose(tuple(swap), x)
+    return None
+
+
+@pytest.mark.parametrize("tag", sorted(_GROUP_BUILDERS))
+def test_chain_numbering_matches_base_key_lookup(tag):
+    """index_of numbers every element of each chartab group, Sz(8) and
+    PSL(2,8) among them, as the base-key lookup does, and _number refuses
+    permutations that share a member's base key."""
+    G = chartab_group(tag)
+    number = base_key_lookup(G)
+    step = G.order // 40 + 1
+    for i, x in enumerate(G._walk_elements()):
+        assert G.index_of(x) == number(x) == i, (tag, i)
+        if i % step == 0:
+            twin = key_twin(G, G.base, x)
+            assert G._number(twin) is None and number(twin) is None, tag
+            assert twin not in G
+
+
+def test_chain_numbering_of_short_chains():
+    """The trivial group (no chain levels) and groups whose base is
+    padded with point 0."""
+    trivial = FiniteGroup(3, [], name="1")
+    c3 = FiniteGroup(4, [(0, 2, 3, 1)], name="C3")   # fixes point 0
+    c5 = cyclic_group(5)
+    assert (trivial.base, c3.base, c5.base) == ((0, 0), (1, 0), (0, 0))
+    for G in (trivial, c3, c5):
+        number = base_key_lookup(G)
+        for i, x in enumerate(G.elements):
+            assert G.index_of(x) == number(x) == i, G.name
+            twin = key_twin(G, G.base, x)
+            assert G._number(twin) is None and number(twin) is None
+            with pytest.raises(KeyError):
+                G.index_of(twin)
+    assert trivial._transversal == []
+    assert [len(words) for words in c5._transversal] == [5]
+
+
+def test_coset_product_numbers_every_coset():
+    """SemidirectProduct.index_of numbers elements of every coset G r^j as
+    G's base-key lookup numbers them after r^-j, and refuses a
+    permutation outside the product whose image after r^-j has the base
+    key of a member of G."""
+    rng = random.Random(25)
+    no_twins = set()
+    for G, r, k, H in product_cases():
+        number = base_key_lookup(G)
+        n = G.order
+        for j in range(k):
+            rj, rinv = perm_pow(r, j), perm_pow(r, -j)
+            for i in rng.sample(range(n), min(n, 30)):
+                x = compose(G.element(i), rj)
+                assert H.index_of(x) == j * n + number(compose(x, rinv)) \
+                    == j * n + i, (H.name, j, i)
+                twin = key_twin(H, G.base, x)
+                if twin is None:
+                    no_twins.add(H.name)
+                    continue
+                assert twin not in H
+                with pytest.raises(KeyError):
+                    H.index_of(twin)
+    # S3 on 3 points holds every swap; S4's base leaves one point out
+    assert no_twins == {"C3.2", "S4.1"}
+
+
+def test_coprime_cosets_need_no_realizer_table():
+    """In a coset G r^j with gcd(j, k) = 1 the orbits of G's maps are
+    closed under r's conjugation table; in the coset C3 r^2 of
+    Dic3 = C3 x| C4 they are not, so r's table stays there."""
+    from math import gcd
+
+    from galmckay.groups import _orbits
+
+    needed = []
+    for G, r, k, H in product_cases():
+        C = G.conjugation_table(r)
+        for j in range(1, k):
+            maps = H._coset_maps(j)
+            if gcd(j, k) == 1:
+                assert _orbits(G.order, maps) == \
+                    _orbits(G.order, maps + [C]), (H.name, j)
+            else:
+                assert maps[0] is C
+                needed.append(_orbits(G.order, maps[1:]) !=
+                              _orbits(G.order, maps))
+    assert any(needed)
 
 
 def test_base_key_collision_is_not_membership():
