@@ -182,14 +182,13 @@ def semidirect_product_by_enumeration(G: FiniteGroup, r, k: int) -> FiniteGroup:
     return H
 
 
-def base_key_lookup(G: FiniteGroup):
+def base_key_lookup(G: FiniteGroup, elements):
     """number(p): the number of the permutation p in G, or None if p is not
     in G, read from a map of the base key of each element to its number:
     the lookup the group kernel kept before it numbered elements by
-    sifting.  A base key can name a member and a permutation outside G,
-    so the member it names is compared with p."""
+    sifting.  elements is G.elements.  A base key can name a member and a
+    permutation outside G, so the member it names is compared with p."""
     key = itemgetter(*G.base)
-    elements = G.elements
     index = {key(x): i for i, x in enumerate(elements)}
 
     def number(p):

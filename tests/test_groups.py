@@ -659,9 +659,10 @@ def test_chain_numbering_matches_base_key_lookup(tag):
     PSL(2,8) among them, as the base-key lookup does, and _number refuses
     permutations that share a member's base key."""
     G = chartab_group(tag)
-    number = base_key_lookup(G)
+    elements = G.elements
+    number = base_key_lookup(G, elements)
     step = G.order // 40 + 1
-    for i, x in enumerate(G._walk_elements()):
+    for i, x in enumerate(elements):
         assert G.index_of(x) == number(x) == i, (tag, i)
         if i % step == 0:
             twin = key_twin(G, G.base, x)
@@ -677,8 +678,9 @@ def test_chain_numbering_of_short_chains():
     c5 = cyclic_group(5)
     assert (trivial.base, c3.base, c5.base) == ((0, 0), (1, 0), (0, 0))
     for G in (trivial, c3, c5):
-        number = base_key_lookup(G)
-        for i, x in enumerate(G.elements):
+        elements = G.elements
+        number = base_key_lookup(G, elements)
+        for i, x in enumerate(elements):
             assert G.index_of(x) == number(x) == i, G.name
             twin = key_twin(G, G.base, x)
             assert G._number(twin) is None and number(twin) is None
@@ -696,12 +698,13 @@ def test_coset_product_numbers_every_coset():
     rng = random.Random(25)
     no_twins = set()
     for G, r, k, H in product_cases():
-        number = base_key_lookup(G)
+        elements = G.elements
+        number = base_key_lookup(G, elements)
         n = G.order
         for j in range(k):
             rj, rinv = perm_pow(r, j), perm_pow(r, -j)
             for i in rng.sample(range(n), min(n, 30)):
-                x = compose(G.element(i), rj)
+                x = compose(elements[i], rj)
                 assert H.index_of(x) == j * n + number(compose(x, rinv)) \
                     == j * n + i, (H.name, j, i)
                 twin = key_twin(H, G.base, x)
@@ -741,7 +744,7 @@ def test_coprime_cosets_need_no_realizer_table():
 def test_base_key_collision_is_not_membership():
     c5 = cyclic_group(5)
     assert c5.base[0] == 0
-    c5.elements   # lookups now go through base keys
+    c5.elements   # enumerated: lookups now sift and walk the tables
     gen = c5.generators[0]
     affine = tuple((2 * x + 1) % 5 for x in range(5))
     assert affine[0] == gen[0]   # same base image as a member
