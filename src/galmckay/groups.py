@@ -23,9 +23,9 @@ The number of a permutation p comes from one sift, which also decides
 membership: it gives p = u_(L-1) ... u_0 over transversal elements, and
 the R tables applied along their words number the product.
 A walk down the tree gives the left table L_h[i] = number of h e_i, and
-the conjugation table of g is C_g = R_g after L_(g^-1).  For a realizer
-g outside G, C_g is a tree walk over the R tables of the conjugated
-generators.  Conjugacy classes are orbits of the C tables of the
+the conjugation table of g in G is C_g = R_g after L_(g^-1).  A realizer
+outside G has no table: it acts by conjugating permutations, each
+numbered by a sift.  Conjugacy classes are orbits of the C tables of the
 generators that extend the stabilizer chain.  A class matrix counts the
 classes of u z over an inverse class, and a normalizer maps index sets
 through the C tables.  A permutation is rebuilt from the tree only when
@@ -36,8 +36,8 @@ budget.
 A semidirect product G ⋊ <r> with r of order k is never enumerated: it
 is held as the k cosets G r^j of the enumerated G, an element as its
 coset and its number in G.  Its classes and class matrices are read from
-G's tables and the conjugation table of r, so the byte budget bounds G
-alone.
+G's tables and a few conjugates by powers of r, so the byte budget bounds
+G alone.
 """
 
 from __future__ import annotations
@@ -395,7 +395,7 @@ class FiniteGroup(_Classes):
         self._parent = None
         self._gen = None
         self._transversal = None
-        self._conj = {}   # conjugation tables by conjugating permutation
+        self._conj = {}   # conjugation tables by conjugating element
         self._classes = None
         self._class_of = None
         self._powers = {}
@@ -568,9 +568,8 @@ class FiniteGroup(_Classes):
 
     def _tree_walk(self, start: int, tables) -> list:
         """out[0] = start and out[i] = tables[s][out[parent(i)]] for
-        e_i = e_parent(i) s.  If tables[s] is right multiplication by
-        phi(s) for a homomorphism phi and start numbers h, out[i] numbers
-        h phi(e_i)."""
+        e_i = e_parent(i) s.  For the R tables and start numbering h,
+        out[i] numbers h e_i."""
         out = [start]
         append = out.append
         for p, s in zip(self._parent, self._gen):
@@ -578,29 +577,22 @@ class FiniteGroup(_Classes):
         return out
 
     def conjugation_table(self, g) -> list:
-        """Numbers of g^-1 e_i g over all i, for g in G or a checked
-        realizer g (see check_realizer); built once per g."""
+        """Numbers of g^-1 e_i g over all i, for g in G: R_g after the left
+        table of g^-1, built once per g.  A permutation outside G is
+        refused; a realizer acts through conjugate and index_of."""
         g = tuple(g)
         table = self._conj.get(g)
         if table is None:
-            i = self._number(g)
-            if i is not None:
-                # R_g after the left table of g^-1
-                left = self._tree_walk(self.index_of(inverse(g)), self._right)
-                table = self.times(left, i)
-            else:
-                # g^-1 e_i g is the product of the conjugated generators
-                # along the word of e_i
-                every = range(self.order)
-                table = self._tree_walk(0, [
-                    self.times(every, self.index_of(conjugate(s, g)))
-                    for s in self.generators])
-            self._conj[g] = table
+            i = self._number(g) if is_perm(g, self.degree) else None
+            if i is None:
+                raise GroupError("conjugation table of a permutation "
+                                 "outside %s" % self.name)
+            left = self._tree_walk(self.index_of(inverse(g)), self._right)
+            table = self._conj[g] = self.times(left, i)
         return table
 
     def conjugate_indices(self, S, g) -> frozenset:
-        """Numbers of g^-1 x g over the numbers x in S, for g as in
-        conjugation_table."""
+        """Numbers of g^-1 x g over the numbers x in S, for g in G."""
         return frozenset(map(self.conjugation_table(g).__getitem__, S))
 
     # -- conjugacy classes -------------------------------------------------
@@ -752,12 +744,11 @@ class SemidirectProduct(_Classes):
     The element m r^j has number j*|G| + G.index_of(m); an element is
     composed only when it is asked for.  Conjugation keeps each coset:
     for g in G, g^-1 (m r^j) g = g^-1 m (r^j g r^-j) r^j, and
-    r^-1 (m r^j) r = (r^-1 m r) r^j.  So the classes in coset j are orbits
-    of the maps m -> g^-1 m h, read as C_g followed by right
-    multiplication by g^-1 h, and of the conjugation table of r, which G
-    keeps for every caller; r's table is needed only when gcd(j, k) > 1
-    (see _coset_maps).  In coset 0 they are the r-orbits of G's classes.
-    Classes are ordered as FiniteGroup orders them.
+    r^-1 (m r^j) r = (r^-1 m r) r^j.  So the classes in coset j are the
+    orbits of r on its G-classes: G's own for j = 0, else the orbits of
+    the maps m -> g^-1 m h (see _coset_maps).  When gcd(j, k) = 1 any x
+    in the coset generates the product modulo G, so r fuses nothing
+    there.  Classes are ordered as FiniteGroup orders them.
     """
 
     def __init__(self, G: FiniteGroup, r: tuple, k: int):
@@ -766,10 +757,10 @@ class SemidirectProduct(_Classes):
         self.name = G.name + ".%d" % k
         self.order = k * G.order
         self._G = G
-        self._r = r
         self._k = k
         self._rpow = [perm_pow(r, j) for j in range(k)]
         self._rinv = [inverse(p) for p in self._rpow]
+        self._shifts = {}
         self._classes = None
         self._class_of = None
         self._powers = {}
@@ -797,11 +788,13 @@ class SemidirectProduct(_Classes):
         return True
 
     def _shift(self, m: int, a: int) -> int:
-        """Number in G of r^a e_m r^-a."""
-        C = self._G.conjugation_table(self._r)
-        for _ in range(-a % self._k):
-            m = C[m]
-        return m
+        """Number in G of r^a e_m r^-a: e_m rebuilt, conjugated and
+        sifted once per (m, a mod k)."""
+        a %= self._k
+        if a and (m, a) not in self._shifts:
+            self._shifts[m, a] = self._G.index_of(compose(
+                compose(self._rpow[a], self._G.element(m)), self._rinv[a]))
+        return self._shifts[m, a] if a else m
 
     def times(self, S, zi: int) -> list:
         """Numbers of x z over the numbers x in S, all in one coset G r^a,
@@ -815,13 +808,10 @@ class SemidirectProduct(_Classes):
 
     def _coset_maps(self, j: int) -> list:
         """Maps on G's numbers whose orbits, moved to the coset G r^j, are
-        the classes there: m -> g^-1 m h = (g^-1 m g)(g^-1 h) for
-        h = r^j g r^-j and each table generator g, and the conjugation
-        table of r.  When gcd(j, k) = 1 any x in the coset generates H
-        modulo G, so H = G<x>, the class of x is its G-orbit and r's
-        table is left out."""
+        the G-classes there: m -> g^-1 m h = (g^-1 m g)(g^-1 h) for
+        h = r^j g r^-j and each table generator g."""
         G = self._G
-        maps = [] if gcd(j, self._k) == 1 else [G.conjugation_table(self._r)]
+        maps = []
         for g in G.table_generators:
             (shift,) = G.times([G.index_of(inverse(g))],
                                self._shift(G.index_of(g), j))
@@ -831,15 +821,20 @@ class SemidirectProduct(_Classes):
     def _compute_classes(self):
         if self._classes is not None:
             return
-        G, n = self._G, self._G.order
-        # coset 0: unions of the G-classes in one orbit of r, each sorted
-        # into an int32 array at once
-        cperm = induced_class_permutation(G, self._r)
-        orbits = [array("i", sorted(i for c in orbit
-                                    for i in G.conjugacy_classes[c].indices))
-                  for orbit in _orbits(len(cperm), [cperm])]
-        for j in range(1, self._k):
-            for orbit in _orbits(n, self._coset_maps(j)):
-                orbits.append(array("i", map((j * n).__add__, orbit)))
+        G, n, k = self._G, self._G.order, self._k
+        orbits = []
+        for j in range(k):
+            parts = (_orbits(n, self._coset_maps(j)) if j
+                     else [cl.indices for cl in G.conjugacy_classes])
+            if gcd(j, k) > 1:
+                # fuse the G-classes under m -> r^-1 m r, read at one
+                # member of each; each union is sorted into int32 at once
+                label = G._class_of if not j else {
+                    i: c for c, part in enumerate(parts) for i in part}
+                fusion = [label[self._shift(part[0], -1)] for part in parts]
+                parts = [array("i", sorted(i for c in orbit for i in parts[c]))
+                         for orbit in _orbits(len(parts), [fusion])]
+            orbits += [array("i", map((j * n).__add__, part))
+                       for part in parts]
         self._classes, self._class_of = _ordered_classes(
             orbits, self._element, self.order)

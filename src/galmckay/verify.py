@@ -17,7 +17,7 @@ from functools import cache
 
 from . import GalMcKayError
 from .groups import (
-    FiniteGroup, _orbits, compose, perm_pow, identity_perm,
+    FiniteGroup, _orbits, compose, conjugate, perm_pow, identity_perm,
     is_perm, automorphism_order, check_realizer,
 )
 from .chartab import CharacterTable, dixon_schneider
@@ -325,7 +325,7 @@ def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
     N = G.normalizer(R)
     r = check_realizer(G, frob_realizer)
     rset = frozenset(map(G.index_of, R.elements))
-    moved = G.conjugate_indices(rset, r)
+    moved = frozenset(G.index_of(conjugate(x, r)) for x in R.elements)
     if moved != rset:
         g0 = _transporter(G, moved, rset)
         r = compose(r, g0)

@@ -34,7 +34,9 @@ _MODULI = {
 
 
 class FiniteField:
-    """GF(p^k) with elements encoded as integers 0 .. p^k - 1 (base-p digits)."""
+    """GF(p^k) with elements encoded as integers 0 .. p^k - 1 (base-p
+    digits).  Sums, negatives and products are read from tables; the digit
+    vectors exist only while the tables are built."""
 
     def __init__(self, p, k):
         if (p, k) not in _MODULI:
@@ -44,14 +46,21 @@ class FiniteField:
         self.q = p ** k
         mod = _MODULI[(p, k)]
         q = self.q
+        digits = [[a // p ** i % p for i in range(k)] for a in range(q)]
+
+        def number(ds):
+            return sum(d * p ** i for i, d in enumerate(ds))
+
+        self._add = [[number([(x + y) % p for x, y in zip(da, db)])
+                      for db in digits] for da in digits]
+        self._neg = [number([-x % p for x in da]) for da in digits]
         mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            da = self._digits(a)
+            da = digits[a]
             for b in range(a, q):
-                db = self._digits(b)
                 prod = [0] * (2 * k - 1)
                 for i, x in enumerate(da):
-                    for j, y in enumerate(db):
+                    for j, y in enumerate(digits[b]):
                         prod[i + j] = (prod[i + j] + x * y) % p
                 for d in range(2 * k - 2, k - 1, -1):
                     c = prod[d]
@@ -59,30 +68,17 @@ class FiniteField:
                         prod[d] = 0
                         for i in range(k):
                             prod[d - k + i] = (prod[d - k + i] - c * mod[i]) % p
-                v = self._undigits(prod[:k])
+                v = number(prod[:k])
                 mul[a][b] = v
                 mul[b][a] = v
         self._mul = mul
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, ds):
-        v = 0
-        for d in reversed(ds):
-            v = v * self.p + d
-        return v
+        self._frob = [self.pow(a, p) for a in range(q)]
 
     def add(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+        return self._add[a][b]
 
     def neg(self, a):
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        return self._neg[a]
 
     def mul(self, a, b):
         return self._mul[a][b]
@@ -108,7 +104,7 @@ class FiniteField:
         return self.pow(a, self.q - 2)
 
     def frob(self, a):
-        return self.pow(a, self.p)
+        return self._frob[a]
 
     def generator(self):
         """Smallest multiplicative generator."""

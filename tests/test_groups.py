@@ -393,13 +393,16 @@ def test_tables_match_brute_force():
         for h in picks:
             assert G._tree_walk(h, G._right) == \
                 [index[compose(elements[h], x)] for x in elements], G.name
-        conjugators = [elements[h] for h in picks] + list(G.generators)
-        conjugators += [r] if r is not None else []
-        for g in conjugators:
+        for g in [elements[h] for h in picks] + list(G.generators):
             gi = inverse(g)
             assert G.conjugation_table(g) == \
                 [index[compose(compose(gi, x), g)] for x in elements]
             assert G.conjugation_table(g) is G.conjugation_table(g)
+        # a realizer outside G acts by conjugating permutations
+        if r is not None:
+            for x in elements:
+                y = conjugate(x, r)
+                assert G.index_of(y) == index[y], G.name
         S = rng.sample(range(G.order), min(G.order, 200))
         for i in picks + [0]:
             assert G.times(S, i) == \
@@ -413,6 +416,19 @@ def test_tables_match_brute_force():
             members = set(cl.indices)
             for g in G.generators:
                 assert set(G.conjugate_indices(cl.indices, g)) == members
+
+
+def test_conjugation_table_refuses_a_permutation_outside_the_group():
+    """Only elements of G get a conjugation table; a realizer acts by
+    conjugating permutations, and a wrong degree is refused as well."""
+    c3 = FiniteGroup(3, [(1, 2, 0)], name="C3")
+    r = check_realizer(c3, (0, 2, 1))
+    for g in (r, (1, 0), (1, 2, 0, 3)):
+        with pytest.raises(GroupError, match="outside C3"):
+            c3.conjugation_table(g)
+    with pytest.raises(GroupError, match="outside C3"):
+        c3.conjugate_indices([1], r)
+    assert c3.conjugation_table((2, 0, 1)) == [0, 1, 2]
 
 
 def test_coset_product_times_match_brute_force():
@@ -720,25 +736,67 @@ def test_coset_product_numbers_every_coset():
 
 def test_coprime_cosets_need_no_realizer_table():
     """In a coset G r^j with gcd(j, k) = 1 the orbits of G's maps are
-    closed under r's conjugation table; in the coset C3 r^2 of
-    Dic3 = C3 x| C4 they are not, so r's table stays there."""
+    closed under conjugation by r; in the coset C3 r^2 of
+    Dic3 = C3 x| C4 they are not, so r fuses classes there."""
     from math import gcd
 
     from galmckay.groups import _orbits
 
     needed = []
     for G, r, k, H in product_cases():
-        C = G.conjugation_table(r)
+        C = [G.index_of(conjugate(x, r)) for x in G.elements]
         for j in range(1, k):
             maps = H._coset_maps(j)
+            fused = _orbits(G.order, maps + [C])
             if gcd(j, k) == 1:
-                assert _orbits(G.order, maps) == \
-                    _orbits(G.order, maps + [C]), (H.name, j)
+                assert _orbits(G.order, maps) == fused, (H.name, j)
             else:
-                assert maps[0] is C
-                needed.append(_orbits(G.order, maps[1:]) !=
-                              _orbits(G.order, maps))
+                needed.append(_orbits(G.order, maps) != fused)
     assert any(needed)
+
+
+def brute_coset_classes(G, r, j, gens):
+    """Orbits of the coset G r^j under conjugation by the permutations
+    gens, as sets of product numbers j*|G| + G.index_of(m), found by
+    composing the rebuilt elements."""
+    n = G.order
+    rj = perm_pow(r, j)
+    elements = [compose(m, rj) for m in G.elements]
+    index = {x: j * n + i for i, x in enumerate(elements)}
+    pairs = [(inverse(g), g) for g in gens]
+    seen, orbits = set(), []
+    for x in elements:
+        if index[x] in seen:
+            continue
+        orbit, queue = {index[x]}, [x]
+        for y in queue:
+            for gi, g in pairs:
+                z = compose(compose(gi, y), g)
+                if index[z] not in orbit:
+                    orbit.add(index[z])
+                    queue.append(z)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return set(orbits)
+
+
+def test_product_classes_fuse_g_classes_under_r():
+    """The classes of each product coset G r^j are the conjugacy classes
+    of the rebuilt product there.  In coset 0 and in the coset C3 r^2 of
+    Dic3 = C3 x| C4 the G-classes alone are not: r fuses them.  The
+    G-classes are compared in the products below 2,000 elements."""
+    unfused = set()
+    for G, r, k, H in product_cases():
+        n = G.order
+        classes = [frozenset(cl.indices) for cl in H.conjugacy_classes]
+        for j in range(k):
+            want = brute_coset_classes(G, r, j, H.generators)
+            assert {c for c in classes if min(c) // n == j} == want, \
+                (H.name, j)
+            if H.order < 2000 and \
+                    brute_coset_classes(G, r, j, G.generators) != want:
+                unfused.add((H.name, G.degree, j))
+    assert {("C3.4", 7, 0), ("C3.4", 7, 2)} <= unfused
 
 
 def test_base_key_collision_is_not_membership():
