@@ -19,19 +19,19 @@ keeps three things:
 - the tree word of each transversal element of the stabilizer chain.
 Every other answer is an integer table derived from these.  Right
 multiplication by an element applies the R tables along its tree word.
-The number of a permutation p comes from one sift, which also decides
-membership: it gives p = u_(L-1) ... u_0 over transversal elements, and
-the R tables applied along their words number the product.
+The number of a permutation p comes from the Schreier-Sims sift, which
+also decides membership: it gives p = u_(L-1) ... u_0 over transversal
+elements, and the R tables applied along their words number the product.
 A walk down the tree gives the left table L_h[i] = number of h e_i, and
-the conjugation table of g in G is C_g = R_g after L_(g^-1).  A realizer
-outside G has no table: it acts by conjugating permutations, each
-numbered by a sift.  Conjugacy classes are orbits of the C tables of the
-generators that extend the stabilizer chain.  A class matrix counts the
-classes of u z over an inverse class, and a normalizer maps index sets
-through the C tables.  A permutation is rebuilt from the tree only when
-it is asked for: class representatives and the elements of small
-groups.  Enumeration is refused when its estimated memory exceeds a byte
-budget.
+the conjugation table of generator s is C_s = R_s after L_(s^-1).  Any
+other element, a realizer included, acts by conjugating permutations,
+each numbered by a sift.  Conjugacy classes are orbits of the C tables of
+the generators that extend the stabilizer chain.  A class matrix counts
+the classes of u z over an inverse class, and normalizers and
+transporters walk the conjugates of index sets through the C tables.  A
+permutation is rebuilt from the tree only when it is asked for: class
+representatives and the elements of small groups.  Enumeration is
+refused when its estimated memory exceeds a byte budget.
 
 A semidirect product G ⋊ <r> with r of order k is never enumerated: it
 is held as the k cosets G r^j of the enumerated G, an element as its
@@ -147,16 +147,20 @@ def is_perm(p, degree) -> bool:
 # -- stabilizer chains -----------------------------------------------------
 
 def _sift(chain, g, start=0) -> tuple:
-    """(residue, level): g divided by transversal elements from level start
-    on, stopping at the first level whose orbit misses the image of its
-    base point; level is len(chain) when g sifts through."""
+    """(residue, level, points): g divided by transversal elements from
+    level start on, stopping at the first level whose orbit misses the
+    image of its base point; level is len(chain) when g sifts through,
+    and points are the base-point images divided out."""
+    points = []
     for i in range(start, len(chain)):
         b, _, orbit, _ = chain[i]
-        t = orbit.get(g[b])
+        x = g[b]
+        t = orbit.get(x)
         if t is None:
-            return g, i
+            return g, i, points
+        points.append(x)
         g = compose(g, t[1])
-    return g, len(chain)
+    return g, len(chain), points
 
 
 def _close_orbit(orbit, gens):
@@ -184,7 +188,7 @@ def _extend_chain(chain, g, ident) -> bool:
     identity.  A generator that does not gives a new strong generator,
     and the check restarts at the deepest level it was added to.
     """
-    h, j = _sift(chain, g)
+    h, j, _ = _sift(chain, g)
     if h == ident:
         return False
     _add_strong(chain, h, j, 0)
@@ -215,7 +219,7 @@ def _sifted_schreier_generator(chain, i, ident):
             if edge != (x, k):
                 h = compose(compose(u, s), w)
                 if h != ident:
-                    h, j = _sift(chain, h, i + 1)
+                    h, j, _ = _sift(chain, h, i + 1)
                     if h != ident:
                         return h, j
             checked.add((x, k))
@@ -395,7 +399,7 @@ class FiniteGroup(_Classes):
         self._parent = None
         self._gen = None
         self._transversal = None
-        self._conj = {}   # conjugation tables by conjugating element
+        self._conj = [None] * len(gens)   # conjugation tables by generator
         self._classes = None
         self._class_of = None
         self._powers = {}
@@ -410,16 +414,16 @@ class FiniteGroup(_Classes):
         if self._chain is None:
             chain = []
             self._table_generators = tuple(
-                g for g in self.generators
+                s for s, g in enumerate(self.generators)
                 if _extend_chain(chain, g, self._identity))
             self._chain = chain
         return self._chain
 
     @property
     def table_generators(self) -> tuple:
-        """The generators that are not in the group generated by those
-        before them; they generate the group, and classes are orbits of
-        their conjugation tables."""
+        """Numbers of the generators that are not in the group generated
+        by those before them; they generate the group, and classes are
+        orbits of their conjugation tables."""
         self._stabilizer_chain()
         return self._table_generators
 
@@ -444,17 +448,19 @@ class FiniteGroup(_Classes):
     def index_of(self, p) -> int:
         """Number of p; KeyError if p is not in the group."""
         p = tuple(p)
-        i = self._number(p) if is_perm(p, self.degree) else None
+        i = self._number(p)
         if i is None:
             raise KeyError(p)
         return i
 
     def _number(self, p: tuple):
-        """Number of the permutation p, or None if p is not in the group.
+        """Number of p, or None if p is not a permutation in the group.
         The sift gives p = u_(L-1) ... u_0, and the R tables applied along
         the tree words of u_(L-1), ..., u_0 from the identity number it."""
-        points = self._sift_points(p)
-        if points is None:
+        if not is_perm(p, self.degree):
+            return None
+        h, _, points = _sift(self._stabilizer_chain(), p)
+        if h != self._identity:
             return None
         self._enumerate()
         right, i = self._right, 0
@@ -463,24 +469,10 @@ class FiniteGroup(_Classes):
                 i = right[s][i]
         return i
 
-    def _sift_points(self, p: tuple):
-        """[x_0, ..., x_(L-1)] with p = u_(L-1) ... u_0 for the transversal
-        element u_i of level i that maps its base point to x_i, or None if
-        p does not sift through the chain, that is if p is not in the
-        group."""
-        points = []
-        for b, _, orbit, _ in self._stabilizer_chain():
-            x = p[b]
-            t = orbit.get(x)
-            if t is None:
-                return None
-            points.append(x)
-            p = compose(p, t[1])
-        return points if p == self._identity else None
-
     def __contains__(self, p) -> bool:
         p = tuple(p)
-        return is_perm(p, self.degree) and self._sift_points(p) is not None
+        return (is_perm(p, self.degree)
+                and _sift(self._stabilizer_chain(), p)[0] == self._identity)
 
     # -- enumeration ------------------------------------------------------
 
@@ -576,31 +568,27 @@ class FiniteGroup(_Classes):
             append(tables[s][out[p]])
         return out
 
-    def conjugation_table(self, g) -> list:
-        """Numbers of g^-1 e_i g over all i, for g in G: R_g after the left
-        table of g^-1, built once per g.  A permutation outside G is
-        refused; a realizer acts through conjugate and index_of."""
-        g = tuple(g)
-        table = self._conj.get(g)
+    def conjugation_table(self, s: int) -> list:
+        """Numbers of g^-1 e_i g over all i for generator g = generators[s]:
+        R_s after the left table of g^-1, built once per generator."""
+        table = self._conj[s]
         if table is None:
-            i = self._number(g) if is_perm(g, self.degree) else None
-            if i is None:
-                raise GroupError("conjugation table of a permutation "
-                                 "outside %s" % self.name)
-            left = self._tree_walk(self.index_of(inverse(g)), self._right)
-            table = self._conj[g] = self.times(left, i)
+            left = self._tree_walk(
+                self.index_of(inverse(self.generators[s])), self._right)
+            table = self._conj[s] = list(map(self._right[s].__getitem__,
+                                             left))
         return table
 
-    def conjugate_indices(self, S, g) -> frozenset:
-        """Numbers of g^-1 x g over the numbers x in S, for g in G."""
-        return frozenset(map(self.conjugation_table(g).__getitem__, S))
+    def conjugate_indices(self, S, s: int) -> frozenset:
+        """Numbers of g^-1 x g over the numbers x in S, g = generators[s]."""
+        return frozenset(map(self.conjugation_table(s).__getitem__, S))
 
     # -- conjugacy classes -------------------------------------------------
 
     def _compute_classes(self):
         if self._classes is not None:
             return
-        tables = [self.conjugation_table(g) for g in self.table_generators]
+        tables = [self.conjugation_table(s) for s in self.table_generators]
         self._classes, self._class_of = _ordered_classes(
             _orbits(self.order, tables), self.element, self.order)
 
@@ -641,39 +629,58 @@ class FiniteGroup(_Classes):
                 raise GroupError("Sylow saturation failed")  # pragma: no cover
         return P
 
+    def _conjugate_walk(self, A: frozenset):
+        """Breadth-first walk over the conjugates of the index set A, each
+        moved by the generators in order.  Yields (t, g, T, u) for each
+        step from A^t by the generator g to T = A^(tg): u is None if the
+        step reaches T first, and t g is then T's element; else u is T's
+        element, and t g u^-1 fixes A."""
+        orbit = {A: self._identity}
+        queue = [A]
+        for S in queue:
+            t = orbit[S]
+            for s, g in enumerate(self.generators):
+                T = self.conjugate_indices(S, s)
+                u = orbit.get(T)
+                if u is None:
+                    orbit[T] = compose(t, g)
+                    queue.append(T)
+                yield t, g, T, u
+
+    def transporter(self, A: frozenset, B: frozenset) -> tuple:
+        """The first t with A^t = B that the walk from the index set A
+        reaches; the identity if A = B, GroupError if there is no t."""
+        if A == B:
+            return self._identity
+        for t, g, T, _ in self._conjugate_walk(A):
+            if T == B:
+                return compose(t, g)
+        raise GroupError("subgroups are not conjugate")
+
     def normalizer(self, H: "FiniteGroup") -> "FiniteGroup":
         """N_G(H) for H <= G via orbit-stabilizer on the conjugates of H,
-        each held as the set of its element numbers in G and moved by the
-        generators' conjugation tables.  A Schreier generator is kept, in
-        sorted order, only if it is not in the group the ones kept before
-        it generate."""
+        each held as the set of its element numbers in G.  A Schreier
+        generator is kept, in sorted order, only if it is not in the group
+        the ones kept before it generate."""
         if H.degree != self.degree:
             raise GroupError("degree mismatch")
         if any(h not in self for h in H.generators):
             raise GroupError("%s is not a subgroup of %s" % (H.name, self.name))
-        start = frozenset(map(self.index_of, H.elements))
         ident = self._identity
-        gens = [(g, inverse(g)) for g in self.generators]
-        orbit = {start: (ident, ident)}   # conjugate -> transversal t, t^-1
-        queue = [start]
-        stab = set()
-        for S in queue:
-            t, ti = orbit[S]
-            for g, gi in gens:
-                Sg = self.conjugate_indices(S, g)
-                u = orbit.get(Sg)
-                if u is None:
-                    orbit[Sg] = (compose(t, g), compose(gi, ti))
-                    queue.append(Sg)
-                else:
-                    sch = compose(compose(t, g), u[1])
-                    if sch != ident:
-                        stab.add(sch)
+        conjugates, stab = 1, set()
+        for t, g, _, u in self._conjugate_walk(
+                frozenset(map(self.index_of, H.elements))):
+            if u is None:
+                conjugates += 1
+                continue
+            tg = compose(t, g)
+            if tg != u:
+                stab.add(compose(tg, inverse(u)))
         chain = []
         gens = [s for s in sorted(stab) if _extend_chain(chain, s, ident)]
         N = FiniteGroup(self.degree, gens, name="N_%s" % (H.name,))
         assert self.order % (N.order or 1) == 0
-        assert N.order * len(orbit) == self.order
+        assert N.order * conjugates == self.order
         return N
 
     def __repr__(self):
@@ -812,10 +819,11 @@ class SemidirectProduct(_Classes):
         h = r^j g r^-j and each table generator g."""
         G = self._G
         maps = []
-        for g in G.table_generators:
+        for s in G.table_generators:
+            g = G.generators[s]
             (shift,) = G.times([G.index_of(inverse(g))],
                                self._shift(G.index_of(g), j))
-            maps.append(G.times(G.conjugation_table(g), shift))
+            maps.append(G.times(G.conjugation_table(s), shift))
         return maps
 
     def _compute_classes(self):

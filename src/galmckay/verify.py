@@ -12,7 +12,7 @@ Sylow normalizers and the constructed normalizer models.
 """
 
 from math import lcm, prod
-from collections import Counter, deque
+from collections import Counter
 from functools import cache
 
 from . import GalMcKayError
@@ -56,7 +56,8 @@ class ActionOnSet:
     def is_abelian(self):
         """Whether the perms generate an abelian group: the kernel's table
         generators generate it, so they must commute pairwise."""
-        gens = FiniteGroup(self.n, self.perms).table_generators
+        G = FiniteGroup(self.n, self.perms)
+        gens = [G.generators[s] for s in G.table_generators]
         return all(compose(p, q) == compose(q, p)
                    for i, p in enumerate(gens) for q in gens[:i])
 
@@ -294,31 +295,11 @@ def cross_model_check(family, f, p) -> bool:
 
 # -- target plumbing -------------------------------------------------------
 
-def _transporter(G: FiniteGroup, A: frozenset, B: frozenset):
-    """Element g with A conjugated by g equal to B (A, B: element index
-    sets of subgroups of G)."""
-    if A == B:
-        return identity_perm(G.degree)
-    seen = {A: identity_perm(G.degree)}
-    dq = deque([A])
-    while dq:
-        S = dq.popleft()
-        w = seen[S]
-        for g in G.generators:
-            T = G.conjugate_indices(S, g)
-            if T not in seen:
-                seen[T] = compose(w, g)
-                if T == B:
-                    return seen[T]
-                dq.append(T)
-    raise VerifyError("subgroups are not conjugate")
-
-
 def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
     """Sylow normalizer N with an order-k realizer normalizing it.
 
     Conjugation by the field automorphism moves the chosen Sylow
-    subgroup to a conjugate; a correcting element brings it back, and a
+    subgroup to a conjugate; G.transporter brings it back, and a
     further search through N fixes the order of the realizer.
     """
     R = G.sylow_subgroup(p)
@@ -326,9 +307,7 @@ def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
     r = check_realizer(G, frob_realizer)
     rset = frozenset(map(G.index_of, R.elements))
     moved = frozenset(G.index_of(conjugate(x, r)) for x in R.elements)
-    if moved != rset:
-        g0 = _transporter(G, moved, rset)
-        r = compose(r, g0)
+    r = compose(r, G.transporter(moved, rset))
     ident = identity_perm(G.degree)
     for n in sorted(N.elements):
         cand = compose(r, n)

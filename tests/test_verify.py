@@ -17,7 +17,8 @@ from galmckay.verify import (
 from galmckay import extend, verify
 from galmckay.extend import Side
 from galmckay.groups import (
-    FiniteGroup, check_realizer, compose, conjugate, identity_perm, perm_pow,
+    FiniteGroup, GroupError, check_realizer, compose, conjugate,
+    identity_perm, perm_pow,
 )
 from galmckay.galois import h_group
 from galmckay.zoo import field_automorphism, suzuki_group
@@ -134,9 +135,10 @@ def test_condition_one_fails_under_the_full_galois_group():
 
 
 def test_condition_one_holds_for_sz8_under_the_full_galois_group():
-    """No such negative control exists for Sz(8): with all of
+    """The full Galois group is no negative control for Sz(8): with all of
     Gal(Q(zeta_5460)/Q), 1,152 elements, in place of H, part 1 still holds
-    at p = 5, 7 and 13."""
+    at p = 5, 7 and 13.  Dropping the field automorphism from one side is
+    one (see test_condition_one_fails_without_the_field_automorphism)."""
     g = verify.global_side("2B2", 1)
     for p in (5, 7, 13):
         l = local_side("2B2", 1, p)
@@ -145,6 +147,76 @@ def test_condition_one_holds_for_sz8_under_the_full_galois_group():
         assert (m, len(H)) == (5460, 1152)
         res = condition_one(g, l, p, H)
         assert (res["part1"], res["reason"]) == (True, None), p
+
+
+@pytest.mark.parametrize("family, primes", [("2B2", (5, 7, 13)),
+                                            ("PSL2", (2, 3, 7))])
+def test_condition_one_fails_without_the_field_automorphism(family, primes):
+    """Negative control: one side under the identity realizer, with k
+    kept, in place of the field automorphism.  H comes from the
+    unmodified sides, since the identity side has no extension product.
+    Part 1 then fails on either side, except at Sz(8) p = 5, where the
+    automorphism fixes all five 5'-rows on both sides."""
+    g = verify.global_side(family, 1)
+    for p in primes:
+        l = local_side(family, 1, p)
+        H = verify.galois_group(g, l, p)
+        fixed = all(side.automorphism_perms[1][row] == row
+                    for side in (g, l) for row in side.table.p_prime_rows(p))
+        assert fixed == ((family, p) == ("2B2", 5)), p
+        if fixed:
+            assert len(g.table.p_prime_rows(p)) == 5
+        expected = ((True, None) if fixed
+                    else (False, "stabilizer class multiplicity mismatch"))
+        for sides in ((without_automorphism(g), l),
+                      (g, without_automorphism(l))):
+            res = condition_one(*sides, p, H)
+            assert (res["part1"], res["reason"]) == expected, p
+
+
+def without_automorphism(side):
+    return Side(side.table, identity_perm(side.table.group.degree), side.k)
+
+
+def quaternion_product(x, y):
+    """Hamilton product of quaternions given as (1, i, j, k) coordinates."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def quaternion_side():
+    """Q8 on its right regular action, generated by right multiplication
+    by i and j, under the automorphism alpha: i <-> j, k -> -k, applied
+    to the points; Q8 x| <alpha> is the semidihedral group of order 16."""
+    units = [tuple(sign * (n == m) for m in range(4))
+             for sign in (1, -1) for n in range(4)]
+    point = {u: x for x, u in enumerate(units)}
+
+    def right(q):
+        return tuple(point[quaternion_product(u, q)] for u in units)
+
+    q8 = FiniteGroup(8, [right(units[1]), right(units[2])], name="Q8")
+    alpha = tuple(point[a, c, b, -d] for a, b, c, d in units)
+    return Side(dixon_schneider(q8), alpha, 2)
+
+
+def test_extension_sweep_finds_no_invariant_extension_of_q8s_degree_2_row():
+    """Negative control for part 2: alpha fixes the degree-2 row of Q8,
+    and its two extensions to Q8 x| <alpha> take the values +-sqrt(-2) on
+    the elements of order 8, so an H that moves sqrt(-2) (p = 5, 7) fixes
+    neither, while H at p = 3 fixes both."""
+    side = quaternion_side()
+    for p, invariant in ((3, True), (5, False), (7, False)):
+        H = h_group(p, side.exponent())
+        entries = extension_sweep(side, H, p, "local")
+        assert [(e["degree"], e["stabilizer_order"]) for e in entries
+                if e["degree"] == 2] == [(2, 2)], p
+        assert [e["invariant"] for e in entries] == \
+            [True] * 4 + [invariant], p
 
 
 def test_is_abelian_checks_every_generator():
@@ -441,23 +513,25 @@ def test_transporter_moves_the_field_automorphisms_sylow_13_back():
     assert [moved[p] == sylow_indices(G, p) for p in (5, 7, 13)] == \
         [True, True, False]
     A, B = moved[13], sylow_indices(G, 13)
-    g = verify._transporter(G, A, B)
-    assert G.conjugate_indices(A, g) == B
+    g = G.transporter(A, B)
+    assert frozenset(G.index_of(conjugate(G.element(i), g)) for i in A) == B
     elements = G.elements
     assert g == breadth_first_transporter(
         G, [elements[i] for i in A], [elements[i] for i in B])
 
 
-def test_transporter_of_equal_sets_is_the_identity():
+def test_transporter_of_equal_sets_is_the_identity(monkeypatch):
+    """Equal sets need no walk over the conjugates."""
     G = suzuki_group(1)
     A = sylow_indices(G, 5)
-    assert verify._transporter(G, A, A) == identity_perm(G.degree)
+    monkeypatch.setattr(FiniteGroup, "_conjugate_walk", None)
+    assert G.transporter(A, A) == identity_perm(G.degree)
 
 
 def test_transporter_refuses_non_conjugate_subgroups():
     G = suzuki_group(1)
-    with pytest.raises(VerifyError, match="subgroups are not conjugate"):
-        verify._transporter(G, sylow_indices(G, 5), sylow_indices(G, 13))
+    with pytest.raises(GroupError, match="subgroups are not conjugate"):
+        G.transporter(sylow_indices(G, 5), sylow_indices(G, 13))
 
 
 # sha256 of the json list of each full target's stable_sylow_setup realizer
@@ -482,6 +556,53 @@ def test_stable_sylow_realizers_pinned():
         realizer = json.dumps(list(local_side(family, 1, p).realizer))
         assert hashlib.sha256(realizer.encode()).hexdigest() == digest, \
             (family, p)
+
+
+def report_invariants(report):
+    """What relabelling the points and generators must not change: rows
+    and classes may be reordered."""
+    return (report["status"], report["counts"], report["verdict"],
+            Counter(json.dumps(o, sort_keys=True) for o in report["orbits"]),
+            Counter((e["side"], e["degree"], e["stabilizer_order"],
+                     e["invariant"]) for e in report["extensions"]))
+
+
+@pytest.mark.parametrize("family, p", [("PSL2", 2), ("PSL2", 3),
+                                       ("PSL2", 7), ("2B2", 13)])
+def test_verify_is_invariant_under_relabelling(family, p, monkeypatch):
+    """The global group and its field realizer conjugated by a seeded
+    random permutation of the points, with the generators shuffled, give
+    the same report up to the order of rows and classes.  Sz(8) p = 13 is
+    the one target whose transporter is not the identity."""
+    expected = report_invariants(verify_target(family, 1, p))
+    real = verify._field_action.__wrapped__
+
+    @cache
+    def relabelled(family, f):
+        G, r, k = real(family, f)
+        rng = random.Random(31)
+        pi = tuple(rng.sample(range(G.degree), G.degree))
+        gens = [conjugate(g, pi) for g in G.generators]
+        rng.shuffle(gens)
+        return FiniteGroup(G.degree, gens, name=G.name), conjugate(r, pi), k
+
+    # fresh side caches: the relabelled sides never reach other tests
+    monkeypatch.setattr(verify, "_field_action", relabelled)
+    monkeypatch.setattr(verify, "global_side",
+                        cache(verify.global_side.__wrapped__))
+    monkeypatch.setattr(verify, "local_side",
+                        cache(verify.local_side.__wrapped__))
+    moves = []
+    transporter = FiniteGroup.transporter
+
+    def recording(G, A, B):
+        t = transporter(G, A, B)
+        moves.append(t != identity_perm(G.degree))
+        return t
+
+    monkeypatch.setattr(FiniteGroup, "transporter", recording)
+    assert report_invariants(verify_target(family, 1, p)) == expected
+    assert moves == [family == "2B2"]
 
 
 def test_out_of_scope_report():
