@@ -15,8 +15,8 @@ from functools import cached_property
 
 from . import GalMcKayError
 from .groups import (
-    automorphism_order, check_realizer, compose, perm_pow, semidirect_product,
-    induced_class_permutation,
+    FiniteGroup, _orbits, automorphism_order, check_realizer, compose,
+    is_perm, perm_pow, semidirect_product, induced_class_permutation,
 )
 from .chartab import CharacterTable, dixon_schneider
 from .galois import act_on_table
@@ -26,52 +26,101 @@ class ExtendError(GalMcKayError):
     pass
 
 
-def automorphism_row_perms(table: CharacterTable, realizer, k: int):
-    """Row permutations of a^j for j = 0..k-1, a of order dividing k.
+class ActionOnSet:
+    """An abelian group acting on a finite index set.
 
-    perms[j][i] is the index of the row chi_i composed with a^j.  They are
-    the powers of the row permutation of a; a table not closed under a
-    raises ChartabError.
+    labels enumerate the abstract acting group (hashable, identical on
+    both sides of a match); perms[i] is the permutation of the point set
+    induced by labels[i].
     """
-    M = table.group
-    r = check_realizer(M, realizer)
-    if k % automorphism_order(M, r):
-        raise ExtendError("action does not have order dividing %d" % k)
-    perms = [tuple(range(len(table.rows)))]
-    if k > 1:
-        base = table.row_perm(induced_class_permutation(M, r))
-        while len(perms) < k:
-            perms.append(compose(perms[-1], base))
-    return tuple(perms)
+
+    def __init__(self, labels, perms, n):
+        self.labels = tuple(labels)
+        self.perms = tuple(tuple(p) for p in perms)
+        self.n = n
+        if len(self.labels) != len(self.perms):
+            raise ExtendError("labels and permutations differ in length")
+        if not all(is_perm(p, n) for p in self.perms):
+            raise ExtendError("action image is not a permutation")
+
+    def is_abelian(self):
+        """Whether the perms generate an abelian group: the kernel's table
+        generators generate it, so they must commute pairwise."""
+        G = FiniteGroup(self.n, self.perms)
+        gens = [G.generators[s] for s in G.table_generators]
+        return all(compose(p, q) == compose(q, p)
+                   for i, p in enumerate(gens) for q in gens[:i])
+
+    def stabilizer(self, x):
+        return frozenset(l for l, p in zip(self.labels, self.perms)
+                         if p[x] == x)
+
+    def orbits(self):
+        return _orbits(self.n, self.perms)
+
+    def restrict(self, points):
+        """The action on a stable subset, renumbered in the order given."""
+        pos = {x: i for i, x in enumerate(points)}
+        try:
+            perms = [tuple(pos[p[x]] for x in points) for p in self.perms]
+        except KeyError:
+            raise ExtendError("row subset is not action-stable")
+        return ActionOnSet(self.labels, perms, len(pos))
 
 
 class Side:
     """A character table with the row action of C_k x Gal on it: a is an
     automorphism of order dividing k on the table's group, realized by
     conjugation with realizer.  The side builds the row permutations of
-    a^j once, sigma_b's once per residue b mod the exponent, and each
-    extension product M x| <a^d> it is asked for once, by stabilizer
-    index d."""
+    a^j once, the action of C_k x H once per H, and each extension
+    product M x| <a^d> it is asked for once, by stabilizer index d."""
 
     def __init__(self, table: CharacterTable, realizer, k: int):
         self.table = table
         self.realizer = realizer
         self.k = k
         self.products = {}
-        self._galois_perms = {}
+        self._actions = {}
 
     @cached_property
     def automorphism_perms(self):
-        """automorphism_row_perms of the table under a."""
-        return automorphism_row_perms(self.table, self.realizer, self.k)
+        """Row permutations of a^j for j = 0..k-1, a of order dividing k.
 
-    def galois_perm(self, sigma):
-        """act_on_table(self.table, sigma), built once per residue."""
-        e = self.table.exponent
-        b = sigma.b % e
-        if sigma.m % e or b not in self._galois_perms:
-            self._galois_perms[b] = act_on_table(self.table, sigma)
-        return self._galois_perms[b]
+        perms[j][i] is the index of the row chi_i composed with a^j.  They
+        are the powers of the row permutation of a; a table not closed
+        under a raises ChartabError.
+        """
+        M = self.table.group
+        r = check_realizer(M, self.realizer)
+        if self.k % automorphism_order(M, r):
+            raise ExtendError("action does not have order dividing %d"
+                              % self.k)
+        perms = [tuple(range(len(self.table.rows)))]
+        if self.k > 1:
+            base = self.table.row_perm(induced_class_permutation(M, r))
+            while len(perms) < self.k:
+                perms.append(compose(perms[-1], base))
+        return tuple(perms)
+
+    def action(self, H):
+        """ActionOnSet of C_k x H on the rows of the table, built once per
+        H: label (j, b) acts as a^j, then sigma_b.  Labels run j-major,
+        then in H's order; act_on_table runs once per residue b mod the
+        table exponent."""
+        H = tuple(H)
+        found = self._actions.get(H)
+        if found is None:
+            e = self.table.exponent
+            sigmas = {}
+            for s in H:
+                if s.m % e or s.b % e not in sigmas:
+                    sigmas[s.b % e] = act_on_table(self.table, s)
+            found = self._actions[H] = ActionOnSet(
+                [(j, s.b) for j in range(self.k) for s in H],
+                [compose(gamma, sigmas[s.b % e])
+                 for gamma in self.automorphism_perms for s in H],
+                len(self.table.rows))
+        return found
 
     def product(self, d: int):
         """(side of M x| <a^d> under the same a, class fusion of M), built
@@ -138,16 +187,6 @@ def find_extensions(side: Side, row: int) -> ExtensionSet:
     return ExtensionSet(big, d, fusion, rows)
 
 
-def joint_stabilizer(side: Side, row: int, H) -> list:
-    """Pairs (j, sigma) with psi composed with a^j then sigma equal to psi."""
-    perms = side.automorphism_perms
-    pairs = []
-    for j in range(side.k):
-        pairs += [(j, sigma) for sigma in H
-                  if side.galois_perm(sigma)[perms[j][row]] == row]
-    return pairs
-
-
 def invariant_extension_exists(side: Side, row: int, H):
     """Search the extensions of a row for a joint-stabilizer-fixed one.
 
@@ -155,16 +194,14 @@ def invariant_extension_exists(side: Side, row: int, H):
     group H must have modulus divisible by the extension table exponent.
     """
     ext = find_extensions(side, row)
-    pairs = joint_stabilizer(side, row, H)
-    eside = ext.side
-    gammas = eside.automorphism_perms
+    stab = side.action(H).stabilizer(row)
+    action = ext.side.action(H)
+    pairs = [l for l in action.labels if l in stab]
     reports = []
     for i in ext.rows:
-        report = []
-        for j, sigma in pairs:
-            image = eside.galois_perm(sigma)[gammas[j][i]]
-            report.append((j, sigma.b, image == i))
+        fixed = action.stabilizer(i)
+        report = [(j, b, (j, b) in fixed) for j, b in pairs]
         reports.append(report)
-        if all(ok for _, _, ok in report):
+        if stab <= fixed:
             return ExtensionWitness(ext, i, report)
     return ExtensionWitness(ext, ext.rows[0], reports[0])

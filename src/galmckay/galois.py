@@ -84,7 +84,7 @@ def act_on_table(table: CharacterTable, sigma: GaloisElement):
     CharacterTable.validate proves sigma_b(chi(g)) = chi(g^b) for every
     unit b mod the exponent, so this is the row permutation of the
     power-map class permutation; a table that has not passed validate
-    raises GaloisError.  extend.Side keeps these per residue.
+    raises GaloisError.  extend.Side.action calls it once per residue.
     """
     _check_modulus(table, sigma)
     if not table.validated:

@@ -17,13 +17,13 @@ from functools import cache
 
 from . import GalMcKayError
 from .groups import (
-    FiniteGroup, _orbits, compose, conjugate, perm_pow, identity_perm,
-    is_perm, automorphism_order, check_realizer,
+    FiniteGroup, compose, conjugate, perm_pow, identity_perm,
+    automorphism_order, check_realizer,
 )
 from .chartab import CharacterTable, dixon_schneider
 from .galois import h_group
 from .ntheory import factorint
-from .extend import Side, invariant_extension_exists
+from .extend import ActionOnSet, Side, invariant_extension_exists
 from .zoo import (
     suzuki_group, psl2_8, psl2_local_model, field_automorphism,
     torus_normalizer, torus_rows, torus_polynomials,
@@ -35,39 +35,6 @@ class VerifyError(GalMcKayError):
 
 
 # -- permutation-isomorphism matching --------------------------------------
-
-class ActionOnSet:
-    """An abelian group acting on a finite index set.
-
-    labels enumerate the abstract acting group (hashable, identical on
-    both sides of a match); perms[i] is the permutation of the point set
-    induced by labels[i].
-    """
-
-    def __init__(self, labels, perms, n):
-        self.labels = tuple(labels)
-        self.perms = tuple(tuple(p) for p in perms)
-        self.n = n
-        if len(self.labels) != len(self.perms):
-            raise VerifyError("labels and permutations differ in length")
-        if not all(is_perm(p, n) for p in self.perms):
-            raise VerifyError("action image is not a permutation")
-
-    def is_abelian(self):
-        """Whether the perms generate an abelian group: the kernel's table
-        generators generate it, so they must commute pairwise."""
-        G = FiniteGroup(self.n, self.perms)
-        gens = [G.generators[s] for s in G.table_generators]
-        return all(compose(p, q) == compose(q, p)
-                   for i, p in enumerate(gens) for q in gens[:i])
-
-    def stabilizer(self, x):
-        return frozenset(l for l, p in zip(self.labels, self.perms)
-                         if p[x] == x)
-
-    def orbits(self):
-        return _orbits(self.n, self.perms)
-
 
 class MatchResult:
     def __init__(self, ok, bijection, orbit_summary, reason):
@@ -142,34 +109,14 @@ def match_actions(X: ActionOnSet, Y: ActionOnSet) -> MatchResult:
     return MatchResult(True, pairs, summary, None)
 
 
-# -- row actions -----------------------------------------------------------
-
-def joint_row_action(side, H, rows):
-    """ActionOnSet of C_k x H on a subset of one side's row indices."""
-    gperms = side.automorphism_perms
-    pos = {r: i for i, r in enumerate(rows)}
-    labels = []
-    perms = []
-    for j in range(side.k):
-        for s in H:
-            labels.append((j, s.b))
-            sperm = side.galois_perm(s)
-            full = [sperm[gperms[j][r]] for r in rows]
-            try:
-                perms.append(tuple(pos[r] for r in full))
-            except KeyError:
-                raise VerifyError("row subset is not action-stable")
-    return ActionOnSet(labels, perms, len(rows))
-
-
 # -- condition checks ------------------------------------------------------
 
 def condition_one(gside, lside, p, H):
     gp = gside.table.p_prime_rows(p)
     lp = lside.table.p_prime_rows(p)
-    X = joint_row_action(gside, H, gp)
-    # a side matched with itself builds its joint action once
-    Y = X if lside is gside else joint_row_action(lside, H, lp)
+    X = gside.action(H).restrict(gp)
+    # a side matched with itself restricts its joint action once
+    Y = X if lside is gside else lside.action(H).restrict(lp)
     res = match_actions(X, Y)
     return {
         "counts": {"global": len(gp), "local": len(lp)},

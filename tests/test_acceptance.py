@@ -15,7 +15,7 @@ from galmckay.galois import (
 )
 from galmckay.cyclo import ONE
 from galmckay.verify import (
-    verify_target, match_actions, joint_row_action, global_side,
+    verify_target, match_actions, global_side,
     local_side, galois_group, cross_model_check, lemma_congruence_check,
     local_model_group,
 )
@@ -182,8 +182,8 @@ def _criterion_8_match_oracle():
     for family, f, p in FULL_GRID:
         g, l = global_side(family, f), local_side(family, f, p)
         H = galois_group(g, l, p)
-        X = joint_row_action(g, H, g.table.p_prime_rows(p))
-        Y = joint_row_action(l, H, l.table.p_prime_rows(p))
+        X = g.action(H).restrict(g.table.p_prime_rows(p))
+        Y = l.action(H).restrict(l.table.p_prime_rows(p))
         if X.n > 8 or Y.n > 8:
             continue
         assert match_actions(X, Y).ok == brute_force_match_exists(X, Y)

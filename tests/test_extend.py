@@ -11,8 +11,8 @@ from galmckay.chartab import (
 from galmckay import extend
 from galmckay.galois import GaloisElement, GaloisError, h_group
 from galmckay.extend import (
-    ExtendError, Side, automorphism_row_perms, find_extensions,
-    invariant_extension_exists, joint_stabilizer,
+    ActionOnSet, ExtendError, Side, find_extensions,
+    invariant_extension_exists,
 )
 from galmckay.zoo import field_automorphism, torus_normalizer
 from oracles import cyclic_group, full_galois_group
@@ -122,8 +122,7 @@ def test_joint_stabilizer_contains_identity():
     d, a = d14_with_c3()
     t = dixon_schneider(d)
     H = h_group(2, t.exponent * 3)
-    pairs = joint_stabilizer(Side(t, a, 3), 0, H)
-    assert any(j == 0 and s.b == 1 for j, s in pairs)
+    assert (0, 1) in Side(t, a, 3).action(H).stabilizer(0)
 
 
 def test_linear_character_invariant_extension():
@@ -175,7 +174,8 @@ def test_side_builds_each_product_once():
 
 def test_side_galois_perms_once_per_residue(monkeypatch):
     # the 12 units mod 42 act on the table of C7 through their 6 residues
-    # mod 7; a modulus the exponent does not divide is refused every time
+    # mod 7; a modulus the exponent does not divide is refused wherever it
+    # stands in H, also after a residue it shares has been acted on
     c7, a = c7_with_squaring()
     side = Side(dixon_schneider(c7), a, 3)
     calls = []
@@ -183,11 +183,42 @@ def test_side_galois_perms_once_per_residue(monkeypatch):
     monkeypatch.setattr(extend, "act_on_table",
                         lambda t, s: calls.append(s.b) or real(t, s))
     H = full_galois_group(42)
-    perms = [side.galois_perm(s) for s in H]
+    action = side.action(H)
     assert len(H) == 12 and len(calls) == len({s.b % 7 for s in H}) == 6
-    assert perms == [real(side.table, s) for s in H]
-    with pytest.raises(GaloisError, match="not divisible"):
-        side.galois_perm(GaloisElement(5, 1))
+    # labels j-major, then in H's order; (j, b) is a^j, then sigma_b
+    assert action.labels == tuple((j, s.b) for j in range(3) for s in H)
+    assert action.perms == tuple(
+        tuple(real(side.table, s)[x] for x in gamma)
+        for gamma in side.automorphism_perms for s in H)
+    for bad in ([GaloisElement(5, 1)], [H[0], GaloisElement(5, 1)]):
+        with pytest.raises(GaloisError, match="not divisible"):
+            side.action(bad)
+
+
+def test_side_action_is_built_once_per_h():
+    c7, a = c7_with_squaring()
+    side = Side(dixon_schneider(c7), a, 3)
+    H = full_galois_group(42)
+    assert side.action(H) is side.action(tuple(H))
+    assert side.action(H) is not side.action(H[:1])
+
+
+def test_restrict_refuses_a_subset_that_is_not_stable():
+    # a = x -> 2x permutes the six nontrivial rows of C7 in two orbits
+    c7, a = c7_with_squaring()
+    side = Side(dixon_schneider(c7), a, 3)
+    action = side.action(h_group(5, 42))
+    triv = next(i for i, r in enumerate(side.table.rows)
+                if all(v == ONE for v in r.values))
+    other = next(i for i in range(7) if i != triv)
+    assert action.restrict([triv]).perms == ((0,),) * len(action.labels)
+    with pytest.raises(ExtendError, match="not action-stable"):
+        action.restrict([triv, other])
+
+
+def test_action_on_set_refuses_labels_and_perms_of_different_lengths():
+    with pytest.raises(ExtendError, match="differ in length"):
+        ActionOnSet(["e", "a"], [(0, 1)], 2)
 
 
 def test_gallagher_count_checked():
@@ -261,11 +292,11 @@ def test_row_perms_checks():
     d, a = d14_with_c3()
     t = dixon_schneider(d)
     with pytest.raises(ExtendError):
-        automorphism_row_perms(t, a, 2)
+        Side(t, a, 2).automorphism_perms
     with pytest.raises(GroupError):
-        automorphism_row_perms(t, (1, 0) + tuple(range(2, 7)), 3)
+        Side(t, (1, 0) + tuple(range(2, 7)), 3).automorphism_perms
     # drop one degree-2 row: a moves another degree-2 row onto it
     two = next(i for i, r in enumerate(t.rows) if r.degree_int() == 2)
     partial = CharacterTable(d, t.rows[:two] + t.rows[two + 1:])
     with pytest.raises(ChartabError):
-        automorphism_row_perms(partial, a, 3)
+        Side(partial, a, 3).automorphism_perms

@@ -12,7 +12,7 @@ from galmckay.chartab import (
 from galmckay.galois import (
     GaloisError, GaloisElement, h_group, act_on_table, clifford_label,
 )
-from galmckay.extend import Side, joint_stabilizer
+from galmckay.extend import Side
 from galmckay.zoo import torus_normalizer
 from oracles import (
     cyclic_group, full_galois_group, galois_image, power_compatibility_check,
@@ -227,11 +227,11 @@ def test_joint_stabilizer_brute_force():
         for j in range(k):
             cperm = induced_class_permutation(t.group, perm_pow(r, j))
             moved = [psi.values[c] for c in cperm]
-            want += [(j, s) for s in H
+            want += [(j, s.b) for s in H
                      if all(v.galois(s.b) == w
                             for v, w in zip(moved, psi.values))]
-        got = joint_stabilizer(Side(t, r, k), row, H)
-        assert got == want
+        got = Side(t, r, k).action(H).stabilizer(row)
+        assert got == frozenset(want) and len(want) == len(got)
         pairs += got
     # every row has (0, identity); some rows are fixed by a^j with j > 0
     assert len(pairs) > len(t.rows)

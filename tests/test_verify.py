@@ -9,13 +9,13 @@ import pytest
 
 from galmckay.chartab import dixon_schneider
 from galmckay.verify import (
-    VerifyError, ActionOnSet, match_actions, joint_row_action, condition_one, extension_sweep,
+    VerifyError, match_actions, condition_one, extension_sweep,
     torus_polynomials, lemma_congruence_check,
     tables_equivalent, cross_model_check, verify_target, list_targets,
     target_mode, local_model_group, local_model_table, local_side,
 )
 from galmckay import extend, verify
-from galmckay.extend import Side
+from galmckay.extend import ActionOnSet, ExtendError, Side
 from galmckay.groups import (
     FiniteGroup, GroupError, check_realizer, compose, conjugate,
     identity_perm, perm_pow,
@@ -52,7 +52,7 @@ def test_match_actions_rejects_different_groups():
 
 
 def test_action_images_must_be_permutations():
-    with pytest.raises(VerifyError, match="not a permutation"):
+    with pytest.raises(ExtendError, match="not a permutation"):
         ActionOnSet(["e"], [(0, 0)], 2)
 
 
@@ -246,7 +246,7 @@ def test_joint_row_action_stability(psl28_table):
     H = h_group(7, psl28_table.exponent)
     rows = psl28_table.p_prime_rows(7)
     side = Side(psl28_table, identity_perm(psl28_table.group.degree), 1)
-    X = joint_row_action(side, H, rows)
+    X = side.action(H).restrict(rows)
     assert X.is_abelian()
     assert X.n == len(rows)
 
@@ -558,6 +558,16 @@ def test_stable_sylow_realizers_pinned():
             (family, p)
 
 
+def relabelled_group(G):
+    """G conjugated by a seeded random permutation pi of its points, with
+    its generators shuffled, and pi."""
+    rng = random.Random(31)
+    pi = tuple(rng.sample(range(G.degree), G.degree))
+    gens = [conjugate(g, pi) for g in G.generators]
+    rng.shuffle(gens)
+    return FiniteGroup(G.degree, gens, name=G.name), pi
+
+
 def report_invariants(report):
     """What relabelling the points and generators must not change: rows
     and classes may be reordered."""
@@ -580,11 +590,8 @@ def test_verify_is_invariant_under_relabelling(family, p, monkeypatch):
     @cache
     def relabelled(family, f):
         G, r, k = real(family, f)
-        rng = random.Random(31)
-        pi = tuple(rng.sample(range(G.degree), G.degree))
-        gens = [conjugate(g, pi) for g in G.generators]
-        rng.shuffle(gens)
-        return FiniteGroup(G.degree, gens, name=G.name), conjugate(r, pi), k
+        H, pi = relabelled_group(G)
+        return H, conjugate(r, pi), k
 
     # fresh side caches: the relabelled sides never reach other tests
     monkeypatch.setattr(verify, "_field_action", relabelled)
@@ -603,6 +610,33 @@ def test_verify_is_invariant_under_relabelling(family, p, monkeypatch):
     monkeypatch.setattr(FiniteGroup, "transporter", recording)
     assert report_invariants(verify_target(family, 1, p)) == expected
     assert moves == [family == "2B2"]
+
+
+@pytest.mark.parametrize("family, f, p", [("2G2", 1, 7), ("2B2", 2, 31),
+                                          ("2F4", 1, 109)])
+def test_local_only_verify_is_invariant_under_relabelling(family, f, p,
+                                                          monkeypatch):
+    """The same check on local-only targets, where the group enters as
+    the local model: its points are conjugated by a seeded random
+    permutation and its generators shuffled."""
+    expected = report_invariants(verify_target(family, f, p))
+    real = verify.local_model_group
+    built = []
+
+    def relabelled(family, f, p):
+        G, pi = relabelled_group(real(family, f, p))
+        assert pi != identity_perm(G.degree)
+        built.append(G)
+        return G
+
+    # fresh caches: the relabelled model never reaches other tests
+    monkeypatch.setattr(verify, "local_model_group", relabelled)
+    monkeypatch.setattr(verify, "local_model_table",
+                        cache(verify.local_model_table.__wrapped__))
+    monkeypatch.setattr(verify, "local_side",
+                        cache(verify.local_side.__wrapped__))
+    assert report_invariants(verify_target(family, f, p)) == expected
+    assert [verify.local_side(family, f, p).table.group] == built
 
 
 def test_out_of_scope_report():
