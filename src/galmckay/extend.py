@@ -141,33 +141,13 @@ class Side:
                 else self.table.exponent)
 
 
-class ExtensionSet:
-    """All extensions of one character to M x| A_psi: rows of the table
-    of side, with fusion the class fusion of M into its group."""
-
-    def __init__(self, side, d, fusion, rows):
-        self.side = side
-        self.d = d
-        self.a_psi_order = side.k // d
-        self.fusion = tuple(fusion)
-        self.rows = tuple(rows)
-
-
-class ExtensionWitness:
-    """One extension together with its joint-stabilizer invariance report."""
-
-    def __init__(self, extension_set, extension_row, invariance):
-        self.extension_set = extension_set
-        self.extension_row = extension_row
-        self.invariance = tuple(invariance)
-        self.invariant = all(ok for _, _, ok in self.invariance)
-
-
-def find_extensions(side: Side, row: int) -> ExtensionSet:
+def find_extensions(side: Side, row: int):
     """All rows of Irr(M x| A_psi) restricting to side.table.rows[row].
 
     A = <a> with a of order dividing side.k, realized by conjugation with
     side.realizer; the product M x| A_psi comes from side.product.
+    Returns (side of M x| A_psi, class fusion of M into it, rows); there
+    are |A_psi| rows.
     """
     table, k = side.table, side.k
     psi = table.rows[row]
@@ -176,32 +156,29 @@ def find_extensions(side: Side, row: int) -> ExtensionSet:
              if k % j == 0 and perms[j % k][row] == row)
     q = k // d
     if q == 1:
-        return ExtensionSet(side, d, range(len(table.classes)), (row,))
+        return side, tuple(range(len(table.classes))), (row,)
     big, fusion = side.product(d)
-    rows = [i for i, chi in enumerate(big.table.rows)
-            if all(chi.values[fusion[c]] == psi.values[c]
-                   for c in range(len(table.classes)))]
+    rows = tuple(i for i, chi in enumerate(big.table.rows)
+                 if all(chi.values[fusion[c]] == psi.values[c]
+                        for c in range(len(table.classes))))
     if len(rows) != q:
         raise ExtendError("Gallagher count violated: %d extensions, "
                           "expected %d" % (len(rows), q))
-    return ExtensionSet(big, d, fusion, rows)
+    return big, fusion, rows
 
 
 def invariant_extension_exists(side: Side, row: int, H):
     """Search the extensions of a row for a joint-stabilizer-fixed one.
 
-    Returns an ExtensionWitness; .invariant reports success.  The Galois
-    group H must have modulus divisible by the extension table exponent.
+    Returns the report fields witness_row (the first fixed extension, else
+    the first extension), stabilizer_order (|A_psi|) and invariant.  The
+    Galois group H must have modulus divisible by the extension table
+    exponent.
     """
-    ext = find_extensions(side, row)
+    ext_side, _, rows = find_extensions(side, row)
     stab = side.action(H).stabilizer(row)
-    action = ext.side.action(H)
-    pairs = [l for l in action.labels if l in stab]
-    reports = []
-    for i in ext.rows:
-        fixed = action.stabilizer(i)
-        report = [(j, b, (j, b) in fixed) for j, b in pairs]
-        reports.append(report)
-        if stab <= fixed:
-            return ExtensionWitness(ext, i, report)
-    return ExtensionWitness(ext, ext.rows[0], reports[0])
+    action = ext_side.action(H)
+    witness = next((i for i in rows if stab <= action.stabilizer(i)), None)
+    return {"witness_row": rows[0] if witness is None else witness,
+            "stabilizer_order": len(rows),
+            "invariant": witness is not None}

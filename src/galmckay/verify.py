@@ -36,16 +36,13 @@ class VerifyError(GalMcKayError):
 
 # -- permutation-isomorphism matching --------------------------------------
 
-class MatchResult:
-    def __init__(self, ok, bijection, orbit_summary, reason):
-        self.ok = ok
-        self.bijection = tuple(bijection)
-        self.orbit_summary = orbit_summary
-        self.reason = reason
+def match_actions(X: ActionOnSet, Y: ActionOnSet):
+    """Equivariant bijection via stabilizer-multiset matching.
 
-
-def match_actions(X: ActionOnSet, Y: ActionOnSet) -> MatchResult:
-    """Equivariant bijection via stabilizer-multiset matching."""
+    Returns (pairs, orbit_summary, reason): pairs is the sorted list of
+    point pairs (x, y) of the bijection, or None with the reason there is
+    none.
+    """
     if X.labels != Y.labels:
         raise VerifyError("the two actions have different acting groups")
     if not X.is_abelian() or not Y.is_abelian():
@@ -65,7 +62,6 @@ def match_actions(X: ActionOnSet, Y: ActionOnSet) -> MatchResult:
     dy = orbit_data(Y)
     summary = []
     keys = sorted(set(dx) | set(dy), key=lambda s: (len(s), sorted(s)))
-    ok = True
     reason = None
     for stab in keys:
         ox = dx.get(stab, [])
@@ -79,13 +75,11 @@ def match_actions(X: ActionOnSet, Y: ActionOnSet) -> MatchResult:
             "count_local": len(oy),
         })
         if len(ox) != len(oy):
-            ok = False
             reason = "stabilizer class multiplicity mismatch"
     if X.n != Y.n:
-        ok = False
         reason = reason or "point counts differ"
-    if not ok:
-        return MatchResult(False, (), summary, reason)
+    if reason:
+        return None, summary, reason
 
     bij = {}
     for stab in keys:
@@ -94,19 +88,15 @@ def match_actions(X: ActionOnSet, Y: ActionOnSet) -> MatchResult:
             for px, py in zip(X.perms, Y.perms):
                 ax, ay = px[rx], py[ry]
                 if ax in bij and bij[ax] != ay:
-                    return MatchResult(False, (), summary,
-                                       "transport produced a conflict")
+                    return None, summary, "transport produced a conflict"
                 bij[ax] = ay
     if len(bij) != X.n:
-        return MatchResult(False, (), summary,
-                           "transport did not reach every point")
+        return None, summary, "transport did not reach every point"
     for px, py in zip(X.perms, Y.perms):
         for x in range(X.n):
             if bij[px[x]] != py[bij[x]]:
-                return MatchResult(False, (), summary,
-                                   "transported map is not equivariant")
-    pairs = sorted(bij.items())
-    return MatchResult(True, pairs, summary, None)
+                return None, summary, "transported map is not equivariant"
+    return sorted(bij.items()), summary, None
 
 
 # -- condition checks ------------------------------------------------------
@@ -117,32 +107,23 @@ def condition_one(gside, lside, p, H):
     X = gside.action(H).restrict(gp)
     # a side matched with itself restricts its joint action once
     Y = X if lside is gside else lside.action(H).restrict(lp)
-    res = match_actions(X, Y)
+    pairs, orbits, reason = match_actions(X, Y)
     return {
         "counts": {"global": len(gp), "local": len(lp)},
-        "orbits": res.orbit_summary,
-        "bijection": [[gp[i], lp[j]] for i, j in res.bijection]
-        if res.ok else None,
-        "part1": res.ok and len(gp) == len(lp),
-        "reason": res.reason,
+        "orbits": orbits,
+        "bijection": None if pairs is None
+        else [[gp[i], lp[j]] for i, j in pairs],
+        "part1": pairs is not None,
+        "reason": reason,
     }
 
 
 def extension_sweep(side, H, p, label):
     """Invariant-extension witnesses for every p'-row of one side."""
-    table = side.table
-    entries = []
-    for row in table.p_prime_rows(p):
-        w = invariant_extension_exists(side, row, H)
-        entries.append({
-            "side": label,
-            "row": row,
-            "degree": table.rows[row].degree_int(),
-            "witness_row": w.extension_row,
-            "stabilizer_order": w.extension_set.a_psi_order,
-            "invariant": w.invariant,
-        })
-    return entries
+    return [{"side": label, "row": row,
+             "degree": side.table.rows[row].degree_int(),
+             **invariant_extension_exists(side, row, H)}
+            for row in side.table.p_prime_rows(p)]
 
 
 # -- torus order congruences -----------------------------------------------
@@ -252,8 +233,9 @@ def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
     R = G.sylow_subgroup(p)
     N = G.normalizer(R)
     r = check_realizer(G, frob_realizer)
-    rset = frozenset(map(G.index_of, R.elements))
-    moved = frozenset(G.index_of(conjugate(x, r)) for x in R.elements)
+    elements = R.elements
+    rset = frozenset(map(G.index_of, elements))
+    moved = frozenset(G.index_of(conjugate(x, r)) for x in elements)
     r = compose(r, G.transporter(moved, rset))
     ident = identity_perm(G.degree)
     for n in sorted(N.elements):

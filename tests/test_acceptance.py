@@ -186,7 +186,8 @@ def _criterion_8_match_oracle():
         Y = l.action(H).restrict(l.table.p_prime_rows(p))
         if X.n > 8 or Y.n > 8:
             continue
-        assert match_actions(X, Y).ok == brute_force_match_exists(X, Y)
+        assert (match_actions(X, Y)[0] is not None) == \
+            brute_force_match_exists(X, Y)
         checked += 1
     assert checked == len(FULL_GRID)
 
@@ -195,13 +196,13 @@ def _criterion_8_gallagher_and_real(family, f, p):
     g = global_side(family, f)
     table = g.table
     for row in range(len(table.rows)):
-        ext = find_extensions(g, row)
-        assert len(ext.rows) == ext.a_psi_order
+        ext_side, _, rows = find_extensions(g, row)
+        a_psi_order = sum(perm[row] == row for perm in g.automorphism_perms)
+        assert len(rows) == a_psi_order
         # odd cyclic stabilizer quotient: a real row has exactly one
         # real extension
-        if _is_real_row(table.rows[row]) and ext.a_psi_order % 2 == 1:
-            real = [i for i in ext.rows
-                    if _is_real_row(ext.side.table.rows[i])]
+        if _is_real_row(table.rows[row]) and a_psi_order % 2 == 1:
+            real = [i for i in rows if _is_real_row(ext_side.table.rows[i])]
             assert len(real) == 1
 
 

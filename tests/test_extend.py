@@ -53,6 +53,11 @@ def d14_with_c3():
     return d, a
 
 
+def a_psi_order(side, row):
+    """|A_psi|: the number of powers a^j, j < k, that fix the row."""
+    return sum(perm[row] == row for perm in side.automorphism_perms)
+
+
 def test_moved_character_stays_put():
     # psi not A-invariant: A_psi trivial, the extension set is psi itself
     c3, a = c3_with_inversion()
@@ -60,10 +65,10 @@ def test_moved_character_stays_put():
     row = next(i for i, r in enumerate(t.rows)
                if any(v != ONE for v in r.values))
     side = Side(t, a, 2)
-    ext = find_extensions(side, row)
-    assert ext.a_psi_order == 1
-    assert ext.rows == (row,)
-    assert ext.side is side
+    ext_side, _, rows = find_extensions(side, row)
+    assert a_psi_order(side, row) == 1
+    assert rows == (row,)
+    assert ext_side is side
 
 
 def test_trivial_character_two_extensions():
@@ -71,20 +76,21 @@ def test_trivial_character_two_extensions():
     t = dixon_schneider(c3)
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 2), triv)
-    assert ext.a_psi_order == 2
-    assert len(ext.rows) == 2
-    assert ext.side.table.group.order == 6
-    assert all(ext.side.table.rows[i].degree_int() == 1 for i in ext.rows)
+    side = Side(t, a, 2)
+    ext_side, _, rows = find_extensions(side, triv)
+    assert a_psi_order(side, triv) == 2
+    assert len(rows) == 2
+    assert ext_side.table.group.order == 6
+    assert all(ext_side.table.rows[i].degree_int() == 1 for i in rows)
 
 
 def test_gallagher_counts_c7_c3():
     c7, a = c7_with_squaring()
     t = dixon_schneider(c7)
     for row in range(len(t.rows)):
-        ext = find_extensions(Side(t, a, 3), row)
+        _, _, rows = find_extensions(Side(t, a, 3), row)
         trivial = all(v == ONE for v in t.rows[row].values)
-        assert len(ext.rows) == (3 if trivial else 1)
+        assert len(rows) == (3 if trivial else 1)
 
 
 def test_restriction_is_exact():
@@ -92,12 +98,12 @@ def test_restriction_is_exact():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 3), sign)
-    assert len(ext.rows) == 3
-    for i in ext.rows:
-        chi = ext.side.table.rows[i]
+    ext_side, fusion, rows = find_extensions(Side(t, a, 3), sign)
+    assert len(rows) == 3
+    for i in rows:
+        chi = ext_side.table.rows[i]
         for c in range(len(t.classes)):
-            assert chi.values[ext.fusion[c]] == t.rows[sign].values[c]
+            assert chi.values[fusion[c]] == t.rows[sign].values[c]
 
 
 def test_unique_real_extension_odd_stabilizer():
@@ -107,15 +113,15 @@ def test_unique_real_extension_odd_stabilizer():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 3), sign)
-    real = [i for i in ext.rows
+    ext_side, _, rows = find_extensions(Side(t, a, 3), sign)
+    real = [i for i in rows
             if all(v == v.galois(-1)
-                   for v in ext.side.table.rows[i].values)]
+                   for v in ext_side.table.rows[i].values)]
     assert len(real) == 1
-    H = h_group(2, ext.side.table.exponent)
+    H = h_group(2, ext_side.table.exponent)
     w = invariant_extension_exists(Side(t, a, 3), sign, H)
-    assert w.invariant
-    assert w.extension_row == real[0]
+    assert w["invariant"]
+    assert w["witness_row"] == real[0]
 
 
 def test_joint_stabilizer_contains_identity():
@@ -131,12 +137,13 @@ def test_linear_character_invariant_extension():
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
     H = h_group(5, 42)
-    w = invariant_extension_exists(Side(t, a, 3), triv, H)
-    assert w.invariant
-    ext = w.extension_set
-    chi = ext.side.table.rows[w.extension_row]
-    c = ext.side.table.group.class_of_element(
-        perm_pow(ext.side.realizer, ext.d))
+    side = Side(t, a, 3)
+    w = invariant_extension_exists(side, triv, H)
+    assert w["invariant"]
+    ext_side, _, _ = find_extensions(side, triv)
+    chi = ext_side.table.rows[w["witness_row"]]
+    c = ext_side.table.group.class_of_element(
+        perm_pow(ext_side.realizer, side.k // w["stabilizer_order"]))
     assert chi.values[c] == ONE
 
 
@@ -145,10 +152,10 @@ def test_realizer_path():
     t = dixon_schneider(c3)
     triv = next(i for i, r in enumerate(t.rows)
                 if all(v == ONE for v in r.values))
-    ext = find_extensions(Side(t, (0, 2, 1), 2), triv)
-    assert ext.side.table.group.degree == 3
-    assert ext.side.table.group.order == 6
-    assert len(ext.rows) == 2
+    ext_side, _, rows = find_extensions(Side(t, (0, 2, 1), 2), triv)
+    assert ext_side.table.group.degree == 3
+    assert ext_side.table.group.order == 6
+    assert len(rows) == 2
     # an order-2 realizer does not give an action of order dividing 3
     with pytest.raises(ExtendError):
         find_extensions(Side(t, (0, 2, 1), 3), triv)
@@ -283,9 +290,9 @@ def test_row_perms_extension_product_table():
     t = dixon_schneider(d)
     sign = next(i for i, r in enumerate(t.rows)
                 if r.degree_int() == 1 and any(v != ONE for v in r.values))
-    ext = find_extensions(Side(t, a, 3), sign)
-    assert ext.side.table is not t
-    assert_row_perms_value_wise(ext.side.table, ext.side.realizer, 3)
+    ext_side, _, _ = find_extensions(Side(t, a, 3), sign)
+    assert ext_side.table is not t
+    assert_row_perms_value_wise(ext_side.table, ext_side.realizer, 3)
 
 
 def test_row_perms_checks():

@@ -30,18 +30,19 @@ from oracles import (
 
 def test_match_actions_identity():
     X = ActionOnSet(["e", "a"], [(0, 1, 2), (1, 0, 2)], 3)
-    res = match_actions(X, X)
-    assert res.ok
-    assert res.bijection == ((0, 0), (1, 1), (2, 2))
+    pairs, _, reason = match_actions(X, X)
+    assert pairs is not None
+    assert pairs == [(0, 0), (1, 1), (2, 2)]
+    assert reason is None
 
 
 def test_match_actions_failure():
     # C2 acting trivially vs acting with one swap
     X = ActionOnSet(["e", "a"], [(0, 1, 2), (0, 1, 2)], 3)
     Y = ActionOnSet(["e", "a"], [(0, 1, 2), (1, 0, 2)], 3)
-    res = match_actions(X, Y)
-    assert not res.ok
-    assert res.reason is not None
+    pairs, _, reason = match_actions(X, Y)
+    assert pairs is None
+    assert reason is not None
 
 
 def test_match_actions_rejects_different_groups():
@@ -69,17 +70,16 @@ def test_match_actions_reports_a_transport_conflict():
     c = (1, 2, 0, 3)
     X = ActionOnSet([0, 1, 2], [identity_perm(4), c, c], 4)
     Y = ActionOnSet([0, 1, 2], [identity_perm(4), c, perm_pow(c, 2)], 4)
-    res = match_actions(X, Y)
-    assert (res.ok, res.reason) == (False, "transport produced a conflict")
+    pairs, _, reason = match_actions(X, Y)
+    assert (pairs, reason) == (None, "transport produced a conflict")
 
 
 def test_match_actions_reports_an_unreached_point():
     """Labels not closed under composition: the identity and a 3-cycle
     move point 0 only to 0 and 1, so transport never defines point 2."""
     X = ActionOnSet([0, 1], [(0, 1, 2), (1, 2, 0)], 3)
-    res = match_actions(X, X)
-    assert (res.ok, res.bijection, res.reason) == (
-        False, (), "transport did not reach every point")
+    pairs, _, reason = match_actions(X, X)
+    assert (pairs, reason) == (None, "transport did not reach every point")
 
 
 def test_match_agrees_with_brute_force():
@@ -100,7 +100,7 @@ def test_match_agrees_with_brute_force():
     ]
     for X in actions:
         for Y in actions:
-            fast = match_actions(X, Y).ok
+            fast = match_actions(X, Y)[0] is not None
             brute = brute_force_match_exists(X, Y)
             assert fast == brute
 
@@ -152,11 +152,12 @@ def test_condition_one_holds_for_sz8_under_the_full_galois_group():
 @pytest.mark.parametrize("family, primes", [("2B2", (5, 7, 13)),
                                             ("PSL2", (2, 3, 7))])
 def test_condition_one_fails_without_the_field_automorphism(family, primes):
-    """Negative control: one side under the identity realizer, with k
-    kept, in place of the field automorphism.  H comes from the
-    unmodified sides, since the identity side has no extension product.
-    Part 1 then fails on either side, except at Sz(8) p = 5, where the
-    automorphism fixes all five 5'-rows on both sides."""
+    """Negative control: one side under the identity realizer, or under
+    the square of its realizer, with k kept, in place of the field
+    automorphism.  H comes from the unmodified sides, since a changed
+    side builds no extension product here.  Part 1 then fails on either
+    side, except at Sz(8) p = 5, where the automorphism fixes all five
+    5'-rows on both sides."""
     g = verify.global_side(family, 1)
     for p in primes:
         l = local_side(family, 1, p)
@@ -168,14 +169,20 @@ def test_condition_one_fails_without_the_field_automorphism(family, primes):
             assert len(g.table.p_prime_rows(p)) == 5
         expected = ((True, None) if fixed
                     else (False, "stabilizer class multiplicity mismatch"))
-        for sides in ((without_automorphism(g), l),
-                      (g, without_automorphism(l))):
-            res = condition_one(*sides, p, H)
-            assert (res["part1"], res["reason"]) == expected, p
+        for change in (without_automorphism, under_the_square):
+            for sides in ((change(g), l), (g, change(l))):
+                res = condition_one(*sides, p, H)
+                assert (res["part1"], res["reason"]) == expected, \
+                    (p, change.__name__)
 
 
 def without_automorphism(side):
     return Side(side.table, identity_perm(side.table.group.degree), side.k)
+
+
+def under_the_square(side):
+    """The side with a^2 in place of a: label (j, b) then acts as a^2j."""
+    return Side(side.table, perm_pow(side.realizer, 2), side.k)
 
 
 def quaternion_product(x, y):
@@ -610,6 +617,35 @@ def test_verify_is_invariant_under_relabelling(family, p, monkeypatch):
     monkeypatch.setattr(FiniteGroup, "transporter", recording)
     assert report_invariants(verify_target(family, 1, p)) == expected
     assert moves == [family == "2B2"]
+
+
+@pytest.mark.parametrize("family, p", [("PSL2", 2), ("PSL2", 3),
+                                       ("PSL2", 7), ("2B2", 5), ("2B2", 7),
+                                       ("2B2", 13)])
+def test_verify_is_invariant_under_the_choice_of_sylow_subgroup(
+        family, p, monkeypatch):
+    """The Sylow subgroup that stable_sylow_setup starts from conjugated
+    by a seeded random element of the global group gives the same report
+    up to the order of rows and classes."""
+    expected = report_invariants(verify_target(family, 1, p))
+    real = FiniteGroup.sylow_subgroup
+    rng = random.Random(7)
+    moved = []
+
+    def conjugated(G, prime):
+        P = real(G, prime)
+        x = G.element(rng.randrange(G.order))
+        Q = G.subgroup([conjugate(g, x) for g in P.generators], name="P")
+        moved.append(set(map(G.index_of, Q.elements))
+                     != set(map(G.index_of, P.elements)))
+        return Q
+
+    # a fresh side cache: the conjugated sides never reach other tests
+    monkeypatch.setattr(FiniteGroup, "sylow_subgroup", conjugated)
+    monkeypatch.setattr(verify, "local_side",
+                        cache(verify.local_side.__wrapped__))
+    assert report_invariants(verify_target(family, 1, p)) == expected
+    assert moved == [True]
 
 
 @pytest.mark.parametrize("family, f, p", [("2G2", 1, 7), ("2B2", 2, 31),
