@@ -63,8 +63,8 @@ def enumeration_bytes(order: int, base_length: int, generators: int) -> int:
     generator), and about 40 for class data and transient tables.  The
     base keys and their map live only while the enumeration runs, so the
     estimate bounds its peak, not what the group holds afterwards.
-    tracemalloc peaks per element: 222 for Sz(8) (degree 65, a base of 3
-    points, 4 generators; estimate 264) and 216 for S8 (degree 8, a base
+    tracemalloc peaks per element: 179 for Sz(8) (degree 65, a base of 3
+    points, 3 generators; estimate 248) and 186 for S8 (degree 8, a base
     of 7 points, 2 generators; estimate 264)."""
     return order * (8 * base_length + 16 * generators + 176)
 

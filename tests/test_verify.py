@@ -548,7 +548,7 @@ REALIZER_SHA256 = {
     ("2B2", 7):
         "3cc99c6fc0f6b2e01c648afd384e90b4866f7cf2d1d0deb3faf811f512017c91",
     ("2B2", 13):
-        "e6a026772de97d46ddc3381420b7ede72182f91403df2d8664164dbf5157b961",
+        "27b6281fc086baa2296e02c1578d7bb559093521164bd91c3c92ddf9abccc482",
     ("PSL2", 2):
         "6797ce658968dcaf6d73023c18a395d4f250d79c5289e42880b377346e8c42a4",
     ("PSL2", 3):
