@@ -44,10 +44,9 @@ class ActionOnSet:
             raise ExtendError("action image is not a permutation")
 
     def is_abelian(self):
-        """Whether the perms generate an abelian group: the kernel's table
-        generators generate it, so they must commute pairwise."""
-        G = FiniteGroup(self.n, self.perms)
-        gens = [G.generators[s] for s in G.table_generators]
+        """Whether the perms generate an abelian group: the generators the
+        kernel keeps generate it, so they must commute pairwise."""
+        gens = FiniteGroup(self.n, self.perms).generators
         return all(compose(p, q) == compose(q, p)
                    for i, p in enumerate(gens) for q in gens[:i])
 

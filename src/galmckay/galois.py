@@ -170,7 +170,7 @@ def clifford_label(spec):
         Ws = N.subgroup(stab, name="W_s")
         if Ws.order != len(stab):
             raise GaloisError("stabilizer enumeration inconsistent")
-        Ns = N.subgroup(list(T.generators) + stab, name="N_s")
+        Ns = N.subgroup(T.generators + Ws.generators, name="N_s")
         if Ns.order != T.order * Ws.order:
             raise GaloisError("stabilizer subgroup has wrong order")
         wt = dixon_schneider(Ws)

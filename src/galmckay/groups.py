@@ -25,13 +25,14 @@ elements, and the R tables applied along their words number the product.
 A walk down the tree gives the left table L_h[i] = number of h e_i, and
 the conjugation table of generator s is C_s = R_s after L_(s^-1).  Any
 other element, a realizer included, acts by conjugating permutations,
-each numbered by a sift.  Conjugacy classes are orbits of the C tables of
-the generators that extend the stabilizer chain.  A class matrix counts
-the classes of u z over an inverse class, and normalizers and
-transporters walk the conjugates of index sets through the C tables.  A
-permutation is rebuilt from the tree only when it is asked for: class
-representatives and the elements of small groups.  Enumeration is
-refused when its estimated memory exceeds a byte budget.
+each numbered by a sift.  A group keeps, in the order given, only the
+generators that extend its stabilizer chain; conjugacy classes are the
+orbits of their C tables.  A class matrix counts the classes of u z over
+an inverse class, and normalizers and transporters walk the conjugates
+of index sets through the C tables.  A permutation is rebuilt from the
+tree only when it is asked for: class representatives and the elements
+of small groups.  Enumeration is refused when its estimated memory
+exceeds a byte budget.
 
 A semidirect product G ⋊ <r> with r of order k is never enumerated: it
 is held as the k cosets G r^j of the enumerated G, an element as its
@@ -377,13 +378,21 @@ class FiniteGroup(_Classes):
     """
 
     def __init__(self, degree, generators, name="G"):
+        """Keeps, in the order given, the generators that are not in the
+        group generated by those kept before them: each one extends the
+        stabilizer chain.  The identity and repeats never do."""
         gens = []
         ident = identity_perm(degree)
+        # levels [b, strong generators, orbit of b (see _close_orbit),
+        # checked Schreier generators]; the strong generators of a level
+        # fix the earlier base points, and a new base point is the least
+        # point moved by the generator that needs it
+        self._chain = []
         for g in generators:
             g = tuple(g)
             if not is_perm(g, degree):
                 raise GroupError("bad generator for degree %d: %r" % (degree, g))
-            if g != ident and g not in gens:
+            if _extend_chain(self._chain, g, ident):
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
@@ -391,8 +400,6 @@ class FiniteGroup(_Classes):
         self._identity = ident
         self._order = None
         self._base = None
-        self._chain = None
-        self._table_generators = None
         # enumeration: R tables (None until enumerated), tree (from e_1
         # on), tree words of the transversal elements by level and point
         self._right = None
@@ -406,32 +413,11 @@ class FiniteGroup(_Classes):
 
     # -- order & membership ----------------------------------------------
 
-    def _stabilizer_chain(self) -> list:
-        """Levels [b, strong generators, orbit of b (see _close_orbit),
-        checked Schreier generators], where the strong generators of a
-        level fix the earlier base points.  A new base point is the least
-        point moved by the generator that needs it."""
-        if self._chain is None:
-            chain = []
-            self._table_generators = tuple(
-                s for s, g in enumerate(self.generators)
-                if _extend_chain(chain, g, self._identity))
-            self._chain = chain
-        return self._chain
-
-    @property
-    def table_generators(self) -> tuple:
-        """Numbers of the generators that are not in the group generated
-        by those before them; they generate the group, and classes are
-        orbits of their conjugation tables."""
-        self._stabilizer_chain()
-        return self._table_generators
-
     @property
     def order(self) -> int:
         if self._order is None:
             self._order = 1
-            for _, _, orbit, _ in self._stabilizer_chain():
+            for _, _, orbit, _ in self._chain:
                 self._order *= len(orbit)
         return self._order
 
@@ -441,7 +427,7 @@ class FiniteGroup(_Classes):
         base of its stabilizer chain, padded with point 0 to at least two
         points so that itemgetter(*base) returns a tuple."""
         if self._base is None:
-            base = tuple(level[0] for level in self._stabilizer_chain())
+            base = tuple(level[0] for level in self._chain)
             self._base = base + (0,) * (2 - len(base))
         return self._base
 
@@ -459,7 +445,7 @@ class FiniteGroup(_Classes):
         the tree words of u_(L-1), ..., u_0 from the identity number it."""
         if not is_perm(p, self.degree):
             return None
-        h, _, points = _sift(self._stabilizer_chain(), p)
+        h, _, points = _sift(self._chain, p)
         if h != self._identity:
             return None
         self._enumerate()
@@ -472,7 +458,7 @@ class FiniteGroup(_Classes):
     def __contains__(self, p) -> bool:
         p = tuple(p)
         return (is_perm(p, self.degree)
-                and _sift(self._stabilizer_chain(), p)[0] == self._identity)
+                and _sift(self._chain, p)[0] == self._identity)
 
     # -- enumeration ------------------------------------------------------
 
@@ -588,7 +574,8 @@ class FiniteGroup(_Classes):
     def _compute_classes(self):
         if self._classes is not None:
             return
-        tables = [self.conjugation_table(s) for s in self.table_generators]
+        tables = [self.conjugation_table(s)
+                  for s in range(len(self.generators))]
         self._classes, self._class_of = _ordered_classes(
             _orbits(self.order, tables), self.element, self.order)
 
@@ -659,14 +646,13 @@ class FiniteGroup(_Classes):
 
     def normalizer(self, H: "FiniteGroup") -> "FiniteGroup":
         """N_G(H) for H <= G via orbit-stabilizer on the conjugates of H,
-        each held as the set of its element numbers in G.  A Schreier
-        generator is kept, in sorted order, only if it is not in the group
-        the ones kept before it generate."""
+        each held as the set of its element numbers in G.  N gets the
+        Schreier generators in sorted order and keeps those that extend
+        its chain."""
         if H.degree != self.degree:
             raise GroupError("degree mismatch")
         if any(h not in self for h in H.generators):
             raise GroupError("%s is not a subgroup of %s" % (H.name, self.name))
-        ident = self._identity
         conjugates, stab = 1, set()
         for t, g, _, u in self._conjugate_walk(
                 frozenset(map(self.index_of, H.elements))):
@@ -676,9 +662,7 @@ class FiniteGroup(_Classes):
             tg = compose(t, g)
             if tg != u:
                 stab.add(compose(tg, inverse(u)))
-        chain = []
-        gens = [s for s in sorted(stab) if _extend_chain(chain, s, ident)]
-        N = FiniteGroup(self.degree, gens, name="N_%s" % (H.name,))
+        N = FiniteGroup(self.degree, sorted(stab), name="N_%s" % (H.name,))
         assert self.order % (N.order or 1) == 0
         assert N.order * conjugates == self.order
         return N
@@ -816,11 +800,10 @@ class SemidirectProduct(_Classes):
     def _coset_maps(self, j: int) -> list:
         """Maps on G's numbers whose orbits, moved to the coset G r^j, are
         the G-classes there: m -> g^-1 m h = (g^-1 m g)(g^-1 h) for
-        h = r^j g r^-j and each table generator g."""
+        h = r^j g r^-j and each generator g."""
         G = self._G
         maps = []
-        for s in G.table_generators:
-            g = G.generators[s]
+        for s, g in enumerate(G.generators):
             (shift,) = G.times([G.index_of(inverse(g))],
                                self._shift(G.index_of(g), j))
             maps.append(G.times(G.conjugation_table(s), shift))

@@ -117,11 +117,8 @@ class FiniteField:
 def suzuki_group(f: int) -> FiniteGroup:
     """Sz(2^(2f+1)) on its ovoid of q^4 + 1 points (q^2 = 2^(2f+1)),
     generated by translation(1, 0), torus(lam) for a primitive lam, and
-    the involution swapping infinity and the origin.  Each of the three
-    extends the stabilizer chain.  translation(0, 1) is left out: it is
-    the square of translation(1, 0), so it lies in the group the other
-    generators give and would only add an R table, a conjugation table
-    and a step to every orbit walk."""
+    the involution swapping infinity and the origin.  translation(0, 1)
+    is the square of translation(1, 0), so the group would not keep it."""
     if f < 1:
         raise ZooError("f must be >= 1")
     k = 2 * f + 1
@@ -223,13 +220,19 @@ def psl2_8() -> FiniteGroup:
     return G
 
 
-def agl18_normalizer() -> FiniteGroup:
-    """The order-168 group (C2^3 x| C7) x| C3: AGammaL(1,8) on 8 points."""
+def _f8_maps() -> tuple:
+    """The maps x -> x + 1, x -> lambda*x and x -> x^2 of F8 as
+    permutations of its 8 elements."""
     F = FiniteField(2, 3)
     lam = F.generator()
-    add1 = tuple(F.add(x, 1) for x in range(8))
-    mul = tuple(F.mul(lam, x) for x in range(8))
-    frob = tuple(F.frob(x) for x in range(8))
+    return (tuple(F.add(x, 1) for x in range(8)),
+            tuple(F.mul(lam, x) for x in range(8)),
+            tuple(F.frob(x) for x in range(8)))
+
+
+def agl18_normalizer() -> FiniteGroup:
+    """The order-168 group (C2^3 x| C7) x| C3: AGammaL(1,8) on 8 points."""
+    add1, mul, frob = _f8_maps()
     G = FiniteGroup(8, [add1, mul, frob], name="AGL18.3")
     if G.order != 168:
         raise ZooError("affine normalizer has order %d" % G.order)
@@ -242,8 +245,7 @@ def psl2_local_model(p) -> FiniteGroup:
     dihedral groups C9 x| C2 and C7 x| C2 for p = 3 and 7."""
     if p == 2:
         # x -> x + 1 and x -> lambda*x, without the Frobenius map
-        return FiniteGroup(8, agl18_normalizer().generators[:2],
-                           name="AGL(1,8)")
+        return FiniteGroup(8, _f8_maps()[:2], name="AGL(1,8)")
     if p in (3, 7):
         row, n = ("q+1", 9) if p == 3 else ("q-1", 7)
         return _affine_model("PSL2", 1, row, "C2", (n,), [((-1,),)], 2).group

@@ -158,6 +158,13 @@ def cyclic_group(n: int) -> FiniteGroup:
                        name="C%d" % n)
 
 
+def dihedral_group(n: int) -> FiniteGroup:
+    """D_2n on the n vertices of an n-gon."""
+    return FiniteGroup(n, [tuple((i + 1) % n for i in range(n)),
+                           tuple(-i % n for i in range(n))],
+                       name="D%d" % (2 * n))
+
+
 def symmetric_group(n: int) -> FiniteGroup:
     if n < 2:
         return FiniteGroup(max(n, 1), [], name="S%d" % n)

@@ -16,16 +16,10 @@ from galmckay.chartab import (
 from galmckay.cli import _GROUP_BUILDERS
 from galmckay.galois import act_on_table
 from oracles import (
-    approx, cyclic_group, full_galois_group, galois_image,
+    approx, cyclic_group, dihedral_group, full_galois_group, galois_image,
     per_class_dixon_schneider, power_compatibility_check, root,
     symmetric_group, validate_all_pairs,
 )
-
-
-def dihedral(n):
-    rot = tuple((i + 1) % n for i in range(n))
-    refl = tuple((-i) % n for i in range(n))
-    return FiniteGroup(n, [rot, refl], name="D%d" % (2 * n))
 
 
 def trivial_character(G):
@@ -70,7 +64,7 @@ def test_q8_degrees():
 
 
 def test_d14_table():
-    t = dixon_schneider(dihedral(7))
+    t = dixon_schneider(dihedral_group(7))
     assert sorted(t.degrees()) == [1, 1, 2, 2, 2]
     t.validate()
 
@@ -104,7 +98,7 @@ def test_second_orthogonality():
 def test_dixon_prime_independence(monkeypatch):
     from galmckay import chartab
 
-    G = dihedral(6)
+    G = dihedral_group(6)
     p1 = dixon_prime(G.exponent, G.order, at_least=len(G.conjugacy_classes))
     p2 = dixon_prime(G.exponent, G.order, at_least=p1)
     assert p1 != p2
@@ -115,7 +109,7 @@ def test_dixon_prime_independence(monkeypatch):
 
 
 def test_galois_closure_of_table():
-    G = dihedral(7)
+    G = dihedral_group(7)
     t = dixon_schneider(G)
     m = t.exponent
     rowset = {r.values for r in t.rows}
@@ -187,7 +181,7 @@ def test_p_prime_rows():
 
 
 def test_values_live_in_element_order_field():
-    G = dihedral(7)
+    G = dihedral_group(7)
     t = dixon_schneider(G)
     for r in t.rows:
         for v, cl in zip(r.values, G.conjugacy_classes):
@@ -338,7 +332,7 @@ def _random_value(rng):
 
 def test_inner_product_matches_direct_formula():
     rng = random.Random(29)
-    for G in (symmetric_group(4), cyclic_group(12), dihedral(7)):
+    for G in (symmetric_group(4), cyclic_group(12), dihedral_group(7)):
         ncl = len(G.conjugacy_classes)
         for _ in range(40):
             a = ClassFunction(G, [_random_value(rng) for _ in range(ncl)])
@@ -401,7 +395,7 @@ PERTURBATIONS = {
     "plus-half", "plus-root", "times-root7", "times-root12")],
     ids=["plus-half", "plus-root", "times-root7", "times-root12"])
 def test_validate_catches_one_perturbed_value(perturb):
-    for G in (dihedral(7), symmetric_group(4)):
+    for G in (dihedral_group(7), symmetric_group(4)):
         t = dixon_schneider(G)
         for i in range(len(t.rows)):
             for k in range(1, len(t.classes)):
@@ -430,11 +424,11 @@ def test_validate_agrees_with_the_all_pairs_oracle_on_perturbed_tables():
     from galmckay.extend import Side
 
     c13, a = c13_times_8()
-    d14_3 = Side(dixon_schneider(dihedral(7)),
+    d14_3 = Side(dixon_schneider(dihedral_group(7)),
                  tuple(2 * i % 7 for i in range(7)), 3).product(1)[0].table
     tables = [dixon_schneider(G) for G in (
-        dihedral(7), cyclic_group(5), cyclic_group(12), symmetric_group(4),
-        quaternion8(), semidirect_product(c13, a, 4))] + [d14_3]
+        dihedral_group(7), cyclic_group(5), cyclic_group(12),
+        symmetric_group(4), quaternion8(), semidirect_product(c13, a, 4))] + [d14_3]
     checked = rejected = 0
     for t in tables:
         n, ncl = len(t.rows), len(t.classes)
@@ -509,7 +503,7 @@ def rational_class(G, k):
     return {G.power_map(k, m) for m in range(1, o) if gcd(m, o) == 1}
 
 
-@pytest.mark.parametrize("G", [dihedral(7), cyclic_group(5),
+@pytest.mark.parametrize("G", [dihedral_group(7), cyclic_group(5),
                                symmetric_group(4)], ids=["D14", "C5", "S4"])
 def test_validate_catches_a_corrupted_galois_orbit(G):
     """Adding 1/2 at one class to every row of an orbit keeps the rows

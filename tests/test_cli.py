@@ -17,17 +17,17 @@ CHARTAB_SHA256 = {
     "agl18_normalizer":
         "82a347509042c526f52a85b519b9590f5e911aa5c6363bc39dece64a0683c7ef",
     "su3_2":
-        "02ca8538f8e547613346a98c41795b987dfc52d9c2b07f5c7b2adea532ad2596",
+        "977cb38ffd4994bd1efa54712ed7150f89ea9435b8dfb2b995d1202741b68779",
     "su3_2_ext":
         "8ab50da3278b4543038e503b6e9d1e5be206b9d89174818371cc6e49921d7570",
     "su3_3":
-        "ee542aab5c2310f23b1dd6dbbef426599989b768913400510d1263840b1dc578",
+        "36f90fa0e813c28776a69626582de6ed5f06ae18528c2e45ec986e083035016b",
     "g2_2":
         "faf541b2358c07dd5201f1877ce46c068f4fb7c7f88d619471fd0eee891ea2a1",
     "psl3_4":
         "26b4e88b471f9b28922d380c25f4833f292845bc654a19ac2b6b0406839ed354",
     "sl3_4":
-        "0bca062bfc3d17b72bb239e2a80537964c50591ca684acbfc6e41fd6f07ad9ae",
+        "aa449902d4cffa0d2bce8e2f33d8f1bc40490116f6e7c778f89cf0feb7047c71",
     "sz8":
         "8e75e3905f41e61f74dfe2be49531d7fc497f9698730ca80b25eac2ef7c547d7",
 }

@@ -29,7 +29,7 @@ from galmckay.groups import (
 )
 from galmckay.verify import condition_one, extension_sweep
 from oracles import (
-    brute_force_match_exists, cyclic_group, galois_image,
+    brute_force_match_exists, cyclic_group, dihedral_group, galois_image,
     semidirect_product_by_enumeration, symmetric_group,
 )
 
@@ -38,12 +38,6 @@ DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=30,
                         deadline=None)
 
 PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def dihedral(n):
-    return FiniteGroup(n, [tuple((i + 1) % n for i in range(n)),
-                           tuple(-i % n for i in range(n))],
-                       name="D%d" % (2 * n))
 
 
 def affine(n, u):
@@ -58,9 +52,9 @@ GROUPS = {
     "C5": lambda: cyclic_group(5),
     "C7": lambda: cyclic_group(7),
     "C8": lambda: cyclic_group(8),
-    "D8": lambda: dihedral(4),
-    "D10": lambda: dihedral(5),
-    "D12": lambda: dihedral(6),
+    "D8": lambda: dihedral_group(4),
+    "D10": lambda: dihedral_group(5),
+    "D12": lambda: dihedral_group(6),
     # i and j on the eight points of Q8's regular action
     "Q8": lambda: FiniteGroup(8, [(1, 2, 3, 0, 5, 6, 7, 4),
                                   (4, 7, 6, 5, 2, 1, 0, 3)], name="Q8"),

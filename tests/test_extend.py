@@ -15,13 +15,7 @@ from galmckay.extend import (
     invariant_extension_exists,
 )
 from galmckay.zoo import field_automorphism, torus_normalizer
-from oracles import cyclic_group, full_galois_group
-
-
-def dihedral(n):
-    rot = tuple((i + 1) % n for i in range(n))
-    refl = tuple((-i) % n for i in range(n))
-    return FiniteGroup(n, [rot, refl], name="D%d" % (2 * n))
+from oracles import cyclic_group, dihedral_group, full_galois_group
 
 
 def times_mod(m, n):
@@ -45,7 +39,7 @@ def c7_with_squaring():
 
 
 def d14_with_c3():
-    d = dihedral(7)
+    d = dihedral_group(7)
     rot, refl = d.generators
     a = times_mod(2, 7)
     assert [conjugate(g, a) for g in d.generators] == [perm_pow(rot, 2), refl]

@@ -9,7 +9,9 @@ from galmckay.groups import (
     perm_pow, identity_perm, semidirect_product, check_realizer,
     automorphism_order, induced_class_permutation,
 )
-from oracles import base_key_lookup, cyclic_group, symmetric_group
+from oracles import (
+    base_key_lookup, cyclic_group, dihedral_group, symmetric_group,
+)
 
 
 def test_perm_helpers():
@@ -72,27 +74,21 @@ def test_elementary_abelian_8():
     assert all(c.size == 1 for c in g.conjugacy_classes)
 
 
-def dihedral(n):
-    rot = tuple((i + 1) % n for i in range(n))
-    refl = tuple((-i) % n for i in range(n))
-    return FiniteGroup(n, [rot, refl], name="D%d" % (2 * n))
-
-
 def test_dihedral_14_classes():
-    d = dihedral(7)
+    d = dihedral_group(7)
     assert d.order == 14
     assert len(d.conjugacy_classes) == 5
 
 
 def test_class_ordering_deterministic():
-    d = dihedral(7)
+    d = dihedral_group(7)
     key = [(c.element_order, c.size) for c in d.conjugacy_classes]
     assert key == sorted(key)
     assert d.conjugacy_classes[0].element_order == 1
 
 
 def test_power_map():
-    d = dihedral(7)
+    d = dihedral_group(7)
     for c in range(len(d.conjugacy_classes)):
         assert d.power_map(c, 1) == c
     # a class of 7-elements: squaring then cubing returns g^6 = g^-1's class
@@ -149,7 +145,7 @@ def test_semidirect_dihedral():
     inv = neg_mod(7)
     sd = semidirect_product(c7, inv, 2)
     assert sd.order == 14
-    d = dihedral(7)
+    d = dihedral_group(7)
     assert sorted(c.size for c in sd.conjugacy_classes) == \
         sorted(c.size for c in d.conjugacy_classes)
     # the realizer is the complement generator and induces the automorphism
@@ -432,24 +428,72 @@ def test_coset_product_times_match_brute_force():
                     for x in S], (H.name, a, zi)
 
 
-@pytest.mark.parametrize("tag, every", [("su3_2", 19), ("su3_3", 67)])
-def test_table_generators_keep_classes(tag, every):
-    """Classes read from the generators that extend the chain are the
-    orbits under all the generators' conjugation tables."""
+def passed_generators(monkeypatch, build, *args) -> tuple:
+    """(build(*args), the generators build passes to FiniteGroup)."""
+    from galmckay import zoo
+
+    passed = []
+
+    def spy(degree, generators, name="G"):
+        passed.append([tuple(g) for g in generators])
+        return FiniteGroup(degree, generators, name)
+
+    with monkeypatch.context() as m:
+        m.setattr(zoo, "FiniteGroup", spy)
+        G = build(*args)
+    (gens,) = passed
+    return G, gens
+
+
+@pytest.mark.parametrize("tag, every, sample",
+                         [("su3_2", 19, None), ("su3_3", 67, 1000)],
+                         ids=["su3_2-19", "su3_3-67"])
+def test_kept_generators_keep_classes(monkeypatch, tag, every, sample):
+    """A group keeps fewer generators than zoo passes in, and classes read
+    from the kept ones are still classes: conjugation by every generator
+    passed in maps each class into itself.  su3_2 is checked on every
+    element, and its classes are exactly the orbits under all generators
+    passed in; su3_3 on the class representatives and a seeded sample."""
     from galmckay.groups import _orbits
     from galmckay.zoo import small_group
 
-    G = small_group(tag)
-    assert len(G.generators) == every
-    assert len(G.table_generators) < every
-    assert set(G.table_generators) < set(range(every))
-    tables = [G.conjugation_table(s) for s in range(every)]
-    assert [list(cl.indices) for cl in G.conjugacy_classes] == sorted(
-        _orbits(G.order, tables),
-        key=lambda o: (perm_order(G.element(o[0])), len(o), o[0]))
+    G, passed = passed_generators(monkeypatch, small_group, tag)
+    assert len(set(passed) - {identity_perm(G.degree)}) == every
+    assert len(G.generators) < every
+    assert set(G.generators) < set(passed)
+    classes = G.conjugacy_classes
+    if sample is None:
+        tables = [[G.index_of(conjugate(x, g)) for x in G.elements]
+                  for g in passed]
+        assert [list(cl.indices) for cl in classes] == sorted(
+            _orbits(G.order, tables),
+            key=lambda o: (perm_order(G.element(o[0])), len(o), o[0]))
+        return
+    indices = [cl.indices[0] for cl in classes] + random.Random(3).sample(
+        range(G.order), sample)
+    for i in indices:
+        x, c = G.element(i), G._class_of[i]
+        assert all(G.class_of_element(conjugate(x, g)) == c for g in passed)
 
 
-def test_sz8_kernel_memory_within_estimate():
+@pytest.mark.parametrize("tag", ["su3_2", "su3_3"])
+def test_table_does_not_depend_on_the_generators_kept(monkeypatch, tag):
+    """The generators zoo passes in, shuffled with a fixed seed, leave the
+    group another kept set and the same table up to row and column
+    order."""
+    from galmckay.chartab import dixon_schneider
+    from galmckay.verify import tables_equivalent
+    from galmckay.zoo import small_group
+
+    G, passed = passed_generators(monkeypatch, small_group, tag)
+    random.Random(5).shuffle(passed)
+    H = FiniteGroup(G.degree, passed, name=tag + "-shuffled")
+    assert H.order == G.order
+    assert set(H.generators) != set(G.generators)
+    assert tables_equivalent(dixon_schneider(G), dixon_schneider(H))
+
+
+def test_sz8_kernel_memory_within_estimate(monkeypatch):
     """The tracemalloc peak of enumerating Sz(8), its classes and the 4
     class matrices its table needs stays within enumeration_bytes.  What
     is still held after the classes of Sz(8) and of Sz(8) x| C3 stays
@@ -460,10 +504,10 @@ def test_sz8_kernel_memory_within_estimate():
     from galmckay.groups import enumeration_bytes
     from galmckay.zoo import field_automorphism, suzuki_group
 
-    G = suzuki_group(1)
+    G, passed = passed_generators(monkeypatch, suzuki_group, 1)
     assert (G.order, len(G.base), len(G.generators)) == (29120, 3, 3)
-    # every generator extends the stabilizer chain
-    assert G.table_generators == (0, 1, 2)
+    # the group keeps every generator suzuki_group passes in
+    assert G.generators == tuple(passed)
     frob = field_automorphism(G)
     tracemalloc.start()
     try:
@@ -513,7 +557,7 @@ def test_induced_class_permutation_brute_force():
 
 
 def test_class_sizes_divide_order():
-    for g in (symmetric_group(4), dihedral(9), cyclic_group(12)):
+    for g in (symmetric_group(4), dihedral_group(9), cyclic_group(12)):
         for c in g.conjugacy_classes:
             assert g.order % c.size == 0
         assert sum(c.size for c in g.conjugacy_classes) == g.order
@@ -564,8 +608,8 @@ def oracle_groups():
     from galmckay.verify import list_targets, local_model_group
     from galmckay.zoo import agl18_normalizer, psl2_8, small_group
 
-    groups = [psl2_8(), agl18_normalizer(), symmetric_group(4), dihedral(9),
-              cyclic_group(12), cyclic_group(5)]
+    groups = [psl2_8(), agl18_normalizer(), symmetric_group(4),
+              dihedral_group(9), cyclic_group(12), cyclic_group(5)]
     groups += [small_group(tag) for tag in ("su3_2", "su3_2_ext", "su3_3")]
     groups += [local_model_group(t["family"], t["f"], t["p"])
                for t in list_targets()]

@@ -1,8 +1,11 @@
 """Property tests: CharacterTable.validate on the tables of random
-permutation groups, against the all-pairs orthogonality oracle, and the
-ring laws of cyclotomics of mixed orders, against their complex values."""
+permutation groups, against the all-pairs orthogonality oracle; the ring
+laws of cyclotomics of mixed orders, against their complex values; and
+the Galois action on the rows of small bundled tables, against applying
+sigma_b to every value."""
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 import pytest
@@ -12,8 +15,13 @@ from galmckay.chartab import (
     CharacterTable, ChartabError, ClassFunction, dixon_schneider,
 )
 from galmckay.cyclo import ZERO, Cyclotomic
+from galmckay.galois import act_on_table
 from galmckay.groups import FiniteGroup
-from oracles import approx, root, validate_all_pairs
+from galmckay.zoo import agl18_normalizer, psl2_8, small_group
+from oracles import (
+    approx, cyclic_group, dihedral_group, full_galois_group, galois_image,
+    root, validate_all_pairs,
+)
 
 # derandomized, so that every run draws the same groups
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
@@ -111,3 +119,32 @@ def test_galois_is_a_ring_homomorphism(a, b, data):
         [u for u in range(1, n + 1) if gcd(u, n) == 1]))
     assert (a + b).galois(u) == a.galois(u) + b.galois(u)
     assert (a * b).galois(u) == a.galois(u) * b.galois(u)
+
+
+BUNDLED = {"C": cyclic_group, "D": dihedral_group, "psl2_8": psl2_8,
+           "agl18_normalizer": agl18_normalizer,
+           "su3_2": lambda: small_group("su3_2")}
+
+
+@cache
+def bundled_table(tag: str, n: int) -> CharacterTable:
+    return dixon_schneider(BUNDLED[tag](n) if n else BUNDLED[tag]())
+
+
+@st.composite
+def bundled_tables(draw):
+    """The table of C_n (n <= 12), D_2n (3 <= n <= 12), PSL2(8), the
+    order-168 affine normalizer or SU3(2), each built once."""
+    tag = draw(st.sampled_from(sorted(BUNDLED)))
+    n = draw(st.integers(1 if tag == "C" else 3, 12)) if tag in "CD" else 0
+    return bundled_table(tag, n)
+
+
+@PROPERTY
+@given(bundled_tables())
+def test_act_on_table_is_the_value_wise_galois_action(t):
+    """For every unit b mod the exponent, the row permutation read from the
+    power maps sends row i to the row of sigma_b applied to its values."""
+    for sigma in full_galois_group(t.exponent):
+        assert act_on_table(t, sigma) == tuple(
+            t.row_index(galois_image(row, sigma.b)) for row in t.rows)

@@ -10,6 +10,7 @@ from galmckay.groups import (
 from galmckay.zoo import (
     FiniteField, ZooError, suzuki_group, psl2_8, agl18_normalizer,
     small_group, field_automorphism, torus_normalizer, torus_rows,
+    psl2_local_model,
 )
 
 
@@ -126,6 +127,14 @@ def test_agl18_normalizer():
     # normal and elementary abelian
     assert G.normalizer(s).order == 168
     assert all(perm_order(x) in (1, 2) for x in s.elements)
+
+
+def test_psl2_local_model_at_2_is_agl18():
+    """The Sylow 2-normalizer model of PSL2(8): x -> x + 1 and
+    x -> lambda*x give AGL(1,8), of order 56, without the Frobenius map."""
+    G = psl2_local_model(2)
+    assert G.order == 56
+    assert agl18_normalizer().frobenius_perm not in G
 
 
 def test_small_group_orders():
