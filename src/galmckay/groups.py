@@ -8,11 +8,13 @@ tuples by the deterministic Schreier-Sims algorithm (Seress, Permutation
 Group Algorithms, 2003, ch. 4); membership sifts through it.
 
 An element of G is determined by the images of the base points, its base
-key.  An enumerated group stores no permutations.  It numbers its
-elements e_0 = 1, e_1, ... in breadth-first order over the generators;
-the breadth-first search tells elements apart by their base keys, and
-the map from keys to numbers lives only while it runs.  The group then
-keeps three things:
+key: on at most 256 points a bytes object, which a generator moves in C
+with bytes.translate and whose hash is cached, and a tuple above.  An
+enumerated group stores no permutations.  It numbers its elements
+e_0 = 1, e_1, ... in breadth-first order over the generators; the
+breadth-first search tells elements apart by their base keys, and the map
+from keys to numbers, with a queue of the keys not yet moved, lives only
+while it runs.  The group then keeps three things:
 - the right-multiplication table R_s[i] = number of e_i s of each
   generator s;
 - the breadth-first tree, e_i = e_parent(i) s for one generator s;
@@ -29,10 +31,10 @@ each numbered by a sift.  A group keeps, in the order given, only the
 generators that extend its stabilizer chain; conjugacy classes are the
 orbits of their C tables.  A class matrix counts the classes of u z over
 an inverse class, and normalizers and transporters walk the conjugates
-of index sets through the C tables.  A permutation is rebuilt from the
-tree only when it is asked for: class representatives and the elements
-of small groups.  Enumeration is refused when its estimated memory
-exceeds a byte budget.
+of index sets through the C tables, each conjugate held as the ascending
+tuple of its numbers.  A permutation is rebuilt from the tree only when
+it is asked for: class representatives and the elements of small groups.
+Enumeration is refused when its estimated memory exceeds a byte budget.
 
 A semidirect product G ⋊ <r> with r of order k is never enumerated: it
 is held as the k cosets G r^j of the enumerated G, an element as its
@@ -44,7 +46,7 @@ G alone.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from functools import cache
 from math import gcd, lcm
 from itertools import repeat
@@ -58,15 +60,18 @@ ENUMERATION_BUDGET = 1 << 30
 
 def enumeration_bytes(order: int, base_length: int, generators: int) -> int:
     """Estimated peak memory of enumerating a group, its classes and class
-    matrices.  Per element: the base key (a tuple of 40 + 8 * base_length
-    bytes), its dict entry and the element's number (about 80), the tree
-    (16), the R table and the conjugation table of each generator (16 per
-    generator), and about 40 for class data and transient tables.  The
-    base keys and their map live only while the enumeration runs, so the
-    estimate bounds its peak, not what the group holds afterwards.
-    tracemalloc peaks per element: 179 for Sz(8) (degree 65, a base of 3
-    points, 3 generators; estimate 248) and 186 for S8 (degree 8, a base
-    of 7 points, 2 generators; estimate 264)."""
+    matrices.  Per element: the base key (charged as a tuple of 40 + 8 *
+    base_length bytes, the key above 256 points; up to 256 points it is a
+    bytes object of 33 + base_length bytes), its dict entry and the
+    element's number (about 80), the tree (16), the R table and the
+    conjugation table of each generator (16 per generator), and about 40
+    for class data and transient tables.  The base keys and their map
+    live only while the enumeration runs, so the estimate bounds its
+    peak, not what the group holds afterwards.  tracemalloc peaks per
+    element of enumerating a group and building its character table: 143
+    for Sz(8) (degree 65, a base of 3 points, 3 generators; estimate 248)
+    and 126 for S8 (degree 8, a base of 7 points, 2 generators; estimate
+    264)."""
     return order * (8 * base_length + 16 * generators + 176)
 
 
@@ -259,18 +264,18 @@ class ConjClass:
 
 def _orbits(n: int, tables) -> list:
     """Orbits on range(n) under the index maps in tables, each sorted."""
-    seen = [False] * n
+    seen = bytearray(n)   # one byte a point, not a list's 8-byte pointer
     orbits = []
     for start in range(n):
         if seen[start]:
             continue
-        seen[start] = True
+        seen[start] = 1
         orbit = [start]
         for x in orbit:
             for table in tables:
                 y = table[x]
                 if not seen[y]:
-                    seen[y] = True
+                    seen[y] = 1
                     orbit.append(y)
         orbit.sort()
         orbits.append(orbit)
@@ -472,31 +477,45 @@ class FiniteGroup(_Classes):
                 "group of order %d on %d points needs about %d bytes to "
                 "enumerate (budget %d)"
                 % (self.order, self.degree, need, ENUMERATION_BUDGET))
-        keys = [base]   # the base key of the identity
-        index = {base: 0}
+        # the base key of e_i g is g applied to the base key of e_i: up to
+        # 256 points a bytes key, moved in C by translate through g padded
+        # to 256 entries, whose hash is cached; above, a tuple key read by
+        # itemgetter (compose)
+        if self.degree <= 256:
+            encode, move = bytes, bytes.translate
+            movers = [bytes(g) + bytes(256 - len(g)) for g in gens]
+        else:
+            encode, move, movers = tuple, compose, gens
+        start = encode(base)   # the base key of the identity
+        index = {start: 0}
+        queue = deque([start])   # keys not yet moved; index holds them all
         right = [[] for _ in gens]
         # int32 is enough: ENUMERATION_BUDGET keeps k*|G| far below 2**31
         parent, gen = array("i"), array("i")
         steps = [(s, g, table.append)
-                 for s, (g, table) in enumerate(zip(gens, right))]
-        for i, key in enumerate(keys):
-            # the base key of e_i g is g applied to the base key of e_i
-            image = itemgetter(*key)
+                 for s, (g, table) in enumerate(zip(movers, right))]
+        i = 0
+        while queue:
+            key = queue.popleft()
             for s, g, record in steps:
-                key = image(g)
-                j = index.get(key)
+                image = move(key, g)
+                j = index.get(image)
                 if j is None:
-                    j = index[key] = len(keys)
-                    keys.append(key)
+                    j = index[image] = len(index)
+                    queue.append(image)
                     parent.append(i)
                     gen.append(s)
                 record(j)
-        assert len(keys) == self.order
+            i += 1
+        if len(index) != self.order:
+            raise GroupError(
+                "enumerated %d elements of %s, but its stabilizer chain "
+                "gives order %d" % (len(index), self.name, self.order))
         self._parent, self._gen = parent, gen
         # the key map ends here: later lookups sift to transversal elements
         key = itemgetter(*base)
         self._transversal = [
-            {x: tuple(self._word(index[key(u)]))
+            {x: tuple(self._word(index[encode(key(u))]))
              for x, (u, _, _) in orbit.items()}
             for _, _, orbit, _ in self._chain]
         self._right = right
@@ -565,9 +584,10 @@ class FiniteGroup(_Classes):
                                              left))
         return table
 
-    def conjugate_indices(self, S, s: int) -> frozenset:
-        """Numbers of g^-1 x g over the numbers x in S, g = generators[s]."""
-        return frozenset(map(self.conjugation_table(s).__getitem__, S))
+    def conjugate_indices(self, S, s: int) -> tuple:
+        """Numbers of g^-1 x g over the numbers x in S, g = generators[s],
+        in ascending order."""
+        return tuple(sorted(map(self.conjugation_table(s).__getitem__, S)))
 
     # -- conjugacy classes -------------------------------------------------
 
@@ -616,12 +636,14 @@ class FiniteGroup(_Classes):
                 raise GroupError("Sylow saturation failed")  # pragma: no cover
         return P
 
-    def _conjugate_walk(self, A: frozenset):
+    def _conjugate_walk(self, A: tuple):
         """Breadth-first walk over the conjugates of the index set A, each
-        moved by the generators in order.  Yields (t, g, T, u) for each
-        step from A^t by the generator g to T = A^(tg): u is None if the
-        step reaches T first, and t g is then T's element; else u is T's
-        element, and t g u^-1 fixes A."""
+        held as the ascending tuple of its numbers (see conjugate_indices)
+        and moved by the generators in order.  A tuple takes 8 bytes a
+        number; a frozenset of 13 to 448 numbers takes 5 to 9 times that.
+        Yields (t, g, T, u) for each step from A^t by the generator g to
+        T = A^(tg): u is None if the step reaches T first, and t g is then
+        T's element; else u is T's element, and t g u^-1 fixes A."""
         orbit = {A: self._identity}
         queue = [A]
         for S in queue:
@@ -634,9 +656,11 @@ class FiniteGroup(_Classes):
                     queue.append(T)
                 yield t, g, T, u
 
-    def transporter(self, A: frozenset, B: frozenset) -> tuple:
+    def transporter(self, A, B) -> tuple:
         """The first t with A^t = B that the walk from the index set A
-        reaches; the identity if A = B, GroupError if there is no t."""
+        reaches; the identity if A = B, GroupError if there is no t.  Both
+        sets are compared as ascending tuples, the walk's keys."""
+        A, B = tuple(sorted(A)), tuple(sorted(B))
         if A == B:
             return self._identity
         for t, g, T, _ in self._conjugate_walk(A):
@@ -646,16 +670,17 @@ class FiniteGroup(_Classes):
 
     def normalizer(self, H: "FiniteGroup") -> "FiniteGroup":
         """N_G(H) for H <= G via orbit-stabilizer on the conjugates of H,
-        each held as the set of its element numbers in G.  N gets the
-        Schreier generators in sorted order and keeps those that extend
-        its chain."""
+        each held as the ascending tuple of its element numbers in G.  N
+        gets the Schreier generators in sorted order and keeps those that
+        extend its chain.  GroupError if |N| times the number of
+        conjugates is not |G|, which also covers |N| dividing |G|."""
         if H.degree != self.degree:
             raise GroupError("degree mismatch")
         if any(h not in self for h in H.generators):
             raise GroupError("%s is not a subgroup of %s" % (H.name, self.name))
         conjugates, stab = 1, set()
         for t, g, _, u in self._conjugate_walk(
-                frozenset(map(self.index_of, H.elements))):
+                tuple(sorted(map(self.index_of, H.elements)))):
             if u is None:
                 conjugates += 1
                 continue
@@ -663,8 +688,11 @@ class FiniteGroup(_Classes):
             if tg != u:
                 stab.add(compose(tg, inverse(u)))
         N = FiniteGroup(self.degree, sorted(stab), name="N_%s" % (H.name,))
-        assert self.order % (N.order or 1) == 0
-        assert N.order * conjugates == self.order
+        if N.order * conjugates != self.order:
+            raise GroupError(
+                "normalizer of %s has order %d and %d conjugates, but %s "
+                "has order %d" % (H.name, N.order, conjugates, self.name,
+                                  self.order))
         return N
 
     def __repr__(self):

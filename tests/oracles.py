@@ -8,7 +8,7 @@ import cmath
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product as iproduct
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import itemgetter, mul
 
 from galmckay.chartab import (
@@ -61,6 +61,38 @@ def deserialize_table(doc: dict) -> dict:
 
 
 # -- character tables ----------------------------------------------------------
+
+def class_algebra_failures(table, count=3):
+    """(row, i, j) wherever a row's central character
+    omega(C) = |C| chi(g_C) / chi(1) breaks
+    omega(C_i) omega(C_j) = sum_k a_ijk omega(C_k), a_ijk the entries
+    class_matrix(i)[j][k] of the table's group, for i over the count
+    smallest nontrivial classes and every j.  validate proves that the
+    rows form a character table; this ties them to the group's class
+    multiplication.  The check is exact: it is read, times chi(1)^2, on
+    psi(C) = |C| chi(g_C), whose terms over zeta_e, e the lcm of the
+    value orders, are summed and reduced once per side."""
+    G = table.group
+    sizes = [cl.size for cl in table.classes]
+    chosen = sorted(range(1, len(sizes)), key=lambda c: (sizes[c], c))[:count]
+    matrices = [(i, G.class_matrix(i)) for i in chosen]
+    failures = []
+    for r, row in enumerate(table.rows):
+        deg = row.degree_int()
+        e = lcm(*(v.order for v in row.values))
+        psi = [[(x * (e // v.order), size * c) for x, c in v.terms()]
+               for v, size in zip(row.values, sizes)]
+        for i, M in matrices:
+            for j, coefficients in enumerate(M):
+                lhs = Cyclotomic.from_terms(e, [
+                    (x + y, c * d) for x, c in psi[i] for y, d in psi[j]])
+                rhs = Cyclotomic.from_terms(e, [
+                    (x, deg * a * c) for k, a in enumerate(coefficients) if a
+                    for x, c in psi[k]])
+                if lhs != rhs:
+                    failures.append((r, i, j))
+    return failures
+
 
 def validate_all_pairs(table):
     """|G| * <chi_i, chi_j> for every pair i <= j of rows, each summed class

@@ -16,7 +16,8 @@ from galmckay.chartab import (
 from galmckay.cli import _GROUP_BUILDERS
 from galmckay.galois import act_on_table
 from oracles import (
-    approx, cyclic_group, dihedral_group, full_galois_group, galois_image,
+    approx, class_algebra_failures, cyclic_group, dihedral_group,
+    full_galois_group, galois_image,
     per_class_dixon_schneider, power_compatibility_check, root,
     symmetric_group, validate_all_pairs,
 )
@@ -450,6 +451,34 @@ def test_validate_agrees_with_the_all_pairs_oracle_on_perturbed_tables():
             checked += 1
             rejected += not oracle
     assert rejected == checked > 1000
+
+
+# -- the class algebra: each table belongs to its group ------------------------
+
+def test_class_algebra_holds_on_chartab_groups_and_models():
+    """Each row's central character multiplies as the class matrices of
+    its group say, on every chartab --group group and every list-targets
+    model, for the three smallest nontrivial classes."""
+    from galmckay.verify import list_targets, local_model_table
+
+    tables = [dixon_schneider(_GROUP_BUILDERS[tag]())
+              for tag in sorted(_GROUP_BUILDERS)]
+    tables += [local_model_table(t["family"], t["f"], t["p"])
+               for t in list_targets()]
+    assert len(tables) == 28
+    for t in tables:
+        assert class_algebra_failures(t) == [], t.group.name
+
+
+def test_class_algebra_oracle_sees_swapped_classes():
+    """C5's table with the values of two nontrivial classes swapped in
+    every row: no automorphism of C5 swaps two elements and fixes the
+    other two, so each nontrivial row breaks the class algebra."""
+    t = dixon_schneider(cyclic_group(5))
+    rows = [ClassFunction(t.group, v[:1] + (v[2], v[1]) + v[3:])
+            for v in (r.values for r in t.rows)]
+    failures = class_algebra_failures(CharacterTable(t.group, rows))
+    assert {r for r, _, _ in failures} == {1, 2, 3, 4}
 
 
 # -- the rational-class lift and the Galois-orbit check ------------------------

@@ -112,6 +112,35 @@ def test_sylow_and_normalizer():
         s4.sylow_subgroup(5)
 
 
+def test_enumeration_refuses_a_count_the_chain_does_not_give():
+    """The count of enumerated elements is checked against the chain's
+    order by a raise, so the check also runs under python -O."""
+    s4 = symmetric_group(4)
+    s4._order = 25
+    with pytest.raises(GroupError, match="enumerated 24 elements"):
+        s4.elements
+
+
+def test_normalizer_refuses_a_walk_that_misses_a_conjugate(monkeypatch):
+    """|N_G(H)| times the number of conjugates of H must be |G|: a walk
+    that drops one new conjugate is refused by a raise."""
+    s4 = symmetric_group(4)
+    p3 = s4.sylow_subgroup(3)
+    walk = FiniteGroup._conjugate_walk
+
+    def dropping(G, A):
+        dropped = False
+        for step in walk(G, A):
+            if step[3] is None and not dropped:
+                dropped = True
+                continue
+            yield step
+
+    monkeypatch.setattr(FiniteGroup, "_conjugate_walk", dropping)
+    with pytest.raises(GroupError, match="order 6 and 3 conjugates"):
+        s4.normalizer(p3)
+
+
 def neg_mod(n):
     """x -> -x on Z/n: conjugation by it inverts the cyclic generator."""
     return tuple((-i) % n for i in range(n))
@@ -495,8 +524,8 @@ def test_table_does_not_depend_on_the_generators_kept(monkeypatch, tag):
 
 def test_sz8_kernel_memory_within_estimate(monkeypatch):
     """The tracemalloc peak of enumerating Sz(8), its classes and the 4
-    class matrices its table needs stays within enumeration_bytes.  What
-    is still held after the classes of Sz(8) and of Sz(8) x| C3 stays
+    class matrices its table needs stays within enumeration_bytes and
+    under 4.5 MiB (it reads about 4 MiB).  What is still held after the classes of Sz(8) and of Sz(8) x| C3 stays
     under 5 MiB: the base-key map does not outlive the enumeration, and
     the write-once per-element integers are int32 arrays."""
     import tracemalloc
@@ -521,6 +550,7 @@ def test_sz8_kernel_memory_within_estimate(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= enumeration_bytes(29120, 3, 3)
+    assert peak <= 4.5 * 2 ** 20
     assert held <= 5 * 2 ** 20
     for H in (G, E):
         assert not any(isinstance(v, dict) and len(v) >= G.order
@@ -608,8 +638,10 @@ def oracle_groups():
     from galmckay.verify import list_targets, local_model_group
     from galmckay.zoo import agl18_normalizer, psl2_8, small_group
 
+    # D520 on 260 points: the tuple base keys of degrees above 256
     groups = [psl2_8(), agl18_normalizer(), symmetric_group(4),
-              dihedral_group(9), cyclic_group(12), cyclic_group(5)]
+              dihedral_group(9), dihedral_group(260), cyclic_group(12),
+              cyclic_group(5)]
     groups += [small_group(tag) for tag in ("su3_2", "su3_2_ext", "su3_3")]
     groups += [local_model_group(t["family"], t["f"], t["p"])
                for t in list_targets()]
