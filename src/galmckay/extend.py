@@ -8,15 +8,17 @@ by brute restriction matching and searches for one fixed by every pair
 group of Galois automorphisms.  The automorphism a is given by a realizer
 permutation r on the points of M, acting by x -> r^-1 x r.  A `Side`
 holds M's table, r and k, owns the row action of C_k x Gal on the table,
-and builds each extension product M x| <a^d> it is asked for once.
+and builds each extension product M x| <a^d> = <M, r^d> it is asked for
+once.  r^k need only lie in M, with the same action and Gallagher count
+as r^k = 1 (Isaacs, Character Theory of Finite Groups, 6.17 and 11.22).
 """
 
 from functools import cached_property
 
 from . import GalMcKayError
 from .groups import (
-    FiniteGroup, _orbits, automorphism_order, check_realizer, compose,
-    is_perm, perm_pow, semidirect_product, induced_class_permutation,
+    FiniteGroup, _orbits, check_realizer, compose, is_perm, perm_pow,
+    semidirect_product, induced_class_permutation,
 )
 from .chartab import CharacterTable, dixon_schneider
 from .galois import act_on_table
@@ -68,11 +70,11 @@ class ActionOnSet:
 
 
 class Side:
-    """A character table with the row action of C_k x Gal on it: a is an
-    automorphism of order dividing k on the table's group, realized by
-    conjugation with realizer.  The side builds the row permutations of
-    a^j once, the action of C_k x H once per H, and each extension
-    product M x| <a^d> it is asked for once, by stabilizer index d."""
+    """A character table with the row action of C_k x Gal on it: a is the
+    automorphism of the table's group given by conjugation with realizer,
+    and a^k fixes every row.  The side builds the row permutations of a^j
+    once, the action of C_k x H once per H, and each extension product
+    M x| <a^d> it is asked for once, by stabilizer index d."""
 
     def __init__(self, table: CharacterTable, realizer, k: int):
         self.table = table
@@ -83,22 +85,21 @@ class Side:
 
     @cached_property
     def automorphism_perms(self):
-        """Row permutations of a^j for j = 0..k-1, a of order dividing k.
+        """Row permutations of a^j for j = 0..k-1.
 
         perms[j][i] is the index of the row chi_i composed with a^j.  They
-        are the powers of the row permutation of a; a table not closed
-        under a raises ChartabError.
+        are the powers of the row permutation of a; ExtendError unless
+        a^k fixes every row, and a table not closed under a raises
+        ChartabError.
         """
         M = self.table.group
-        r = check_realizer(M, self.realizer)
-        if self.k % automorphism_order(M, r):
-            raise ExtendError("action does not have order dividing %d"
-                              % self.k)
+        base = self.table.row_perm(induced_class_permutation(
+            M, check_realizer(M, self.realizer)))
         perms = [tuple(range(len(self.table.rows)))]
-        if self.k > 1:
-            base = self.table.row_perm(induced_class_permutation(M, r))
-            while len(perms) < self.k:
-                perms.append(compose(perms[-1], base))
+        while len(perms) <= self.k:
+            perms.append(compose(perms[-1], base))
+        if perms.pop() != perms[0]:
+            raise ExtendError("a^%d moves a row of the table" % self.k)
         return tuple(perms)
 
     def action(self, H):
@@ -123,11 +124,15 @@ class Side:
 
     def product(self, d: int):
         """(side of M x| <a^d> under the same a, class fusion of M), built
-        once per side."""
+        once per side; ExtendError unless the product has order
+        (k/d)|M|."""
         found = self.products.get(d)
         if found is None:
-            G = semidirect_product(self.table.group,
-                                   perm_pow(self.realizer, d), self.k // d)
+            M = self.table.group
+            G = semidirect_product(M, perm_pow(self.realizer, d))
+            if G.order != self.k // d * M.order:
+                raise ExtendError("M x| <a^%d> has order %d, not %d/%d "
+                                  "times |M|" % (d, G.order, self.k, d))
             fusion = tuple(G.class_of_element(cl.rep)
                            for cl in self.table.classes)
             found = self.products[d] = (
@@ -143,7 +148,7 @@ class Side:
 def find_extensions(side: Side, row: int):
     """All rows of Irr(M x| A_psi) restricting to side.table.rows[row].
 
-    A = <a> with a of order dividing side.k, realized by conjugation with
+    A = <a> acts through C_k, k = side.k, a realized by conjugation with
     side.realizer; the product M x| A_psi comes from side.product.
     Returns (side of M x| A_psi, class fusion of M into it, rows); there
     are |A_psi| rows.

@@ -36,11 +36,11 @@ tuple of its numbers.  A permutation is rebuilt from the tree only when
 it is asked for: class representatives and the elements of small groups.
 Enumeration is refused when its estimated memory exceeds a byte budget.
 
-A semidirect product G ⋊ <r> with r of order k is never enumerated: it
-is held as the k cosets G r^j of the enumerated G, an element as its
-coset and its number in G.  Its classes and class matrices are read from
-G's tables and a few conjugates by powers of r, so the byte budget bounds
-G alone.
+A product <G, r> by a realizer r is never enumerated: for k the least
+with r^k in G, where r^k need not be 1, it is held as the k cosets G r^j
+of the enumerated G, an element as its coset and its number in G.  Its
+classes and class matrices are read from G's tables and a few conjugates
+by powers of r, so the byte budget bounds G alone.
 """
 
 from __future__ import annotations
@@ -716,12 +716,13 @@ def check_realizer(G: FiniteGroup, r) -> tuple:
     return r
 
 
-def automorphism_order(G: FiniteGroup, r) -> int:
-    """Order of the automorphism of G induced by the realizer r."""
-    acc, j = tuple(r), 1
-    while any(conjugate(s, acc) != s for s in G.generators):
-        acc, j = compose(acc, r), j + 1
-    return j
+def coset_order(G: FiniteGroup, r) -> int:
+    """The least k >= 1 with r^k in G: the number of cosets of G in
+    <G, r> for a realizer r."""
+    acc, k = tuple(r), 1
+    while acc not in G:
+        acc, k = compose(acc, r), k + 1
+    return k
 
 
 def induced_class_permutation(G: FiniteGroup, r) -> tuple:
@@ -741,29 +742,22 @@ def power_class_permutation(group, b: int) -> tuple:
 
 # -- semidirect products ---------------------------------------------------
 
-def semidirect_product(G: FiniteGroup, r, k: int) -> "SemidirectProduct":
-    """G ⋊ <r> for a realizer r of order k with <r> meeting G trivially,
-    on the points of G: G is a subgroup and conjugation by r induces the
-    defining automorphism."""
-    if k < 1:
-        raise GroupError("k must be positive")
+def semidirect_product(G: FiniteGroup, r) -> "SemidirectProduct":
+    """<G, r> for a realizer r, on the points of G: G is a normal subgroup
+    of index coset_order(G, r), and conjugation by r induces the defining
+    automorphism."""
     r = check_realizer(G, r)
-    if perm_pow(r, k) != identity_perm(G.degree):
-        raise GroupError("realizer^k is not the identity")
-    for j in range(1, k):
-        if perm_pow(r, j) in G:
-            raise GroupError("realizer lies in the group or has extra order "
-                             "(r^%d is in %s)" % (j, G.name))
-    return SemidirectProduct(G, r, k)
+    return SemidirectProduct(G, r, coset_order(G, r))
 
 
 class SemidirectProduct(_Classes):
-    """G ⋊ <r> as the cosets G r^j, 0 <= j < k, of the enumerated group G.
+    """<G, r> as the cosets G r^j, 0 <= j < k = coset_order(G, r), of the
+    enumerated group G; r^k = e_z is 1 when the product is split.
 
     The element m r^j has number j*|G| + G.index_of(m); an element is
     composed only when it is asked for.  Conjugation keeps each coset:
     for g in G, g^-1 (m r^j) g = g^-1 m (r^j g r^-j) r^j, and
-    r^-1 (m r^j) r = (r^-1 m r) r^j.  So the classes in coset j are the
+    r (m r^j) r^-1 = (r m r^-1) r^j.  So the classes in coset j are the
     orbits of r on its G-classes: G's own for j = 0, else the orbits of
     the maps m -> g^-1 m h (see _coset_maps).  When gcd(j, k) = 1 any x
     in the coset generates the product modulo G, so r fuses nothing
@@ -779,6 +773,7 @@ class SemidirectProduct(_Classes):
         self._k = k
         self._rpow = [perm_pow(r, j) for j in range(k)]
         self._rinv = [inverse(p) for p in self._rpow]
+        self._z = G.index_of(perm_pow(r, k))
         self._shifts = {}
         self._classes = None
         self._class_of = None
@@ -807,9 +802,8 @@ class SemidirectProduct(_Classes):
         return True
 
     def _shift(self, m: int, a: int) -> int:
-        """Number in G of r^a e_m r^-a: e_m rebuilt, conjugated and
-        sifted once per (m, a mod k)."""
-        a %= self._k
+        """Number in G of r^a e_m r^-a, 0 <= a < k: e_m rebuilt,
+        conjugated and sifted once per (m, a)."""
         if a and (m, a) not in self._shifts:
             self._shifts[m, a] = self._G.index_of(compose(
                 compose(self._rpow[a], self._G.element(m)), self._rinv[a]))
@@ -818,12 +812,15 @@ class SemidirectProduct(_Classes):
     def times(self, S, zi: int) -> list:
         """Numbers of x z over the numbers x in S, all in one coset G r^a,
         for z = e_z' r^b numbered zi: x z = m (r^a z' r^-a) r^(a+b) for
-        x = m r^a."""
-        n = self._G.order
+        x = m r^a, and r^(a+b) = r^k r^(a+b-k) when a + b >= k."""
+        G, n, k = self._G, self._G.order, self._k
         a = S[0] // n
         b, z = divmod(zi, n)
-        products = self._G.times(map((-a * n).__add__, S), self._shift(z, a))
-        return list(map(((a + b) % self._k * n).__add__, products))
+        products = G.times(map((-a * n).__add__, S), self._shift(z, a))
+        if a + b >= k:
+            # the identity's tree word is empty: a split product copies
+            products, b = G.times(products, self._z), b - k
+        return list(map(((a + b) * n).__add__, products))
 
     def _coset_maps(self, j: int) -> list:
         """Maps on G's numbers whose orbits, moved to the coset G r^j, are
@@ -846,11 +843,11 @@ class SemidirectProduct(_Classes):
             parts = (_orbits(n, self._coset_maps(j)) if j
                      else [cl.indices for cl in G.conjugacy_classes])
             if gcd(j, k) > 1:
-                # fuse the G-classes under m -> r^-1 m r, read at one
+                # fuse the G-classes under m -> r m r^-1, read at one
                 # member of each; each union is sorted into int32 at once
                 label = G._class_of if not j else {
                     i: c for c, part in enumerate(parts) for i in part}
-                fusion = [label[self._shift(part[0], -1)] for part in parts]
+                fusion = [label[self._shift(part[0], 1)] for part in parts]
                 parts = [array("i", sorted(i for c in orbit for i in parts[c]))
                          for orbit in _orbits(len(parts), [fusion])]
             orbits += [array("i", map((j * n).__add__, part))

@@ -17,8 +17,8 @@ from functools import cache
 
 from . import GalMcKayError
 from .groups import (
-    FiniteGroup, compose, conjugate, perm_pow, identity_perm,
-    automorphism_order, check_realizer,
+    FiniteGroup, compose, conjugate, identity_perm, check_realizer,
+    coset_order,
 )
 from .chartab import CharacterTable, dixon_schneider
 from .galois import h_group
@@ -223,12 +223,13 @@ def cross_model_check(family, f, p) -> bool:
 
 # -- target plumbing -------------------------------------------------------
 
-def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
-    """Sylow normalizer N with an order-k realizer normalizing it.
+def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer):
+    """Sylow normalizer N with a realizer normalizing it.
 
     Conjugation by the field automorphism moves the chosen Sylow
-    subgroup to a conjugate; G.transporter brings it back, and a
-    further search through N fixes the order of the realizer.
+    subgroup to a conjugate; G.transporter brings it back.  The realizer
+    r t is returned as it is: its powers meet N where those of r meet G,
+    and its k-th power need not be 1 (see groups.SemidirectProduct).
     """
     R = G.sylow_subgroup(p)
     N = G.normalizer(R)
@@ -236,13 +237,7 @@ def stable_sylow_setup(G: FiniteGroup, p: int, frob_realizer, k: int):
     elements = R.elements
     rset = frozenset(map(G.index_of, elements))
     moved = frozenset(G.index_of(conjugate(x, r)) for x in elements)
-    r = compose(r, G.transporter(moved, rset))
-    ident = identity_perm(G.degree)
-    for n in sorted(N.elements):
-        cand = compose(r, n)
-        if perm_pow(cand, k) == ident:
-            return N, check_realizer(N, cand)
-    raise VerifyError("no order-%d realizer stabilizing the normalizer" % k)
+    return N, check_realizer(N, compose(r, G.transporter(moved, rset)))
 
 
 # supported targets: (family, f) -> primes with full verification
@@ -314,7 +309,8 @@ def out_of_scope_report(family, f, p):
 
 @cache
 def _field_action(family, f):
-    """The global group, its field automorphism's realizer and order.
+    """The global group, its field automorphism's realizer and k, its
+    coset order.
 
     Both sides start here, so a local side needs no global table.
     """
@@ -326,7 +322,7 @@ def _field_action(family, f):
         raise VerifyError("no global group constructor for %s f=%d"
                           % (family, f))
     frob = field_automorphism(G)
-    return G, frob, automorphism_order(G, frob)
+    return G, frob, coset_order(G, frob)
 
 
 @cache
@@ -344,7 +340,7 @@ def local_side(family, f, p) -> Side:
         table = local_model_table(family, f, p)
         return Side(table, identity_perm(table.group.degree), 1)
     G, frob, k = _field_action(family, f)
-    N, lreal = stable_sylow_setup(G, p, frob, k)
+    N, lreal = stable_sylow_setup(G, p, frob)
     return Side(dixon_schneider(N), lreal, k)
 
 

@@ -492,7 +492,7 @@ def _gl23_mats(d):
 
     A = next((A for A in units if perm_order(perm(A)) == 8), None)
     if A is None:
-        raise ZooError("no order-8 element in GL2(Z_%d)" % d)
+        raise ZooError("no element of order 8 in GL2(Z_%d)" % d)
     for B in units:
         pb = perm(B)
         if perm_order(pb) != 3:
@@ -605,8 +605,8 @@ def _ree_half_model(half):
     m = half // 2
     mult3 = next((c for c in range(2, m) if pow(c, 3, m) == 1), None)
     if mult3 is None:
-        raise ZooError("number-theoretic inconsistency: no order-3 "
-                       "multiplier mod %d" % m)
+        raise ZooError("number-theoretic inconsistency: no multiplier "
+                       "of order 3 mod %d" % m)
     w3 = ((0, 1, 0), (1, 1, 0), (0, 0, mult3))
     w2 = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
     return (2, 2, m), [w3, w2]

@@ -18,7 +18,7 @@ from galmckay.chartab import (
 from galmckay.cyclo import Cyclotomic, rational
 from galmckay.galois import GaloisElement, _check_modulus
 from galmckay.groups import (
-    FiniteGroup, GroupError, check_realizer, identity_perm, perm_pow,
+    FiniteGroup, GroupError, check_realizer, coset_order, perm_pow,
     power_class_permutation,
 )
 from galmckay.ntheory import primitive_root
@@ -205,20 +205,68 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(n, [cyc, tr], name="S%d" % n)
 
 
-def semidirect_product_by_enumeration(G: FiniteGroup, r, k: int) -> FiniteGroup:
-    """G ⋊ <r> as the permutation group generated by G and r, enumerated
-    whole: the generic path groups.semidirect_product replaced."""
-    if k < 1:
-        raise GroupError("k must be positive")
+def semidirect_product_by_enumeration(G: FiniteGroup, r) -> FiniteGroup:
+    """<G, r> as the permutation group generated by G and r, enumerated
+    whole: the generic path groups.semidirect_product replaced.  r^k, k
+    the coset order of r, may be any element of G."""
     r = check_realizer(G, r)
-    if perm_pow(r, k) != identity_perm(G.degree):
-        raise GroupError("realizer^k is not the identity")
+    k = coset_order(G, r)
     H = FiniteGroup(G.degree, list(G.generators) + [r],
                     name=G.name + ".%d" % k)
     if H.order != k * G.order:
-        raise GroupError("realizer lies in the group or has extra order "
-                         "(got %d, want %d)" % (H.order, k * G.order))
+        raise GroupError("<%s, r> has order %d, want %d"
+                         % (G.name, H.order, k * G.order))
     return H
+
+
+def right_regular(elements, mul):
+    """g -> the permutation x -> x g on the positions of elements, for a
+    group given by its elements and its product mul: a homomorphism under
+    compose, so conjugation by its images is conjugation in the group."""
+    point = {u: x for x, u in enumerate(elements)}
+    return lambda g: tuple(point[mul(u, g)] for u in elements)
+
+
+def dicyclic_over_cyclic(n):
+    """(C_2n, x) in the dicyclic group Dic_n = <a, x | a^2n = 1,
+    x^2 = a^n, x^-1 a x = a^-1> of order 4n on its right regular action:
+    x normalizes C_2n = <a>, and x^2 = a^n is not 1.  Q8 for n = 2, Q12
+    for n = 3."""
+    def mul(u, v):
+        (i, e), (j, f) = u, v
+        return (i + (-1) ** e * j + n * (e & f)) % (2 * n), e ^ f
+
+    rho = right_regular([(i, e) for e in (0, 1) for i in range(2 * n)], mul)
+    return (FiniteGroup(4 * n, [rho((1, 0))], name="C%d" % (2 * n)),
+            rho((0, 1)))
+
+
+def c5_c2_in_c5_c8():
+    """(C5 x C2, y) in C5 x| C8 = <x, y | x^5 = y^8 = 1, y x y^-1 = x^3>
+    on its right regular action: y acts on C5 with order 4, and y^4
+    generates the central C2, so y has coset order 4 and y^4 is not 1."""
+    def mul(u, v):
+        return (u[0] + 3 ** u[1] * v[0]) % 5, (u[1] + v[1]) % 8
+
+    rho = right_regular([(a, b) for b in range(8) for a in range(5)], mul)
+    return (FiniteGroup(40, [rho((1, 0)), rho((0, 4))], name="C5xC2"),
+            rho((0, 1)))
+
+
+def cyclic_over_half(n):
+    """(C_(n/2), g) in C_n on n points, g its generator: g^2 generates
+    the index-2 subgroup and is not 1."""
+    g = tuple((i + 1) % n for i in range(n))
+    return FiniteGroup(n, [perm_pow(g, 2)], name="C%d" % (n // 2)), g
+
+
+def nonsplit_cases():
+    """(G, r, k) for products <G, r> with r^k in G but not 1: Q8 = C4.C2,
+    Q12 = C6.C2, C4 = C2.C2, C8 = C4.C2 and C5 x| C8 over C5 x C2, k = 4,
+    whose coset 2 is fused by r."""
+    return [dicyclic_over_cyclic(2) + (2,), dicyclic_over_cyclic(3) + (2,),
+            cyclic_over_half(4) + (2,), cyclic_over_half(8) + (2,),
+            c5_c2_in_c5_c8() + (4,)]
 
 
 def base_key_lookup(G: FiniteGroup, elements):

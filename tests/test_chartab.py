@@ -17,7 +17,7 @@ from galmckay.cli import _GROUP_BUILDERS
 from galmckay.galois import act_on_table
 from oracles import (
     approx, class_algebra_failures, cyclic_group, dihedral_group,
-    full_galois_group, galois_image,
+    full_galois_group, galois_image, nonsplit_cases,
     per_class_dixon_schneider, power_compatibility_check, root,
     symmetric_group, validate_all_pairs,
 )
@@ -82,7 +82,7 @@ def c13_times_8():
 
 def test_c13_c4_table():
     c13, a = c13_times_8()
-    t = dixon_schneider(semidirect_product(c13, a, 4))
+    t = dixon_schneider(semidirect_product(c13, a))
     assert sorted(t.degrees()) == [1, 1, 1, 1, 4, 4, 4]
 
 
@@ -141,7 +141,7 @@ def test_induce_regular():
 
 def test_induce_c13_to_frobenius():
     c13, a = c13_times_8()
-    G = semidirect_product(c13, a, 4)
+    G = semidirect_product(c13, a)
     T = c13
     tt = dixon_schneider(T)
     nontriv = next(r for r in tt.rows if any(v != ONE for v in r.values))
@@ -429,7 +429,7 @@ def test_validate_agrees_with_the_all_pairs_oracle_on_perturbed_tables():
                  tuple(2 * i % 7 for i in range(7)), 3).product(1)[0].table
     tables = [dixon_schneider(G) for G in (
         dihedral_group(7), cyclic_group(5), cyclic_group(12),
-        symmetric_group(4), quaternion8(), semidirect_product(c13, a, 4))] + [d14_3]
+        symmetric_group(4), quaternion8(), semidirect_product(c13, a))] + [d14_3]
     checked = rejected = 0
     for t in tables:
         n, ncl = len(t.rows), len(t.classes)
@@ -466,6 +466,25 @@ def test_class_algebra_holds_on_chartab_groups_and_models():
     tables += [local_model_table(t["family"], t["f"], t["p"])
                for t in list_targets()]
     assert len(tables) == 28
+    for t in tables:
+        assert class_algebra_failures(t) == [], t.group.name
+
+
+def test_class_algebra_holds_on_every_extension_product():
+    """The same check on the tables of the extension products verify
+    builds: PSL(2,8).3, the six N.3 of the full targets and Sz(8).3, all
+    held as cosets of their normal subgroup; and on the non-split
+    products <G, r>, where a product that crosses coset k picks up r^k."""
+    from galmckay.verify import global_side, list_targets, local_side
+
+    sides = [global_side("PSL2", 1)]
+    sides += [local_side(t["family"], t["f"], t["p"])
+              for t in list_targets() if t["mode"] == "full"]
+    sides.append(global_side("2B2", 1))
+    tables = [s.product(1)[0].table for s in sides]
+    tables += [dixon_schneider(semidirect_product(G, r))
+               for G, r, _ in nonsplit_cases()]
+    assert len(tables) == 13
     for t in tables:
         assert class_algebra_failures(t) == [], t.group.name
 

@@ -25,7 +25,8 @@ from galmckay.chartab import ClassFunction, dixon_schneider
 from galmckay.extend import Side
 from galmckay.galois import h_group
 from galmckay.groups import (
-    FiniteGroup, compose, conjugate, identity_perm, perm_order, perm_pow,
+    FiniteGroup, compose, conjugate, coset_order, identity_perm, perm_order,
+    perm_pow,
 )
 from galmckay.verify import condition_one, extension_sweep
 from oracles import (
@@ -153,7 +154,7 @@ def sweep_oracle(table, r, k, H, p):
         if d == k:
             out.append((row, 1, True))
             continue
-        P = semidirect_product_by_enumeration(M, perm_pow(r, d), k // d)
+        P = semidirect_product_by_enumeration(M, perm_pow(r, d))
         big = dixon_schneider(P)
         fusion = [P.class_of_element(c.rep) for c in M.conjugacy_classes]
         exts = [chi for chi in big.rows
@@ -194,6 +195,37 @@ def test_extension_sweep_matches_the_value_wise_oracle():
 
     check()
     assert outcomes == {True: 29, False: 1}
+
+
+def test_extension_sweep_matches_the_value_wise_oracle_when_r_k_is_not_1():
+    """The same comparison with the realizer r t, t the right translation
+    by a drawn element of M.  r t induces a followed by an inner
+    automorphism, so it moves the rows as a does, and it has r's coset
+    order k; but (r t)^k is an element of M that need not be 1.  The
+    library's products then cross coset k through it, while the oracle
+    enumerates <M, (r t)^d> whole.  The pin counts the draws with k = 1,
+    with (r t)^k = 1 and with (r t)^k in M but not 1."""
+    outcomes = Counter()
+
+    @DIFFERENTIAL
+    @given(instances(), st.integers(0, 23))
+    def check(instance, i):
+        name, r, p = instance
+        M, table = regular(name)[2:]
+        r = compose(r, M.element(i % M.order))
+        k = coset_order(M, r)
+        side = Side(table, r, k)
+        H = h_group(p, side.exponent())
+        entries = extension_sweep(side, H, p, "local")
+        got = [(e["row"], e["stabilizer_order"], e["invariant"])
+               for e in entries]
+        assert got == sweep_oracle(table, r, k, H, p), (instance, i)
+        outcomes["k = 1" if k == 1 else "split"
+                 if perm_pow(r, k) == identity_perm(M.degree)
+                 else "non-split"] += 1
+
+    check()
+    assert outcomes == {"k = 1": 6, "split": 14, "non-split": 10}
 
 
 def test_condition_one_part1_matches_brute_force():

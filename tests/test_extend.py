@@ -2,7 +2,7 @@ import pytest
 
 from galmckay.cyclo import ONE
 from galmckay.groups import (
-    FiniteGroup, GroupError, automorphism_order, conjugate, identity_perm,
+    FiniteGroup, GroupError, coset_order, conjugate, identity_perm,
     perm_pow, inverse, induced_class_permutation,
 )
 from galmckay.chartab import (
@@ -15,7 +15,9 @@ from galmckay.extend import (
     invariant_extension_exists,
 )
 from galmckay.zoo import field_automorphism, torus_normalizer
-from oracles import cyclic_group, dihedral_group, full_galois_group
+from oracles import (
+    cyclic_group, dicyclic_over_cyclic, dihedral_group, full_galois_group,
+)
 
 
 def times_mod(m, n):
@@ -43,13 +45,29 @@ def d14_with_c3():
     rot, refl = d.generators
     a = times_mod(2, 7)
     assert [conjugate(g, a) for g in d.generators] == [perm_pow(rot, 2), refl]
-    assert automorphism_order(d, a) == 3
+    assert coset_order(d, a) == 3
     return d, a
 
 
 def a_psi_order(side, row):
     """|A_psi|: the number of powers a^j, j < k, that fix the row."""
     return sum(perm[row] == row for perm in side.automorphism_perms)
+
+
+def test_gallagher_counts_in_the_nonsplit_q8():
+    # Q8 = <i>.<j>: j inverts i, and j^2 = -1 lies in C4 = <i>.  j fixes
+    # the two real rows of C4, and each has 2 extensions to Q8; it swaps
+    # the other two, which stay put
+    c4, j = dicyclic_over_cyclic(2)
+    assert perm_pow(j, 2) in c4 and perm_pow(j, 2) != identity_perm(8)
+    side = Side(dixon_schneider(c4), j, 2)
+    for row, psi in enumerate(side.table.rows):
+        real = all(v == v.galois(-1) for v in psi.values)
+        assert len(find_extensions(side, row)[2]) == (2 if real else 1)
+    # Q8, not D8: six elements of order 4
+    q8 = side.product(1)[0].table
+    assert q8.group.order == 8
+    assert sum(cl.size for cl in q8.classes if cl.element_order == 4) == 6
 
 
 def test_moved_character_stays_put():

@@ -7,7 +7,7 @@ from galmckay.cli import _GROUP_BUILDERS
 from galmckay.groups import (
     FiniteGroup, GroupError, compose, inverse, conjugate, perm_order,
     perm_pow, identity_perm, semidirect_product, check_realizer,
-    automorphism_order, induced_class_permutation,
+    coset_order, induced_class_permutation,
 )
 from oracles import (
     base_key_lookup, cyclic_group, dihedral_group, symmetric_group,
@@ -150,7 +150,7 @@ def test_group_map_checks():
     c6 = cyclic_group(6)
     inv = neg_mod(6)
     assert check_realizer(c6, inv) == inv
-    assert automorphism_order(c6, inv) == 2
+    assert coset_order(c6, inv) == 2
     # not inner: the realizer lies outside C6 and moves a class
     assert inv not in c6
     assert induced_class_permutation(c6, inv) != tuple(range(6))
@@ -172,7 +172,7 @@ def test_induced_class_permutation_identity_and_inner():
 def test_semidirect_dihedral():
     c7 = cyclic_group(7)
     inv = neg_mod(7)
-    sd = semidirect_product(c7, inv, 2)
+    sd = semidirect_product(c7, inv)
     assert sd.order == 14
     d = dihedral_group(7)
     assert sorted(c.size for c in sd.conjugacy_classes) == \
@@ -187,46 +187,54 @@ def test_semidirect_c13_c4():
     c13 = cyclic_group(13)
     r = tuple(8 * i % 13 for i in range(13))
     assert conjugate(c13.generators[0], r) == perm_pow(c13.generators[0], 8)
-    sd = semidirect_product(c13, r, 4)
+    sd = semidirect_product(c13, r)
     assert sd.order == 52
     assert len(sd.conjugacy_classes) == 7
 
 
 def test_semidirect_trivial():
     s4 = symmetric_group(4)
-    sd = semidirect_product(s4, identity_perm(4), 1)
+    sd = semidirect_product(s4, identity_perm(4))
     assert sd.order == 24
     assert sorted(c.size for c in sd.conjugacy_classes) == \
         sorted(c.size for c in s4.conjugacy_classes)
 
 
 def test_semidirect_rejects_wrong_order():
+    # k lives on the side: x -> -x has coset order 2, so C7 x| C3 under
+    # it would have order 14, not 21
+    from galmckay.chartab import dixon_schneider
+    from galmckay.extend import ExtendError, Side
+
     c7 = cyclic_group(7)
-    with pytest.raises(GroupError):
-        semidirect_product(c7, neg_mod(7), 3)
+    with pytest.raises(ExtendError, match="order 14, not 3/1"):
+        Side(dixon_schneider(c7), neg_mod(7), 3).product(1)
 
 
 def test_semidirect_with_realizer():
     # S3 inside S4 point-stabilizer style: use realizer for C3 x C2 demo
     c3 = FiniteGroup(3, [(1, 2, 0)], name="C3")
     r = (0, 2, 1)  # transposition inverting the 3-cycle by conjugation
-    sd = semidirect_product(c3, r, 2)
+    sd = semidirect_product(c3, r)
     assert sd.order == 6
     assert sd.degree == 3
     assert r in sd
-    with pytest.raises(GroupError):
-        # the realizer lies in the group: the product would be too small
-        semidirect_product(c3, (1, 2, 0), 3)
+    # a realizer inside the group gives the group, as one coset
+    inner = semidirect_product(c3, (1, 2, 0))
+    assert (inner.order, inner._k, inner.generators) == (3, 1, c3.generators)
+    assert len(inner.conjugacy_classes) == 3
 
 
 # -- the coset product against the enumerated product -------------------------
 
 def product_cases():
-    """(G, r, k, product) for small products, PSL(2,8) x| C3, the local
-    products of the full targets and Sz(8) x| C3; the last ones are the
-    products verify builds.  The small ones come first, so that a broken
-    product fails on them before verify builds its tables."""
+    """(G, r, k, product) for small products, the non-split ones among
+    them, PSL(2,8) x| C3, the local products of the full targets and
+    Sz(8) x| C3; the last ones are the products verify builds.  The small
+    ones come first, so that a broken product fails on them before verify
+    builds its tables."""
     from galmckay.verify import global_side, list_targets, local_side
+    from oracles import nonsplit_cases
 
     c3 = FiniteGroup(3, [(1, 2, 0)], name="C3")
     # Dic3 = C3 x| C4 with r^2 centralizing C3: in the coset C3 r^2 the
@@ -240,9 +248,9 @@ def product_cases():
              (cyclic_group(7), tuple(3 * i % 7 for i in range(7)), 6),
              (c3, (0, 2, 1), 2),
              (c3_7, (0, 2, 1, 4, 5, 6, 3), 4),
-             (symmetric_group(4), identity_perm(4), 1)]
+             (symmetric_group(4), identity_perm(4), 1)] + nonsplit_cases()
     for G, r, k in small:
-        yield G, r, k, semidirect_product(G, r, k)
+        yield G, r, k, semidirect_product(G, r)
     sides = [global_side("PSL2", 1)]
     sides += [local_side(t["family"], t["f"], t["p"])
               for t in list_targets() if t["mode"] == "full"]
@@ -291,9 +299,10 @@ def test_coset_product_matches_enumerated_product():
     from oracles import semidirect_product_by_enumeration
 
     for G, r, k, H in product_cases():
-        O = semidirect_product_by_enumeration(G, r, k)
+        O = semidirect_product_by_enumeration(G, r)
         elements = product_elements(G, r, k)
         o_elements = O.elements
+        assert H.order == k * G.order, H.name
         assert (H.order, H.exponent) == (O.order, O.exponent), H.name
         assert len(H.conjugacy_classes) == len(O.conjugacy_classes)
         for a, b in zip(H.conjugacy_classes, O.conjugacy_classes):
@@ -314,7 +323,7 @@ def test_coset_product_matches_enumerated_product():
 
 def test_coset_product_membership():
     c7 = cyclic_group(7)
-    H = semidirect_product(c7, neg_mod(7), 2)
+    H = semidirect_product(c7, neg_mod(7))
     assert neg_mod(7) in H and c7.generators[0] in H
     assert identity_perm(7) in H
     # the affine map x -> 2x is in no coset of C7
@@ -544,7 +553,7 @@ def test_sz8_kernel_memory_within_estimate(monkeypatch):
         for i in (1, 2, 8, 5):   # the classes dixon_schneider uses
             G.class_matrix(i)
         _, peak = tracemalloc.get_traced_memory()
-        E = semidirect_product(G, frob, 3)
+        E = semidirect_product(G, frob)
         E.conjugacy_classes
         held, _ = tracemalloc.get_traced_memory()
     finally:
@@ -573,7 +582,7 @@ def test_induced_class_permutation_brute_force():
     frob = field_automorphism(G)
     cases = [(G, frob)]
     for p in (2, 3, 7):
-        cases.append(stable_sylow_setup(G, p, frob, 3))
+        cases.append(stable_sylow_setup(G, p, frob))
     for H, r in cases:
         cperm = induced_class_permutation(H, r)
         assert sorted(cperm) == list(range(len(H.conjugacy_classes)))
@@ -931,6 +940,6 @@ def test_list_targets_fit_the_budget():
         assert budget(N.order, N) <= ENUMERATION_BUDGET
         if t["mode"] == "full":
             G = global_side(t["family"], t["f"]).table.group
-            k = automorphism_order(G, field_automorphism(G))
+            k = coset_order(G, field_automorphism(G))
             # the largest group a full target builds is G x| C_k
             assert budget(k * G.order, G) <= ENUMERATION_BUDGET

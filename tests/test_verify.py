@@ -13,15 +13,16 @@ from galmckay.verify import (
     torus_polynomials, lemma_congruence_check,
     tables_equivalent, cross_model_check, verify_target, list_targets,
     target_mode, local_model_group, local_model_table, local_side,
+    galois_group, stable_sylow_setup,
 )
 from galmckay import extend, verify
 from galmckay.extend import ActionOnSet, ExtendError, Side
 from galmckay.groups import (
     FiniteGroup, GroupError, check_realizer, compose, conjugate,
-    identity_perm, perm_pow,
+    coset_order, identity_perm, perm_order, perm_pow,
 )
 from galmckay.galois import h_group
-from galmckay.zoo import field_automorphism, suzuki_group
+from galmckay.zoo import field_automorphism, small_group, suzuki_group
 from oracles import (
     block_arrangements, block_permutations_equivalent,
     brute_force_match_exists, cyclic_group, full_galois_group, symmetric_group,
@@ -563,6 +564,36 @@ def test_stable_sylow_realizers_pinned():
         realizer = json.dumps(list(local_side(family, 1, p).realizer))
         assert hashlib.sha256(realizer.encode()).hexdigest() == digest, \
             (family, p)
+
+
+@pytest.mark.parametrize("tag, p, order, n, count, stabilized",
+                         [("su3_3", 7, 6, 21, 5, 3), ("psl3_4", 5, 4, 10, 4, 2)])
+def test_field_automorphism_verdicts_off_the_grid(tag, p, order, n, count,
+                                                  stabilized):
+    """Both sides built from a bundled group under its field automorphism,
+    of coset order 2, with H from galois_group.  The transported realizer
+    r is kept as it is: r^2 lies in N and is not 1, so the local products
+    do not split.  SU3(3) at p = 7 gives the verdict that an order-2
+    realizer in r N gave; PSL3(4) at p = 5 has no order-2 realizer in
+    r N and gets a verdict all the same.  count is the number of
+    p'-rows on each side, stabilized those with |A_psi| = 2 on each."""
+    G = small_group(tag)
+    frob = field_automorphism(G)
+    N, r = stable_sylow_setup(G, p, frob)
+    assert (coset_order(G, frob), perm_order(r), N.order) == (2, order, n)
+    assert perm_pow(r, 2) in N
+    g = Side(dixon_schneider(G), frob, 2)
+    l = Side(dixon_schneider(N), r, 2)
+    H = galois_group(g, l, p)
+    frag = condition_one(g, l, p, H)
+    assert frag["part1"], frag["reason"]
+    assert frag["counts"] == {"global": count, "local": count}
+    exts = (extension_sweep(g, H, p, "global")
+            + extension_sweep(l, H, p, "local"))
+    assert all(e["invariant"] for e in exts)
+    assert Counter((e["side"], e["stabilizer_order"]) for e in exts) == {
+        (side, s): count - stabilized if s == 1 else stabilized
+        for side in ("global", "local") for s in (1, 2)}
 
 
 def relabelled_group(G):
